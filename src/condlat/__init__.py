@@ -9,7 +9,6 @@ a command line front end sit on top.
 """
 
 from .errors import (
-    BudgetExceeded,
     BudgetExhausted,
     CondlatError,
     ConditioningOnNull,

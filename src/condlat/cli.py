@@ -54,7 +54,13 @@ from .representation import (
     verify_fi_embedding,
     verify_pair_embedding,
 )
-from .search import SearchSpec, find_witness, minimal_witness
+from .search import (
+    DEFAULT_NODE_BUDGET,
+    INVENTORY,
+    SearchSpec,
+    find_witness,
+    minimal_witness,
+)
 from .selection import (
     ba_to_selection,
     check_frame,
@@ -259,14 +265,12 @@ def set_label_sel(frame, mask: int) -> str:
 
 
 def cmd_search(args) -> int:
-    if args.lattice:
-        doc = parse_lattice(_read(args.lattice))
-        lattice, name = doc.lattice, doc.name
-    else:
-        print("error: search needs --lattice FILE", file=sys.stderr)
-        raise SystemExit(2)
     require = _axiom_list(args.require) if args.require else ()
     forbid = _axiom_list(args.forbid) if args.forbid else ()
+    if args.minimal:
+        return _search_inventory(args, require, forbid)
+    doc = parse_lattice(_read(args.lattice))
+    lattice, name = doc.lattice, doc.name
     run = Run()
     try:
         spec = SearchSpec(lattice, require=require, forbid=forbid,
@@ -277,16 +281,47 @@ def cmd_search(args) -> int:
     try:
         res = find_witness(spec)
     except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}")
-        run.rec(False, check="search", detail="budget-exhausted")
-        run.write(args.report)
-        return run.exit_code()
+        return _budget_exhausted(args, run, exc)
     print(f"nodes={res.nodes} exhausted={res.exhausted} "
           f"witnesses={len(res.witnesses)}")
     for op in res.witnesses:
         print(serialize_lattice(LatticeDocument(name, lattice, op)), end="")
     run.rec(res.found, check="search", nodes=res.nodes,
             witnesses=len(res.witnesses), exhausted=res.exhausted)
+    run.write(args.report)
+    return run.exit_code()
+
+
+def _search_inventory(args, require, forbid) -> int:
+    """``search --minimal``: the first witness over the lattice inventory."""
+    if args.all:
+        print("error: --all needs --lattice", file=sys.stderr)
+        raise SystemExit(2)
+    run = Run()
+    try:
+        mw = minimal_witness(require, forbid, node_budget=args.budget)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    except BudgetExhausted as exc:
+        return _budget_exhausted(args, run, exc)
+    for label, nodes, exhausted in mw.trail:
+        print(f"{label}: nodes={nodes} exhausted={exhausted}")
+    if mw.found:
+        lattice = mw.op.lattice
+        print(f"witness on {mw.label} ({lattice.n} elements):")
+        print(serialize_lattice(LatticeDocument(mw.label, lattice, mw.op)), end="")
+    else:
+        print(f"no witness on any of the {len(INVENTORY)} inventory lattices")
+    run.rec(mw.found, check="search-minimal", lattice=mw.label or "-",
+            lattices=len(mw.trail))
+    run.write(args.report)
+    return run.exit_code()
+
+
+def _budget_exhausted(args, run, exc) -> int:
+    print(f"budget exhausted: {exc}")
+    run.rec(False, check="search", detail="budget-exhausted")
     run.write(args.report)
     return run.exit_code()
 
@@ -668,11 +703,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_selection)
 
     s = _common(subs.add_parser("search", help="find tables by axiom profile"))
-    s.add_argument("--lattice", metavar="FILE", required=False)
+    where = s.add_mutually_exclusive_group(required=True)
+    where.add_argument("--lattice", metavar="FILE", help="search this lattice")
+    where.add_argument("--minimal", action="store_true",
+                       help="walk the lattice inventory in size order and "
+                            "stop at the first lattice with a witness")
     s.add_argument("--require", help="comma list of axioms that must hold")
     s.add_argument("--forbid", help="comma list of axioms that must fail")
     s.add_argument("--all", action="store_true", help="enumerate every witness")
-    s.add_argument("--budget", type=int, default=5_000_000)
+    s.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help=f"node budget per lattice (default {DEFAULT_NODE_BUDGET})")
     s.set_defaults(func=cmd_search)
 
     s = _common(subs.add_parser("prob", help="threshold-confidence conditional"))

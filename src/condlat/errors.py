@@ -79,12 +79,9 @@ class EmbeddingNotVerified(CondlatError):
         self.report = report
 
 
-class BudgetExceeded(CondlatError):
-    """A generative construction grew past its element budget."""
-
-
 class BudgetExhausted(CondlatError):
-    """A search ran out of node budget; carries the partial result."""
+    """A search ran out of nodes, or a generative construction grew past
+    its element budget; a search carries its partial result."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)

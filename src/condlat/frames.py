@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import (
-    BudgetExceeded,
+    BudgetExhausted,
     InternalInconsistency,
     TooLarge,
     WidthMismatch,
@@ -220,7 +220,7 @@ def generate_from(frame: RelationalFrame, generators,
     work = sorted(found)
     while work:
         if len(found) > budget:
-            raise BudgetExceeded(
+            raise BudgetExhausted(
                 f"generated family exceeded {budget} fixpoints"
             )
         a = work.pop()

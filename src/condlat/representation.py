@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
+    BudgetExhausted,
     EmbeddingNotVerified,
     InternalInconsistency,
 )
@@ -215,7 +215,7 @@ def open_sets(frame: RelationalFrame, basis, budget: int = OPENS_BUDGET):
                 c = a & b
                 if c not in inters:
                     if len(inters) > budget:
-                        raise BudgetExceeded("intersection family exceeded budget")
+                        raise BudgetExhausted("intersection family exceeded budget")
                     inters.add(c)
                     changed = True
     opens = {0}
@@ -223,7 +223,7 @@ def open_sets(frame: RelationalFrame, basis, budget: int = OPENS_BUDGET):
     todo = list(work)
     while todo:
         if len(opens) > budget:
-            raise BudgetExceeded("open set family exceeded budget")
+            raise BudgetExhausted("open set family exceeded budget")
         u = todo.pop()
         new = []
         for o in opens:

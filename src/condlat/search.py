@@ -1,9 +1,16 @@
 """Backtracking search for operation tables with prescribed axiom profiles.
 
 Given a finite lattice, a set of axioms that must hold and a set that
-must fail, the engine assigns table entries in row-major order with
-ascending values and checks every axiom instance the moment its last
-cell is filled.  Instances whose reads depend on earlier table values
+must fail, the engine first filters each cell's domain at the root with
+the instances that read that one cell alone (P1, P2, MP, WM, SEMI, ID):
+a required instance removes the values that violate it and is not
+looked at again, and a forbidden axiom of such instances that no value
+left can violate settles the spec with no node searched (Zhang & Zhang's
+SEM and McCune's Mace4 filter domains the same way).  It then assigns
+table entries in row-major order with ascending values, so the first
+witness is the lexicographically first table with the profile, and
+checks every other axiom instance the moment its last cell is filled.
+Instances whose reads depend on earlier table values
 (the nested sends of P5 and FLAT, the double negation of INV, the
 negations inside NEGIMP) wait on the exact cell that blocked them and
 are re-examined when it is assigned.  Required instances prune on
@@ -34,6 +41,9 @@ DEFAULT_NODE_BUDGET = 5_000_000
 # unary-operation axioms have no place in a binary-table search
 _SEARCHABLE = tuple(ax for ax in Axiom if ax not in (Axiom.PC_ANTI, Axiom.PC_TOP))
 _ORDER = {ax: i for i, ax in enumerate(Axiom)}
+# axioms each of whose instances reads exactly one table cell, whose
+# position depends on the instance alone
+_SINGLE_CELL = frozenset((Axiom.P1, Axiom.P2, Axiom.MP, Axiom.WM, Axiom.SEMI, Axiom.ID))
 
 
 def _normalize(axioms) -> tuple:
@@ -195,6 +205,31 @@ def find_witness(spec: SearchSpec) -> SearchResult:
     domains = [tuple(range(n))] * ncells
     for a, b, v in spec.fixed_entries:
         domains[a * n + b] = (v,)
+
+    # root pass (module docstring); a single-cell instance reads nothing
+    # of the probe table but its own cell
+    probe = [0] * ncells
+
+    def holds(i, cell, v):
+        probe[cell] = v
+        return _evaluate(inst[i], probe, n, M, up, bot, top)
+
+    for cell in range(ncells):
+        filters = {i for i in bucket[cell] if inst[i][1] and inst[i][0] in _SINGLE_CELL}
+        if filters:
+            domains[cell] = tuple(v for v in domains[cell]
+                                  if all(holds(i, cell, v) for i in filters))
+            if not domains[cell]:
+                return SearchResult((), 0, True)
+            bucket[cell] = [i for i in bucket[cell] if i not in filters]
+    violable = {
+        inst[i][0]
+        for cell in range(ncells) for i in bucket[cell]
+        if inst[i][0] in _SINGLE_CELL
+        and any(not holds(i, cell, v) for v in domains[cell])
+    }
+    if any(ax in _SINGLE_CELL and ax not in violable for ax in spec.forbid):
+        return SearchResult((), 0, True)
 
     t = [-1] * ncells
     pending = [[] for _ in range(ncells)]

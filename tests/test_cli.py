@@ -4,6 +4,7 @@ import pytest
 
 from condlat import catalog
 from condlat.cli import main
+from condlat.search import INVENTORY
 from condlat.io import (
     FrameDocument,
     LatticeDocument,
@@ -128,6 +129,23 @@ def test_search_no_witness_exits_one(tmp_path):
     path = write_entry(tmp_path, "meet-2chain")
     assert main(["search", "--lattice", path,
                  "--require", "MP,WM", "--forbid", "P1"]) == 1
+
+
+def test_search_minimal_walks_whole_inventory_without_witness(capsys):
+    assert main(["search", "--minimal", "--require", "MP,WM", "--forbid", "P1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:10] == [f"{label}: nodes=0 exhausted=True" for label, _ in INVENTORY]
+    assert lines[10:] == ["no witness on any of the 10 inventory lattices"]
+
+
+def test_search_minimal_prints_first_witness(capsys):
+    assert main(["search", "--minimal", "--require", "P1,P2,P3,P5", "--forbid", "P4"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()[:4]] == [
+        "point", "chain2", "chain3", "witness on chain3 (3 elements)"]
+    doc = parse_lattice(out[out.index("lattice"):])
+    assert doc.name == "chain3"
+    assert doc.conditional.table == ((1, 1, 1), (2, 1, 1), (0, 1, 2))
 
 
 def test_prob_arrow_round_trip(capsys):

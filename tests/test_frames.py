@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from condlat import catalog
-from condlat.errors import BudgetExceeded, TooLarge, WidthMismatch
+from condlat.errors import BudgetExhausted, TooLarge, WidthMismatch
 from condlat.frames import (
     FIXPOINT_ENUM_LIMIT,
     RelationalFrame,
@@ -102,7 +102,7 @@ def test_generate_from_partial_generators(quad_frame):
 
 def test_generate_budget():
     fr = random_frame(Random(7), 12, density=0.2)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExhausted):
         singleton_generated(fr, budget=1)
 
 

@@ -22,18 +22,33 @@ from condlat.search import (
 P = PRECONDITIONAL_AXIOMS
 
 
-def brute_force(lattice, require, forbid):
-    """Oracle: enumerate every table and filter by full axiom checks."""
+def profiles(lattice, axes):
+    """(rows, mask) for every table in lexicographic order; bit j of mask
+    says whether axes[j] holds."""
     n = lattice.n
     out = []
     for cells in product(range(n), repeat=n * n):
         rows = tuple(cells[i * n:(i + 1) * n] for i in range(n))
-        rep = check_axioms(ConditionalOp(lattice, rows), tuple(require) + tuple(forbid))
-        if all(rep[ax].holds for ax in require) and not any(
-            rep[ax].holds for ax in forbid
-        ):
-            out.append(rows)
-    return sorted(out)
+        rep = check_axioms(ConditionalOp(lattice, rows), axes)
+        out.append((rows, sum(rep[ax].holds << j for j, ax in enumerate(axes))))
+    return out
+
+
+def brute_force(lattice, require, forbid):
+    """Oracle: enumerate every table and filter by full axiom checks."""
+    want = (1 << len(require)) - 1     # every required bit, no forbidden one
+    return [rows for rows, m in profiles(lattice, tuple(require) + tuple(forbid))
+            if m == want]
+
+
+def splits(axes):
+    """Every (require, forbid, require mask, forbid mask) that leaves each
+    axiom free, required or forbidden."""
+    for split in product((0, 1, 2), repeat=len(axes)):
+        yield (tuple(ax for ax, k in zip(axes, split) if k == 1),
+               tuple(ax for ax, k in zip(axes, split) if k == 2),
+               sum(1 << j for j, k in enumerate(split) if k == 1),
+               sum(1 << j for j, k in enumerate(split) if k == 2))
 
 
 def test_spec_validation():
@@ -83,6 +98,28 @@ def test_fixed_entries_are_honored():
         assert check_axioms(op, P).ok
 
 
+def test_fixed_entry_that_violates_a_required_axiom_empties_its_domain():
+    # WM wants 1 <= (2 -> 1), so pinning that cell to 0 leaves no value
+    spec = SearchSpec(chain(3), require=(Axiom.WM,), fixed_entries=((2, 1, 0),),
+                      find_all=True)
+    res = find_witness(spec)
+    assert res.witnesses == () and res.exhausted and res.nodes == 0
+
+
+@pytest.mark.parametrize("value,settled", [(0, False), (1, True)])
+def test_fixed_entry_decides_whether_a_forbid_settles_at_the_root(value, settled):
+    # WM forces 1 -> 1 = 1, so on the 2-chain ID can fail only at 0 -> 0:
+    # pinned to 0 the forbid is violable, pinned to 1 it is not
+    c2 = chain(2)
+    res = find_witness(SearchSpec(c2, require=(Axiom.WM,), forbid=(Axiom.ID,),
+                                  fixed_entries=((0, 0, value),), find_all=True))
+    want = [rows for rows in brute_force(c2, (Axiom.WM,), (Axiom.ID,))
+            if rows[0][0] == value]
+    assert [op.table for op in res.witnesses] == want
+    assert bool(want) is not settled
+    assert res.exhausted and (res.nodes == 0) is settled
+
+
 def test_budget_exhaustion_carries_partial_result():
     c3 = chain(3)
     with pytest.raises(BudgetExhausted) as info:
@@ -125,6 +162,35 @@ def test_search_matches_brute_force_on_3chain_spot():
     assert sorted(op.table for op in res.witnesses) == brute_force(
         c3, P + (Axiom.MP, Axiom.WM), ()
     )
+
+
+ROOT_AXES = (Axiom.P1, Axiom.P2, Axiom.MP, Axiom.WM, Axiom.SEMI, Axiom.ID, Axiom.P5)
+
+
+def test_every_split_of_single_cell_axioms_matches_brute_force_on_2chain():
+    # the six single-cell axioms, plus P5 whose nested reads wait on the table
+    c2 = chain(2)
+    tables = profiles(c2, ROOT_AXES)
+    for require, forbid, req, forb in splits(ROOT_AXES):
+        res = find_witness(SearchSpec(c2, require=require, forbid=forbid,
+                                      find_all=True))
+        want = [rows for rows, m in tables if m & req == req and not m & forb]
+        assert [op.table for op in res.witnesses] == want, (require, forbid)
+        assert res.exhausted
+
+
+def test_first_witness_is_lexicographically_first_on_3chain():
+    c3 = chain(3)
+    axes = P + (Axiom.MP, Axiom.WM)
+    first = {}
+    for rows, m in profiles(c3, axes):
+        first.setdefault(m, rows)
+    for require, forbid, req, forb in splits(axes):
+        want = min((rows for m, rows in first.items()
+                    if m & req == req and not m & forb), default=None)
+        res = find_witness(SearchSpec(c3, require=require, forbid=forbid))
+        assert (res.witnesses[0].table if res.found else None) == want, (require, forbid)
+        assert res.exhausted is (want is None)
 
 
 def test_witnesses_are_reverified():
@@ -181,6 +247,8 @@ def test_minimal_witness_exhausts_inventory_on_impossible_profile():
     assert not mw.found and mw.op is None and mw.label is None
     assert len(mw.trail) == len(INVENTORY)
     assert all(exhausted for _label, _nodes, exhausted in mw.trail)
+    # the root pass settles every lattice before the first node
+    assert all(nodes == 0 for _label, nodes, _exhausted in mw.trail)
 
 
 def test_negimp_stack_on_b4_pinned():
@@ -193,4 +261,4 @@ def test_negimp_stack_on_b4_pinned():
     assert res.found
     assert res.witnesses[0].table == ((3, 3, 3, 3), (0, 3, 0, 3),
                                       (1, 1, 3, 3), (0, 1, 2, 3))
-    assert res.nodes == 48
+    assert res.nodes == 29
