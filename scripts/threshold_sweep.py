@@ -1,11 +1,14 @@
 """How the axiom profile of the confidence conditional moves with the threshold.
 
 For a fixed 11-world space with one heavy world per index, sweep the
-acceptance threshold and sample the ternary axioms at each step.  The
-interesting line is NORM: it survives every threshold below the heavy
-mass and dies exactly when the threshold reaches it.
+acceptance threshold and check every axiom at each step: P1-P5 and MP
+exactly over all sets, NORM on the pinned witness or the interval
+family.  NORM fails at every threshold below 1; at 1, where the
+conditional asks for certainty, the interval family shows no failure.
+P2 fails once the threshold passes the self mass 9/10, and P1, P5 and MP
+fail at the lowest thresholds.
 
-    python3 scripts/threshold_sweep.py [--samples N] [--worlds K]
+    python3 scripts/threshold_sweep.py [--worlds K] [--seed S]
 """
 
 import argparse
@@ -20,7 +23,6 @@ AXES = (Axiom.P1, Axiom.P2, Axiom.P3, Axiom.P4, Axiom.P5, Axiom.MP, Axiom.NORM)
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--samples", type=int, default=100_000)
     ap.add_argument("--worlds", type=int, default=11)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -29,7 +31,7 @@ def main() -> int:
     print("threshold  " + "  ".join(ax.value.ljust(4) for ax in AXES))
     for t in sorted(set(steps)):
         space = confidence_space(world_count=args.worlds, threshold=t)
-        rep = verify_axioms(space, samples=args.samples, seed=args.seed)
+        rep = verify_axioms(space, seed=args.seed)
         cells = "  ".join(
             ("ok" if rep[ax].holds else "FAIL").ljust(4) for ax in AXES
         )

@@ -352,8 +352,7 @@ def cmd_prob(args) -> int:
         run.rec(True, check="arrow", a=args.a, b=args.b,
                 result=",".join(worlds) or "-")
     else:
-        rep = verify_axioms(space, samples=args.samples, seed=args.seed,
-                            exhaustive=args.exhaustive)
+        rep = verify_axioms(space, seed=args.seed)
         for ax in (Axiom.P1, Axiom.P2, Axiom.P3, Axiom.P4, Axiom.P5,
                    Axiom.MP, Axiom.NORM):
             c = rep[ax]
@@ -500,16 +499,15 @@ def _demo_selection(run):
         run.rec("NEGIMP" in str(exc), anchor="selection:select-all-gate")
 
 
-def _demo_prob(run, samples, seed):
+def _demo_prob(run, seed):
     space = confidence_space()
     A, B, C, w = NORM_WITNESS
     run.rec(space.cond_prob(0, B, A) == Fraction(9, 10)
             and space.cond_prob(0, C, A) == Fraction(9, 10)
             and space.cond_prob(0, B & C, A) == Fraction(4, 5),
             anchor="prob:boundary-arithmetic")
-    rep = verify_axioms(space, samples=samples, seed=seed)
-    run.rec(rep.ok, anchor="prob:core-and-detachment",
-            detail=f"{samples}-sampled-triples")
+    rep = verify_axioms(space, seed=seed)
+    run.rec(rep.ok, anchor="prob:core-and-detachment")
     run.rec(not rep[Axiom.NORM].holds and rep[Axiom.NORM].witness == NORM_WITNESS,
             anchor="prob:normality-witness")
 
@@ -620,7 +618,7 @@ def _demo_sections(args):
         ("prob",
          lambda: ["prob:boundary-arithmetic", "prob:core-and-detachment",
                   "prob:normality-witness"],
-         lambda r: _demo_prob(r, args.samples, args.seed)),
+         lambda r: _demo_prob(r, args.seed)),
         ("search",
          lambda: [f"search:forbid-{ax.value}" for ax in PRECONDITIONAL_AXIOMS]
                  + ["search:only-const-top", "search:only-meet",
@@ -719,14 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("action", choices=("verify", "arrow"))
     s.add_argument("a", nargs="?", help="antecedent worlds, comma list or -")
     s.add_argument("b", nargs="?", help="consequent worlds, comma list or -")
-    s.add_argument("--samples", type=int, default=1_000_000)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--exhaustive", action="store_true")
+    s.add_argument("--seed", type=int, default=0,
+                   help="picks the table cells cross-checked on exact rationals")
     s.set_defaults(func=cmd_prob)
 
     s = _common(subs.add_parser("demo", help="run the whole expectation suite"))
     s.add_argument("--filter", help="only anchors containing this substring")
-    s.add_argument("--samples", type=int, default=1_000_000)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_demo)
 

@@ -11,10 +11,12 @@ not normality; the stock failure conditions on everything except world
 while their intersection drops below it.
 
 Two evaluation routes are kept deliberately separate: a scalar route in
-exact ``Fraction`` arithmetic, and an integer numpy route over the full
-2^n x 2^n table.  ``verify_axioms`` drives the table and cross-checks it
-against the scalar route on sampled cells; a disagreement is a bug, not
-a finding.
+exact ``Fraction`` arithmetic, and an integer numpy route that builds
+the full 2^n x 2^n table in closed form.  ``verify_axioms`` decides every
+axiom except NORM exactly on the table (P4 and P5 by reductions that
+cover all 2^3n triples), cross-checks the table against the scalar route
+on seeded cells and the ternary sweeps against the interval family; a
+disagreement is a bug, not a finding.
 """
 
 from __future__ import annotations
@@ -98,11 +100,12 @@ class ConfidenceSpace:
         self._guard(A), self._guard(B)
         out = 0
         for w in range(self.world_count):
-            if self.measure(w, A) == 0:
-                if self.empty_antecedent_total:
-                    out |= 1 << w
-            elif self.cond_prob(w, B, A) >= self.threshold:
-                out |= 1 << w
+            base = self.measure(w, A)
+            if base == 0:
+                hit = self.empty_antecedent_total
+            else:
+                hit = self.measure(w, A & B) >= self.threshold * base
+            out |= hit << w
         return out
 
 
@@ -134,40 +137,49 @@ NORM_WITNESS = (_mask(range(1, 11)), _mask(range(1, 10)), _mask(range(2, 11)), 0
 
 # -- integer table route -------------------------------------------------
 
+def _cuts(n: int, test) -> np.ndarray:
+    """cut[a] = the least k in 0..n with test(a, k), else n + 1."""
+    return np.array([next((k for k in range(n + 1) if test(a, k)), n + 1)
+                     for a in range(n + 1)], dtype=np.uint8)
+
+
 def arrow_table(space: ConfidenceSpace) -> np.ndarray:
     """Dense (2^n, 2^n) uint16 table of arrow masks, pure integer
-    arithmetic: with D a common denominator, D*mu_w(S) is an integer
-    linear form in |S| and [w in S], and the threshold test becomes
-    td * (D*mu_w(A&B)) >= tn * (D*mu_w(A))."""
+    arithmetic.  With D a common denominator, D*mu_w(S) is
+    s + (|S|-1)*o for w in S and |S|*o otherwise, so the threshold test
+    td * (D*mu_w(A&B)) >= tn * (D*mu_w(A)) at w depends only on
+    a = |A|, k = |A&B| and whether w lies in A&B, in A-B or outside A.
+    For each of the three the test is monotone in k (o >= 0), so it is
+    the cut k >= cut[a], and the table is three masked comparisons."""
     n = space.world_count
     if n > TABLE_LIMIT:
         raise TooLarge(f"{n} worlds: table would have 2^{2 * n} cells")
     D = lcm(space.self_mass.denominator, space.other_mass.denominator)
-    om = int(space.other_mass * D)
-    sm = int(space.self_mass * D)
+    o = int(space.other_mass * D)
+    s = int(space.self_mass * D)
     tn, td = space.threshold.numerator, space.threshold.denominator
 
+    def clears(num, den):
+        return td * num >= tn * den
+
+    def off(a, k):   # w outside A; a null antecedent goes by the knob
+        return clears(k * o, a * o) if a * o else space.empty_antecedent_total
+
+    both = _cuts(n, lambda a, k: clears(s + (k - 1) * o, s + (a - 1) * o))
+    only_a = _cuts(n, lambda a, k: clears(k * o, s + (a - 1) * o))
+    neither = _cuts(n, off)
+
     N = 1 << n
-    masks = np.arange(N, dtype=np.int64)
-    pc = np.zeros(N, dtype=np.int64)
+    masks = np.arange(N, dtype=np.uint16)
+    count = np.zeros(N, dtype=np.uint8)
     for w in range(n):
-        pc += masks >> w & 1
-    AB = masks[:, None] & masks[None, :]
-    m_ab_base = pc[AB] * om                      # D*mu_w(A&B) before the self bump
-    m_a_base = (pc * om)[:, None]
-    table = np.zeros((N, N), dtype=np.uint16)
-    bump = sm - om
-    for w in range(n):
-        in_ab = AB >> w & 1
-        in_a = (masks >> w & 1)[:, None]
-        m_ab = m_ab_base + bump * in_ab
-        m_a = m_a_base + bump * in_a
-        ok = td * m_ab >= tn * m_a
-        if space.empty_antecedent_total:
-            ok |= m_a == 0
-        else:
-            ok &= m_a != 0
-        table |= ok.astype(np.uint16) << w
+        count[1 << w:2 << w] = count[:1 << w] + 1
+    a = count[:, None]
+    AB = masks[:, None] & masks
+    k = count[AB]
+    table = np.where(k >= both[a], AB, 0)
+    table |= np.where(k >= only_a[a], masks[:, None] ^ AB, 0)
+    table |= np.where(k >= neither[a], masks[:, None] ^ (N - 1), 0)
     return table
 
 
@@ -175,7 +187,7 @@ def arrow_table(space: ConfidenceSpace) -> np.ndarray:
 class ProbCheck:
     axiom: Axiom
     holds: bool
-    mode: str                 # "exhaustive" | "sampled+structured" | "pinned"
+    mode: str                 # "exhaustive"; NORM: "pinned" | "structured"
     instances: int
     witness: tuple | None = None   # (A, B, w) or (A, B, C, w), masks and a world
 
@@ -224,30 +236,104 @@ def interval_sets(n: int) -> tuple:
     return tuple(out)
 
 
+# -- exact ternary sweeps -------------------------------------------------
+# Each sweep flags every antecedent A whose (B, C) block holds a
+# violation, by a reduction that never visits the block, and then scans
+# the first flagged block from the definition.  The block functions take
+# a scalar A and broadcastable B, C (or three equal-length arrays).
+
+def _p4_block(T, A, B, C):
+    """P4: a->(b&c) <= a->b."""
+    return T[A, B & C] & ~T[A, B]
+
+
+def _p5_block(T, A, B, C):
+    """P5: a->((a&b)->c) <= (a&b)->c."""
+    inner = T[A & B, C]
+    return T[A, inner] & ~inner
+
+
+def _first_block_witness(T: np.ndarray, flagged: np.ndarray, block):
+    """(A, B, C, w) for the first flagged A, its (B, C) block scanned in
+    lexicographic order from the definition, or None if nothing is
+    flagged."""
+    hits = np.flatnonzero(flagged)
+    if hits.size == 0:
+        return None
+    A = int(hits[0])
+    N = len(T)
+    cols = np.arange(N, dtype=np.uint16)
+    step = max(1, (1 << 20) // N)   # rows of B per slice: ~2^20 cells at a time
+    for lo in range(0, N, step):
+        B = cols[lo:lo + step]
+        found = _first_violation(block(T, A, B[:, None], cols), B, cols)
+        if found is not None:
+            return (A,) + found
+    raise InternalInconsistency(f"sweep flagged antecedent {A:#x} but its block holds")
+
+
+def p4_witness(T: np.ndarray):
+    """First P4 violation (A, B, C, w) of a (2^n, 2^n) uint16 table, or
+    None.  P4 holds iff every row B -> T[A, B] is monotone, and a row is
+    monotone iff it grows along every cover B < B | 1<<i: for world bit
+    i the view (A, high bits, bit i, low bits) pairs each B without i
+    with B | 1<<i."""
+    N = len(T)
+    flagged = np.zeros(N, dtype=bool)
+    for i in range(N.bit_length() - 1):
+        pairs = T.reshape(N, -1, 2, 1 << i)
+        flagged |= (pairs[:, :, 0] & ~pairs[:, :, 1]).any(axis=(1, 2))
+    return _first_block_witness(T, flagged, _p4_block)
+
+
+def p5_witness(T: np.ndarray):
+    """First P5 violation (A, B, C, w) of a (2^n, 2^n) uint16 table, or
+    None.  With d = A & B and u = T[d, C], P5 fails at A iff some u in
+    the range of a row d ⊆ A lies in Bad[A] = {u : T[A, u] ⊄ u}.  Row d's
+    range is a packed bit row; a subset-sum (zeta) transform over the
+    Boolean lattice ORs it into the row of every superset of d, which
+    then meets Bad row by row."""
+    N = len(T)
+    cols = np.arange(N, dtype=np.uint16)
+    reach = np.zeros((N, N), dtype=bool)
+    reach[cols[:, None], T] = True
+    reach = np.packbits(reach, axis=1)
+    for i in range(N.bit_length() - 1):
+        halves = reach.reshape(-1, 2, 1 << i, reach.shape[1])
+        halves[:, 1] |= halves[:, 0]
+    bad = np.packbits((T & ~cols) != 0, axis=1)
+    return _first_block_witness(T, (reach & bad).any(axis=1), _p5_block)
+
+
 def verify_axioms(
     space: ConfidenceSpace,
-    samples: int = 1_000_000,
+    samples=None,
     seed: int = 0,
-    exhaustive: bool = False,
+    exhaustive=None,
     crosscheck: int = 512,
 ) -> ProbReport:
     """Check P1-P5, MP and NORM over the table route.
 
     P1 is exhaustive in A; P2, P3 and MP are exhaustive over all pairs.
-    P4 and P5 run over every triple from the interval family plus
-    ``samples`` seeded uniform triples; ``exhaustive=True`` replaces the
-    sampling with the full 2^3n sweep (hours at n=11, use deliberately).
+    P4 and P5 are exact over all 2^3n triples by the sweeps
+    ``p4_witness`` and ``p5_witness``, and a failing one reports the
+    lexicographically first (A, B, C) with its lowest world.  The
+    interval family is scanned from the definitions as a second route:
+    a violation there that a sweep missed raises InternalInconsistency.
     The NORM entry evaluates the pinned reference witness and only
-    searches when that instance unexpectedly passes.  Before any axiom
-    runs, ``crosscheck`` sampled cells of the table are recomputed on
-    the scalar route; a mismatch raises InternalInconsistency.
+    searches the interval family when that instance unexpectedly passes.
+    Before any axiom runs, ``crosscheck`` cells of the table picked by
+    ``seed`` are recomputed on the scalar route; a mismatch raises
+    InternalInconsistency.  ``samples`` and ``exhaustive`` are ignored;
+    they keep the positional form ``verify_axioms(space, samples, seed,
+    exhaustive)`` working.
     """
     n = space.world_count
     N = 1 << n
     T = arrow_table(space)
-    rng = np.random.default_rng(seed)
 
     if crosscheck:
+        rng = np.random.default_rng(seed)
         picks = {(int(a), int(b)) for a, b in rng.integers(0, N, size=(crosscheck, 2))}
         picks |= {(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0)}
         picks |= {(NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))}
@@ -258,12 +344,11 @@ def verify_axioms(
                 )
 
     checks = {}
-    masks = np.arange(N, dtype=np.int64)
+    masks = np.arange(N, dtype=np.uint16)
     full = N - 1
-    Tm = T.astype(np.int64)
 
     # P1: full -> a <= a
-    viol = Tm[full, :] & ~masks & full
+    viol = T[full, :] & ~masks & full
     checks[Axiom.P1] = ProbCheck(
         Axiom.P1, not viol.any(), "exhaustive", N,
         _first_violation(viol, masks) if viol.any() else None,
@@ -272,91 +357,30 @@ def verify_axioms(
     # pairwise, exhaustive: P2 a&b <= a->b; MP a & (a->b) <= b;
     # P3 a->b <= a->(a&b)
     AB = masks[:, None] & masks[None, :]
-    viol = AB & ~Tm
+    viol = AB & ~T
     w2 = _first_violation(viol, masks, masks)
     checks[Axiom.P2] = ProbCheck(Axiom.P2, w2 is None, "exhaustive", N * N, w2)
 
-    viol = masks[:, None] & Tm & ~masks[None, :]
+    viol = masks[:, None] & T & ~masks[None, :]
     wmp = _first_violation(viol, masks, masks)
     checks[Axiom.MP] = ProbCheck(Axiom.MP, wmp is None, "exhaustive", N * N, wmp)
 
-    viol = Tm & ~np.take_along_axis(Tm, AB, axis=1)
+    viol = T & ~np.take_along_axis(T, AB, axis=1)
     w3 = _first_violation(viol, masks, masks)
     checks[Axiom.P3] = ProbCheck(Axiom.P3, w3 is None, "exhaustive", N * N, w3)
     del viol, AB
 
-    # ternary: structured family first, then sampled or full sweep
-    def p4_block(A, B, C):
-        return Tm[A, B & C] & ~Tm[A, B]
-
-    def p5_block(A, B, C):
-        inner = Tm[A & B, C]
-        return Tm[A, inner] & ~inner
-
-    w4 = w5 = None
-    count = 0
-    fam = np.array(interval_sets(n), dtype=np.int64)
+    # ternary: exact sweeps, with the interval family as the second route
+    fam = np.array(interval_sets(n), dtype=np.uint16)
     FA = np.repeat(fam, len(fam) * len(fam))
     FB = np.tile(np.repeat(fam, len(fam)), len(fam))
     FC = np.tile(fam, len(fam) * len(fam))
-    for name, block in ((Axiom.P4, p4_block), (Axiom.P5, p5_block)):
-        v = block(FA, FB, FC)
-        bad = np.flatnonzero(v)
-        if bad.size and (w4 if name is Axiom.P4 else w5) is None:
-            i = int(bad[0])
-            wit = (int(FA[i]), int(FB[i]), int(FC[i]),
-                   (int(v[i]) & -int(v[i])).bit_length() - 1)
-            if name is Axiom.P4:
-                w4 = wit
-            else:
-                w5 = wit
-    count += len(FA)
-
-    if exhaustive:
-        mode = "exhaustive"
-        cols = masks
-        for A in range(N):
-            Arow = np.full(N * N, A, dtype=np.int64)
-            B = np.repeat(cols, N)
-            C = np.tile(cols, N)
-            if w4 is None:
-                v = p4_block(Arow, B, C)
-                bad = np.flatnonzero(v)
-                if bad.size:
-                    i = int(bad[0])
-                    w4 = (A, int(B[i]), int(C[i]),
-                          (int(v[i]) & -int(v[i])).bit_length() - 1)
-            if w5 is None:
-                v = p5_block(Arow, B, C)
-                bad = np.flatnonzero(v)
-                if bad.size:
-                    i = int(bad[0])
-                    w5 = (A, int(B[i]), int(C[i]),
-                          (int(v[i]) & -int(v[i])).bit_length() - 1)
-            count += N * N
-    else:
-        mode = "sampled+structured"
-        chunk = 1 << 18
-        done = 0
-        while done < samples:
-            m = min(chunk, samples - done)
-            A, B, C = rng.integers(0, N, size=(3, m))
-            for name, block in ((Axiom.P4, p4_block), (Axiom.P5, p5_block)):
-                v = block(A, B, C)
-                bad = np.flatnonzero(v)
-                if bad.size and (w4 if name is Axiom.P4 else w5) is None:
-                    i = int(bad[0])
-                    wit = (int(A[i]), int(B[i]), int(C[i]),
-                           (int(v[i]) & -int(v[i])).bit_length() - 1)
-                    if name is Axiom.P4:
-                        w4 = wit
-                    else:
-                        w5 = wit
-            done += m
-        count += samples
-
-    checks[Axiom.P4] = ProbCheck(Axiom.P4, w4 is None, mode, count, w4)
-    checks[Axiom.P5] = ProbCheck(Axiom.P5, w5 is None, mode, count, w5)
+    for ax, sweep, block in ((Axiom.P4, p4_witness, _p4_block),
+                             (Axiom.P5, p5_witness, _p5_block)):
+        wit = sweep(T)
+        if wit is None and block(T, FA, FB, FC).any():
+            raise InternalInconsistency(f"{ax} sweep holds but the interval family fails")
+        checks[ax] = ProbCheck(ax, wit is None, "exhaustive", N ** 3, wit)
 
     # NORM: evaluate the pinned witness on both routes; fall back to a
     # family scan only if it unexpectedly holds (a different space)
@@ -371,7 +395,7 @@ def verify_axioms(
                 raise InternalInconsistency("routes disagree on the pinned witness")
             wn = NORM_WITNESS
     if wn is None:
-        v = Tm[FA, FB] & Tm[FA, FC] & ~Tm[FA, FB & FC]
+        v = T[FA, FB] & T[FA, FC] & ~T[FA, FB & FC]
         bad = np.flatnonzero(v)
         if bad.size:
             i = int(bad[0])

@@ -241,14 +241,14 @@ def test_c10_selection_frames_round_trip():
 
 def test_c11_graded_confidence_conditional():
     with criterion(11, 300.0, "exact-rational confidence space: core holds, normality fails"):
-        rep = verify_axioms(confidence_space(), samples=10 ** 6, seed=0)
+        rep = verify_axioms(confidence_space(), seed=0)
         assert rep.crosschecked > 0
         for ax in (Axiom.P1, Axiom.P2, Axiom.P3, Axiom.MP):
             assert rep[ax].holds and rep[ax].mode == "exhaustive", ax
         assert rep[Axiom.P2].instances == (1 << 11) ** 2
         for ax in (Axiom.P4, Axiom.P5):
-            assert rep[ax].holds and rep[ax].mode == "sampled+structured", ax
-            assert rep[ax].instances >= 10 ** 6 + 67 ** 3
+            assert rep[ax].holds and rep[ax].mode == "exhaustive", ax
+            assert rep[ax].instances == 2 ** 33
         norm = rep[Axiom.NORM]
         assert not norm.holds and norm.mode == "pinned"
         assert norm.witness == NORM_WITNESS

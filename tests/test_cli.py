@@ -157,8 +157,9 @@ def test_prob_arrow_round_trip(capsys):
 
 
 def test_prob_verify_small_sample(capsys):
-    assert main(["prob", "verify", "--samples", "2000"]) == 0
+    assert main(["prob", "verify"]) == 0
     out = capsys.readouterr().out
+    assert "P5 holds (exhaustive, 8589934592 instances)" in out
     assert "NORM fails" in out
     assert "cross-checked" in out
 
@@ -181,7 +182,7 @@ def test_dot_flag_writes_hasse(tmp_path):
 
 
 def test_demo_filter_subset(capsys):
-    assert main(["demo", "--samples", "2000", "--filter", "pinned:"]) == 0
+    assert main(["demo", "--filter", "pinned:"]) == 0
     out = capsys.readouterr().out
     assert "PASS pinned:twin-peaks-normality" in out
     assert "0 failures" in out
@@ -203,6 +204,6 @@ def test_demo_detects_catalog_mutation(monkeypatch, capsys):
         else:
             entries.append(e)
     monkeypatch.setattr(catalog, "ENTRIES", tuple(entries))
-    assert main(["demo", "--samples", "2000", "--filter", "meet-2chain"]) == 1
+    assert main(["demo", "--filter", "meet-2chain"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "meet-2chain" in out

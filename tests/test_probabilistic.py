@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from condlat.probabilistic import (
     arrow_table,
     confidence_space,
     interval_sets,
+    p4_witness,
+    p5_witness,
     verify_axioms,
 )
 
@@ -120,17 +123,17 @@ def test_interval_sets_shape():
 
 
 def test_verify_axioms_report(space):
-    rep = verify_axioms(space, samples=50_000, seed=0)
+    rep = verify_axioms(space, seed=0)
     assert rep.ok
     for ax in (Axiom.P1, Axiom.P2, Axiom.P3, Axiom.MP):
         assert rep[ax].holds and rep[ax].mode == "exhaustive"
     for ax in (Axiom.P4, Axiom.P5):
-        assert rep[ax].holds and "sampled" in rep[ax].mode
+        assert rep[ax].holds and rep[ax].mode == "exhaustive"
     assert rep.crosschecked > 0
 
 
 def test_norm_fails_exactly_at_the_pinned_witness(space):
-    rep = verify_axioms(space, samples=10_000, seed=1)
+    rep = verify_axioms(space, seed=1)
     c = rep[Axiom.NORM]
     assert not c.holds
     assert c.witness == NORM_WITNESS
@@ -149,20 +152,131 @@ def test_raising_the_threshold_only_removes_worlds(space):
 
 
 def test_exhaustive_small_space():
-    # 6 worlds is small enough to sweep the ternary axioms completely;
     # the threshold must not exceed the self mass or P2 dies
     small = confidence_space(world_count=6, self_mass=F(3, 4), threshold=F(3, 4))
-    rep = verify_axioms(small, exhaustive=True)
+    rep = verify_axioms(small)
     assert rep.ok
     for ax in (Axiom.P4, Axiom.P5):
         assert rep[ax].mode == "exhaustive"
-        # full sweep plus the structured interval family (22 sets)
-        assert rep[ax].instances == 64 ** 3 + 22 ** 3
+        assert rep[ax].instances == 64 ** 3
 
 
 def test_threshold_above_self_mass_breaks_p2():
     small = confidence_space(world_count=6, self_mass=F(3, 4), threshold=F(4, 5))
-    rep = verify_axioms(small, samples=1000, seed=0)
+    rep = verify_axioms(small, seed=0)
     assert not rep[Axiom.P2].holds
     A, B, w = rep[Axiom.P2].witness
     assert (A & B) >> w & 1 and not small.arrow(A, B) >> w & 1
+
+
+# -- exact ternary sweeps against brute force ----------------------------
+
+def loop_arrow_table(space):
+    """The per-world table build: D*mu_w(S) as integer linear forms,
+    one threshold comparison per world over int64 arrays."""
+    n = space.world_count
+    D = lcm(space.self_mass.denominator, space.other_mass.denominator)
+    om, sm = int(space.other_mass * D), int(space.self_mass * D)
+    tn, td = space.threshold.numerator, space.threshold.denominator
+    N = 1 << n
+    masks = np.arange(N, dtype=np.int64)
+    pc = np.zeros(N, dtype=np.int64)
+    for w in range(n):
+        pc += masks >> w & 1
+    AB = masks[:, None] & masks[None, :]
+    m_ab_base = pc[AB] * om
+    m_a_base = (pc * om)[:, None]
+    table = np.zeros((N, N), dtype=np.uint16)
+    for w in range(n):
+        m_ab = m_ab_base + (sm - om) * (AB >> w & 1)
+        m_a = m_a_base + (sm - om) * (masks >> w & 1)[:, None]
+        ok = td * m_ab >= tn * m_a
+        if space.empty_antecedent_total:
+            ok |= m_a == 0
+        else:
+            ok &= m_a != 0
+        table |= ok.astype(np.uint16) << w
+    return table
+
+
+def seeded_spaces(seed, count, max_worlds):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, max_worlds + 1))
+        self_mass = F(int(rng.integers(1, 21)), 20) if k > 1 else F(1)
+        yield confidence_space(k, self_mass, F(int(rng.integers(1, 21)), 20),
+                               bool(rng.integers(0, 2)))
+
+
+def test_closed_form_table_matches_per_world_loop():
+    spaces = list(seeded_spaces(3, 60, 9))
+    spaces += [confidence_space(), confidence_space(empty_antecedent_total=False),
+               confidence_space(1, 1, F(1, 2), False)]
+    for sp in spaces:
+        table = arrow_table(sp)
+        assert table.dtype == np.uint16
+        assert np.array_equal(table, loop_arrow_table(sp)), sp
+
+
+def brute_first_witnesses(T):
+    """First (A, B, C, lowest w) of P4 and of P5 over every triple,
+    straight from the definitions on an int64 copy."""
+    T = T.astype(np.int64)
+    m = np.arange(len(T), dtype=np.int64)
+    A, B, C = m[:, None, None], m[None, :, None], m[None, None, :]
+    inner = T[A & B, C]
+    out = []
+    for viol in (T[A, B & C] & ~T[A, B], T[A, inner] & ~inner):
+        flat = np.flatnonzero(viol)
+        if flat.size == 0:
+            out.append(None)
+            continue
+        a, b, c = (int(x) for x in np.unravel_index(flat[0], viol.shape))
+        bits = int(viol[a, b, c])
+        out.append((a, b, c, (bits & -bits).bit_length() - 1))
+    return out
+
+
+def random_tables(seed, count):
+    """Uniform tables (P4 and P5 fail), tables below their column
+    (T[A, B] <= B, so P5 holds) and tables closed upward in B (P4 holds)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = 1 + i % 5
+        N = 1 << k
+        T = rng.integers(0, N, size=(N, N), dtype=np.uint16)
+        yield T
+        yield T & np.arange(N, dtype=np.uint16)
+        up = T & rng.integers(0, N, size=(N, N), dtype=np.uint16)
+        for b in range(k):
+            halves = up.reshape(N, -1, 2, 1 << b)
+            halves[:, :, 1] |= halves[:, :, 0]
+        yield up
+
+
+def test_ternary_sweeps_match_brute_force():
+    tables = [arrow_table(sp) for sp in seeded_spaces(5, 60, 5)]
+    tables += list(random_tables(11, 40))
+    seen = {"P4": set(), "P5": set()}
+    for T in tables:
+        w4, w5 = brute_first_witnesses(T)
+        assert p4_witness(T) == w4
+        assert p5_witness(T) == w5
+        seen["P4"].add(w4 is None)
+        seen["P5"].add(w5 is None)
+    # both verdicts occur for both axioms
+    assert seen == {"P4": {True, False}, "P5": {True, False}}
+
+
+def test_verify_axioms_ternary_witnesses_match_brute_force():
+    for sp in seeded_spaces(9, 40, 5):
+        rep = verify_axioms(sp, crosscheck=16)
+        w4, w5 = brute_first_witnesses(arrow_table(sp))
+        assert (rep[Axiom.P4].holds, rep[Axiom.P4].witness) == (w4 is None, w4)
+        assert (rep[Axiom.P5].holds, rep[Axiom.P5].witness) == (w5 is None, w5)
+
+
+def test_positional_call_forms_give_the_same_report():
+    for sp in seeded_spaces(13, 6, 6):
+        assert verify_axioms(sp, 10 ** 6, 4) == verify_axioms(sp, seed=4)
+        assert verify_axioms(sp, 10 ** 6, 0, True) == verify_axioms(sp)
