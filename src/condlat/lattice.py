@@ -8,6 +8,9 @@ Conventions used by the whole package:
   belongs to the subset.  The same convention is used for frame points.
 * ``up_mask(a)`` is the bitmask of x with a <= x, ``down_mask(a)`` the
   bitmask of x <= a; both include a itself.
+* A law over an index grid range(n)**arity is decided by
+  ``first_violation``: the lexicographic scan for small grids, numpy
+  over blocks of antecedent rows for larger ones, same first witness.
 
 Construction is strict.  ``FiniteLattice`` refuses anything that is not
 a partial order with a global bottom, a global top, and all binary meets
@@ -17,7 +20,13 @@ in the message.  A one-element lattice (bottom == top) is accepted.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import product
+
+import numpy as np
+
 from .errors import (
+    InternalInconsistency,
     MissingBound,
     NotALattice,
     NotAPartialOrder,
@@ -26,6 +35,13 @@ from .errors import (
 
 MAX_ELEMENTS = 64  # one machine word of bitmask; raise deliberately if ever needed
 
+# Index grids of at least this many tuples are searched with numpy; below
+# it the per-call overhead of numpy costs more than the Python scan.
+GRID_MIN_INSTANCES = 64
+# Cells evaluated per numpy block: one antecedent row of a ternary law at
+# n = 64, the whole grid at n <= 16.
+BLOCK_CELLS = 4096
+
 
 def _bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""
@@ -33,6 +49,49 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def grid_first_violation(n: int, arity: int, block):
+    """Lexicographically first tuple of range(n)**arity flagged by block.
+
+    block(a, *rest) gets the antecedents a as an ascending index array of
+    shape (k, 1, ..., 1) and the remaining coordinates as broadcastable
+    aranges, and returns a boolean array that broadcasts to
+    (k, n, ..., n), true where the law fails.  Antecedents are walked in
+    ascending blocks of about BLOCK_CELLS cells, stopping at the first
+    block with a violation, so no n**arity array is built and the first
+    nonzero of a C-order block is the first violation overall.
+    """
+    axes = [np.arange(n).reshape((1,) * i + (n,) + (1,) * (arity - 1 - i))
+            for i in range(arity)]
+    rows = max(1, BLOCK_CELLS // n ** (arity - 1))
+    for start in range(0, n, rows):
+        a = axes[0][start:start + rows]
+        bad = np.broadcast_to(block(a, *axes[1:]), (len(a),) + (n,) * (arity - 1))
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            first = np.unravel_index(hit[0], bad.shape)
+            return (start + int(first[0]),) + tuple(int(i) for i in first[1:])
+    return None
+
+
+def first_violation(n: int, arity: int, violates, block):
+    """Lexicographically first tuple of range(n)**arity where a law fails.
+
+    violates(v) decides one tuple; block is its numpy form (see
+    ``grid_first_violation``).  Grids of fewer than GRID_MIN_INSTANCES
+    tuples are scanned with violates; larger ones are searched with block
+    and the witness is confirmed with violates.
+    """
+    if n ** arity < GRID_MIN_INSTANCES:
+        for v in product(range(n), repeat=arity):
+            if violates(v):
+                return v
+        return None
+    v = grid_first_violation(n, arity, block)
+    if v is not None and not violates(v):
+        raise InternalInconsistency(f"grid flags {v} but the definition holds there")
+    return v
 
 
 class FiniteLattice:
@@ -119,6 +178,22 @@ class FiniteLattice:
         self.join_table = tuple(tuple(r) for r in join_t)
         self._index = {name: i for i, name in enumerate(names)}
 
+    # -- numpy views (built on first use) --------------------------------
+
+    @cached_property
+    def meet_array(self):
+        return np.array(self.meet_table, dtype=np.uint8)
+
+    @cached_property
+    def join_array(self):
+        return np.array(self.join_table, dtype=np.uint8)
+
+    @cached_property
+    def leq_array(self):
+        """leq_array[a, b] is a <= b."""
+        up = np.array(self._up, dtype=np.uint64)[:, None]
+        return (up >> np.arange(self.n, dtype=np.uint64) & 1).astype(bool)
+
     # -- order ----------------------------------------------------------
 
     def leq(self, a: int, b: int) -> bool:
@@ -179,15 +254,18 @@ class FiniteLattice:
         return [a for (a, b) in self.covers() if b == self.top]
 
     def distributivity_witness(self):
-        """A triple (a, b, c) violating a∧(b∨c) = (a∧b)∨(a∧c), or None."""
-        for a in range(self.n):
-            for b in range(self.n):
-                for c in range(self.n):
-                    lhs = self.meet(a, self.join(b, c))
-                    rhs = self.join(self.meet(a, b), self.meet(a, c))
-                    if lhs != rhs:
-                        return (a, b, c)
-        return None
+        """The first triple (a, b, c) violating a∧(b∨c) = (a∧b)∨(a∧c), or None."""
+        M, J = self.meet_table, self.join_table
+
+        def violates(v):
+            a, b, c = v
+            return M[a][J[b][c]] != J[M[a][b]][M[a][c]]
+
+        def block(a, b, c):
+            Ma, Ja = self.meet_array, self.join_array
+            return Ma[a, Ja[b, c]] != Ja[Ma[a, b], Ma[a, c]]
+
+        return first_violation(self.n, 3, violates, block)
 
     def is_distributive(self) -> bool:
         return self.distributivity_witness() is None

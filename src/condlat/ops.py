@@ -6,16 +6,23 @@ the remaining named axioms carve out the classical subfamilies
 (Heyting, Sasaki, material).  Negation is always the derived one,
 neg(a) = a -> bottom, unless a unary table is supplied explicitly.
 
-Every check is exhaustive: it scans all instances in lexicographic
-order (at most 64^3 for a ternary axiom) and reports the first
-counterexample together with both sides of the violated (in)equality.
+Every check is exhaustive: it decides all instances (at most 64^3 for a
+ternary axiom) and reports the lexicographically first counterexample
+together with both sides of the violated (in)equality.  Fewer than 64
+instances are scanned in lexicographic order with the scalar
+definitions; larger grids are evaluated with numpy over ascending blocks
+of antecedent rows (``grid_first_violation``), which stops at the same
+first witness, and that witness is confirmed by the scalar definition.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 from .errors import (
     InternalInconsistency,
@@ -25,7 +32,12 @@ from .errors import (
     NotResiduated,
     WidthMismatch,
 )
-from .lattice import FiniteLattice
+from .lattice import (
+    GRID_MIN_INSTANCES,
+    FiniteLattice,
+    first_violation,
+    grid_first_violation,
+)
 
 
 class Axiom(enum.Enum):
@@ -100,6 +112,11 @@ class ConditionalOp:
     def apply(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    @cached_property
+    def table_array(self):
+        """The table as an n x n numpy array, built on first use."""
+        return np.array(self.table, dtype=np.uint8)
+
     def derive_negation(self) -> UnaryOp:
         """neg(a) = a -> bottom."""
         bot = self.lattice.bottom
@@ -116,13 +133,17 @@ class ConditionalOp:
 # -- axiom definitions -------------------------------------------------
 #
 # Each definition evaluates one instance, returning (lhs, rhs); the
-# relation field says whether lhs <= rhs or lhs = rhs is required.
+# relation field says whether lhs <= rhs or lhs = rhs is required.  The
+# scalar form _d_* takes the tuple table and one index tuple; the grid
+# form _g_* is the same expression over the numpy table and broadcast
+# index arrays (see ``grid_first_violation``).
 
 @dataclass(frozen=True)
 class _AxiomDef:
     arity: int
     relation: str  # "le" or "eq"
     eval: object
+    grid: object
 
 
 def _d_p1(L, T, v):
@@ -130,9 +151,19 @@ def _d_p1(L, T, v):
     return T[L.top][a], a
 
 
+def _g_p1(L, T, v):
+    a, = v
+    return T[L.top, a], a
+
+
 def _d_p2(L, T, v):
     a, b = v
     return L.meet_table[a][b], T[a][b]
+
+
+def _g_p2(L, T, v):
+    a, b = v
+    return L.meet_array[a, b], T[a, b]
 
 
 def _d_p3(L, T, v):
@@ -140,9 +171,19 @@ def _d_p3(L, T, v):
     return T[a][b], T[a][L.meet_table[a][b]]
 
 
+def _g_p3(L, T, v):
+    a, b = v
+    return T[a, b], T[a, L.meet_array[a, b]]
+
+
 def _d_p4(L, T, v):
     a, b, c = v
     return T[a][L.meet_table[b][c]], T[a][b]
+
+
+def _g_p4(L, T, v):
+    a, b, c = v
+    return T[a, L.meet_array[b, c]], T[a, b]
 
 
 def _d_p5(L, T, v):
@@ -151,9 +192,20 @@ def _d_p5(L, T, v):
     return T[a][inner], inner
 
 
+def _g_p5(L, T, v):
+    a, b, c = v
+    inner = T[L.meet_array[a, b], c]
+    return T[a, inner], inner
+
+
 def _d_mp(L, T, v):
     a, b = v
     return L.meet_table[a][T[a][b]], b
+
+
+def _g_mp(L, T, v):
+    a, b = v
+    return L.meet_array[a, T[a, b]], b
 
 
 def _d_wm(L, T, v):
@@ -161,9 +213,19 @@ def _d_wm(L, T, v):
     return b, T[a][b]
 
 
+def _g_wm(L, T, v):
+    a, b = v
+    return b, T[a, b]
+
+
 def _d_semi(L, T, v):
     a, = v
     return L.meet_table[a][T[a][L.bottom]], L.bottom
+
+
+def _g_semi(L, T, v):
+    a, = v
+    return L.meet_array[a, T[a, L.bottom]], L.bottom
 
 
 def _d_inv(L, T, v):
@@ -171,9 +233,19 @@ def _d_inv(L, T, v):
     return T[T[a][L.bottom]][L.bottom], a
 
 
+def _g_inv(L, T, v):
+    a, = v
+    return T[T[a, L.bottom], L.bottom], a
+
+
 def _d_id(L, T, v):
     a, = v
     return T[a][a], L.top
+
+
+def _g_id(L, T, v):
+    a, = v
+    return T[a, a], L.top
 
 
 def _d_norm(L, T, v):
@@ -181,9 +253,19 @@ def _d_norm(L, T, v):
     return L.meet_table[T[a][b]][T[a][c]], T[a][L.meet_table[b][c]]
 
 
+def _g_norm(L, T, v):
+    a, b, c = v
+    return L.meet_array[T[a, b], T[a, c]], T[a, L.meet_array[b, c]]
+
+
 def _d_negimp(L, T, v):
     a, b = v
     return T[T[a][b]][L.bottom], T[a][T[b][L.bottom]]
+
+
+def _g_negimp(L, T, v):
+    a, b = v
+    return T[T[a, b], L.bottom], T[a, T[b, L.bottom]]
 
 
 def _d_flat(L, T, v):
@@ -193,19 +275,19 @@ def _d_flat(L, T, v):
 
 
 AXIOM_DEFS = {
-    Axiom.P1: _AxiomDef(1, "le", _d_p1),
-    Axiom.P2: _AxiomDef(2, "le", _d_p2),
-    Axiom.P3: _AxiomDef(2, "le", _d_p3),
-    Axiom.P4: _AxiomDef(3, "le", _d_p4),
-    Axiom.P5: _AxiomDef(3, "le", _d_p5),
-    Axiom.MP: _AxiomDef(2, "le", _d_mp),
-    Axiom.WM: _AxiomDef(2, "le", _d_wm),
-    Axiom.SEMI: _AxiomDef(1, "eq", _d_semi),
-    Axiom.INV: _AxiomDef(1, "eq", _d_inv),
-    Axiom.ID: _AxiomDef(1, "eq", _d_id),
-    Axiom.NORM: _AxiomDef(3, "le", _d_norm),
-    Axiom.NEGIMP: _AxiomDef(2, "le", _d_negimp),
-    Axiom.FLAT: _AxiomDef(3, "eq", _d_flat),
+    Axiom.P1: _AxiomDef(1, "le", _d_p1, _g_p1),
+    Axiom.P2: _AxiomDef(2, "le", _d_p2, _g_p2),
+    Axiom.P3: _AxiomDef(2, "le", _d_p3, _g_p3),
+    Axiom.P4: _AxiomDef(3, "le", _d_p4, _g_p4),
+    Axiom.P5: _AxiomDef(3, "le", _d_p5, _g_p5),
+    Axiom.MP: _AxiomDef(2, "le", _d_mp, _g_mp),
+    Axiom.WM: _AxiomDef(2, "le", _d_wm, _g_wm),
+    Axiom.SEMI: _AxiomDef(1, "eq", _d_semi, _g_semi),
+    Axiom.INV: _AxiomDef(1, "eq", _d_inv, _g_inv),
+    Axiom.ID: _AxiomDef(1, "eq", _d_id, _g_id),
+    Axiom.NORM: _AxiomDef(3, "le", _d_norm, _g_norm),
+    Axiom.NEGIMP: _AxiomDef(2, "le", _d_negimp, _g_negimp),
+    Axiom.FLAT: _AxiomDef(3, "eq", _d_flat, _g_p5),
 }
 
 
@@ -263,11 +345,33 @@ def check_axiom(op: ConditionalOp, axiom: Axiom) -> AxiomCheck:
     if d is None:
         raise ValueError(f"{axiom} is not an axiom of binary tables")
     L, T = op.lattice, op.table
+    if L.n ** d.arity >= GRID_MIN_INSTANCES:
+        return _grid_check(op, axiom, d)
+    # the scalar route: every instance in lexicographic order
     for v in product(range(L.n), repeat=d.arity):
         lhs, rhs = d.eval(L, T, v)
         if _violates(L, lhs, rhs, d.relation):
             return AxiomCheck(axiom, False, v, lhs, rhs, d.relation)
     return AxiomCheck(axiom, True)
+
+
+def _grid_check(op, axiom, d):
+    """The numpy route: the same first witness, confirmed by the scalar form."""
+    L = op.lattice
+
+    def block(*v):
+        lhs, rhs = d.grid(L, op.table_array, v)
+        if d.relation == "eq":
+            return lhs != rhs
+        return ~L.leq_array[lhs, rhs]
+
+    v = grid_first_violation(L.n, d.arity, block)
+    if v is None:
+        return AxiomCheck(axiom, True)
+    lhs, rhs = d.eval(L, op.table, v)
+    if not _violates(L, lhs, rhs, d.relation):
+        raise InternalInconsistency(f"{axiom} grid flags {v} but the definition holds there")
+    return AxiomCheck(axiom, False, v, lhs, rhs, d.relation)
 
 
 def check_axioms(op: ConditionalOp, axioms) -> AxiomReport:
@@ -303,18 +407,18 @@ def check_flattening(op: ConditionalOp) -> FlatteningReport:
     eq = check_axiom(op, Axiom.FLAT)
     fwd = check_axiom(op, Axiom.P5)
     L, T = op.lattice, op.table
-    rev_w = None
-    for a in range(L.n):
-        for b in range(L.n):
-            for c in range(L.n):
-                inner = T[L.meet_table[a][b]][c]
-                if not L.leq(inner, T[a][inner]):
-                    rev_w = (a, b, c)
-                    break
-            if rev_w:
-                break
-        if rev_w:
-            break
+
+    def violates(v):
+        a, b, c = v
+        inner = T[L.meet_table[a][b]][c]
+        return not L.leq(inner, T[a][inner])
+
+    def block(a, b, c):
+        Ta = op.table_array
+        inner = Ta[L.meet_array[a, b], c]
+        return ~L.leq_array[inner, Ta[a, inner]]
+
+    rev_w = first_violation(L.n, 3, violates, block)
     return FlatteningReport(eq, fwd, rev_w is None, rev_w)
 
 
@@ -492,16 +596,21 @@ def is_orthomodular(neg: UnaryOp) -> Orthomodularity:
 def residuation_witness(op: ConditionalOp):
     """First (a, b, c, direction) violating a ∧ b <= c  iff  a <= b -> c."""
     L, T = op.lattice, op.table
-    for a in range(L.n):
-        for b in range(L.n):
-            for c in range(L.n):
-                left = L.leq(L.meet(a, b), c)
-                right = L.leq(a, T[b][c])
-                if left and not right:
-                    return (a, b, c, "forward")
-                if right and not left:
-                    return (a, b, c, "backward")
-    return None
+    leq, M = L.leq, L.meet_table
+
+    def violates(v):
+        a, b, c = v
+        return leq(M[a][b], c) != leq(a, T[b][c])
+
+    def block(a, b, c):
+        leq = L.leq_array
+        return leq[L.meet_array[a, b], c] != leq[a, op.table_array[b, c]]
+
+    w = first_violation(L.n, 3, violates, block)
+    if w is None:
+        return None
+    a, b, c = w
+    return (a, b, c, "forward" if L.leq(L.meet(a, b), c) else "backward")
 
 
 def heyting_residual(L: FiniteLattice) -> ConditionalOp:

@@ -46,6 +46,12 @@ from .ops import (
 MAX_WORLDS = 16
 
 
+def _guard_worlds(k: int):
+    """Refuse more than MAX_WORLDS worlds before any 2^k row is built."""
+    if k > MAX_WORLDS:
+        raise TooLarge(f"{k} worlds exceeds the guard of {MAX_WORLDS}")
+
+
 @dataclass(frozen=True)
 class SelectionFrame:
     names: tuple
@@ -56,8 +62,7 @@ class SelectionFrame:
         k = len(names)
         if k == 0:
             raise WidthMismatch("a selection frame needs at least one world")
-        if k > MAX_WORLDS:
-            raise TooLarge(f"{k} worlds exceeds the guard of {MAX_WORLDS}")
+        _guard_worlds(k)
         if len(set(names)) != k:
             raise WidthMismatch("duplicate world names")
         full = (1 << k) - 1
@@ -166,6 +171,7 @@ def from_well_order(names, order=None) -> SelectionFrame:
     """
     names = tuple(str(x) for x in names)
     k = len(names)
+    _guard_worlds(k)
     if order is None:
         order = tuple(range(k))
     order = tuple(order)
@@ -286,6 +292,7 @@ def random_centered_frame(rng: Random, k: int, hit: float = 0.7) -> SelectionFra
     """A random frame with success and centering; worlds outside the
     antecedent select one random member with probability hit, else
     nothing.  Not strongly dense in general; callers filter."""
+    _guard_worlds(k)
     rel = []
     for A in range(1 << k):
         members = [v for v in range(k) if A >> v & 1]

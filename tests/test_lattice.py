@@ -1,3 +1,6 @@
+from itertools import product
+from random import Random
+
 import pytest
 
 from condlat.errors import (
@@ -13,6 +16,8 @@ from condlat.lattice import (
     chain,
     find_isomorphism,
 )
+from condlat.frames import fixpoints, random_frame
+from condlat.search import enumerate_lattices
 
 
 def test_chain_order_and_tables():
@@ -51,6 +56,7 @@ def test_antichain_m3_not_distributive():
     assert M3.atoms() == [1, 2, 3] and M3.coatoms() == [1, 2, 3]
     assert not M3.is_distributive()
     a, b, c = M3.distributivity_witness()
+    assert (a, b, c) == (1, 2, 3)
     lhs = M3.meet(a, M3.join(b, c))
     rhs = M3.join(M3.meet(a, b), M3.meet(a, c))
     assert lhs != rhs
@@ -61,6 +67,7 @@ def test_pentagon_not_distributive_but_complemented():
         ("0", "a", "b", "c", "1"), [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)]
     )
     assert not N5.is_distributive()
+    assert N5.distributivity_witness() == (3, 1, 2)
     assert N5.complement_map() is not None
     assert not N5.is_boolean()
 
@@ -131,3 +138,41 @@ def test_find_isomorphism_respects_order_and_tables():
     assert find_isomorphism(B, B, t, t) is not None
     # but not from meet onto join
     assert find_isomorphism(B, B, t, B.join_table) is None
+
+
+def _first_distributivity_failure(L):
+    for a, b, c in product(range(L.n), repeat=3):
+        if L.meet(a, L.join(b, c)) != L.join(L.meet(a, b), L.meet(a, c)):
+            return (a, b, c)
+    return None
+
+
+DISTRIBUTIVITY_CASES = {
+    **{f"n{n}-{i}": L for n in range(1, 6) for i, L in enumerate(enumerate_lattices(n))},
+    # fixpoint lattices of seeded 8-point frames: 18, 19, 48 and 42 elements
+    **{f"fixpoints-seed{s}": fixpoints(random_frame(Random(s), 8)).lattice
+       for s in (4, 9, 17, 22)},
+    "B64": boolean_algebra("pqrstu"),
+}
+
+
+@pytest.mark.parametrize("name", DISTRIBUTIVITY_CASES)
+def test_distributivity_witness_is_the_first_failure(name):
+    L = DISTRIBUTIVITY_CASES[name]
+    assert L.distributivity_witness() == _first_distributivity_failure(L)
+
+
+def test_distributivity_cases_cover_both_verdicts():
+    got = {name: L.distributivity_witness() for name, L in DISTRIBUTIVITY_CASES.items()}
+    assert got["B64"] is None
+    assert all(got[f"fixpoints-seed{s}"] is not None for s in (4, 9, 17, 22))
+    assert any(w is None for name, w in got.items() if name.startswith("n5"))
+    assert any(w is not None for name, w in got.items() if name.startswith("n5"))
+
+
+def test_numpy_views_match_the_tables():
+    for L in (antichain_bounded(("a", "b", "c")), boolean_algebra("pqrstu")):
+        assert L.meet_array.tolist() == [list(r) for r in L.meet_table]
+        assert L.join_array.tolist() == [list(r) for r in L.join_table]
+        assert L.leq_array.tolist() == [[L.leq(a, b) for b in range(L.n)]
+                                        for a in range(L.n)]

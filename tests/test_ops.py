@@ -1,9 +1,10 @@
+import tracemalloc
 from itertools import product
 from random import Random
 
 import pytest
 
-from condlat import catalog
+from condlat import catalog, ops
 from condlat.errors import (
     NotAPrecomplementation,
     NotAnOrthocomplementation,
@@ -12,8 +13,9 @@ from condlat.errors import (
     WidthMismatch,
 )
 from condlat.frames import fixpoints, random_frame
-from condlat.lattice import antichain_bounded, boolean_algebra, chain
+from condlat.lattice import BLOCK_CELLS, antichain_bounded, boolean_algebra, chain
 from condlat.ops import (
+    AXIOM_DEFS,
     Axiom,
     BINARY_AXIOMS,
     ClassLabel,
@@ -34,6 +36,8 @@ from condlat.ops import (
     residuation_witness,
     sasaki_hook,
 )
+
+from condlat.search import enumerate_lattices
 
 from conftest import names_at
 
@@ -148,6 +152,73 @@ def test_ternary_checks_above_sixteen_elements_are_exhaustive(name, axiom):
         assert (c.witness, c.lhs, c.rhs) == first
 
 
+def _heyting_b64_late_cell():
+    """The Heyting residual of the 64-element Boolean algebra with cell
+    (50, 3) changed: ternary witnesses lie in antecedent row 50, past the
+    first numpy block (one row at n = 64)."""
+    B6 = boolean_algebra("pqrstu")
+    rows = [list(row) for row in heyting_residual(B6).table]
+    rows[50][3] = (rows[50][3] + 1) % B6.n
+    return ConditionalOp(B6, rows)
+
+
+# seeded 8-point frames whose fixpoint lattices have 18, 19, 48 and 42
+# elements, none of them distributive
+FIXPOINT_ALGEBRAS = {f"fixpoints-seed{s}": fixpoints(random_frame(Random(s), 8)).op
+                     for s in (4, 9, 17, 22)}
+
+
+GRID_TABLES = {
+    **{e.name: e.conditional for e in catalog.ENTRIES if e.conditional is not None},
+    **LARGE_TABLES,
+    **FIXPOINT_ALGEBRAS,
+    "heyting-B64-late-cell": _heyting_b64_late_cell(),
+}
+
+
+def _product_scan(op, d):
+    """(holds, witness, lhs, rhs) by the lexicographic scan of d's instances."""
+    L, T = op.lattice, op.table
+    for v in product(range(L.n), repeat=d.arity):
+        lhs, rhs = d.eval(L, T, v)
+        if (lhs != rhs) if d.relation == "eq" else not L.leq(lhs, rhs):
+            return False, v, lhs, rhs
+    return True, None, None, None
+
+
+@pytest.mark.parametrize("name", GRID_TABLES)
+def test_grid_route_matches_the_scan_for_every_axiom(name):
+    # the grid route is called directly, so tables below the cutoff of
+    # check_axiom cover the unary and binary grid forms too
+    op = GRID_TABLES[name]
+    for axiom in BINARY_AXIOMS:
+        d = AXIOM_DEFS[axiom]
+        grid = ops._grid_check(op, axiom, d)
+        scan = _product_scan(op, d)
+        assert (grid.holds, grid.witness, grid.lhs, grid.rhs) == scan, axiom
+        c = check_axiom(op, axiom)
+        assert (c.holds, c.witness, c.lhs, c.rhs) == scan, axiom
+
+
+def test_late_cell_witnesses_lie_past_the_first_block():
+    op = GRID_TABLES["heyting-B64-late-cell"]
+    rows_per_block = BLOCK_CELLS // op.lattice.n ** 2
+    for axiom in (Axiom.P4, Axiom.P5, Axiom.NORM, Axiom.FLAT):
+        assert check_axiom(op, axiom).witness[0] >= rows_per_block
+
+
+def test_grid_check_of_a_64_element_table_stays_small():
+    B6 = boolean_algebra("pqrstu")
+    op = ConditionalOp(B6, heyting_residual(B6).table)
+    tracemalloc.start()
+    try:
+        assert check_axiom(op, Axiom.NORM).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_mp_and_wm_pull_apart():
     tail = catalog.entry("tail-constant-4chain")
     rep = check_axioms(tail.conditional, BINARY_AXIOMS)
@@ -188,6 +259,20 @@ def test_flattening_report_routes_agree():
     # FLAT and the P5 inclusion must agree whenever the reverse holds
     if rep.reverse_holds:
         assert rep.equation.holds == rep.forward.holds
+
+
+@pytest.mark.parametrize("name", GRID_TABLES)
+def test_reverse_flattening_witness_is_the_first_failure(name):
+    op = GRID_TABLES[name]
+    L, T = op.lattice, op.table
+    first = None
+    for a, b, c in product(range(L.n), repeat=3):
+        inner = T[L.meet(a, b)][c]
+        if not L.leq(inner, T[a][inner]):
+            first = (a, b, c)
+            break
+    rep = check_flattening(op)
+    assert (rep.reverse_holds, rep.reverse_witness) == (first is None, first)
 
 
 # -- precomplementations ------------------------------------------------
@@ -262,6 +347,58 @@ def test_heyting_residual_is_residuated_and_unique():
 def test_non_distributive_has_no_residual():
     with pytest.raises(NotResiduated):
         heyting_residual(antichain_bounded(("a", "b", "c")))
+
+
+def _first_residuation_failure(op):
+    L, T = op.lattice, op.table
+    for a, b, c in product(range(L.n), repeat=3):
+        left, right = L.leq(L.meet(a, b), c), L.leq(a, T[b][c])
+        if left != right:
+            return (a, b, c, "forward" if left else "backward")
+    return None
+
+
+def _residual_candidate(L):
+    """b -> c = join of {a : a ∧ b <= c}: the Heyting residual when L is
+    distributive, unresiduated otherwise."""
+    return ConditionalOp(L, tuple(
+        tuple(L.join_mask(sum(1 << a for a in range(L.n) if L.leq(L.meet(a, b), c)))
+              for c in range(L.n))
+        for b in range(L.n)))
+
+
+def _residuation_tables():
+    out = {}
+    lattices = [(f"n{n}-{i}", L) for n in range(1, 6)
+                for i, L in enumerate(enumerate_lattices(n))]
+    lattices += [(name, op.lattice) for name, op in FIXPOINT_ALGEBRAS.items()]
+    for name, L in lattices:
+        rng = Random(name)
+        out[f"{name}-meet"] = ConditionalOp(L, L.meet_table)
+        out[f"{name}-candidate"] = _residual_candidate(L)
+        out[f"{name}-random"] = ConditionalOp(
+            L, [[rng.randrange(L.n) for _ in range(L.n)] for _ in range(L.n)])
+    out.update(FIXPOINT_ALGEBRAS)
+    out["heyting-B64"] = heyting_residual(boolean_algebra("pqrstu"))
+    out["heyting-B64-late-cell"] = GRID_TABLES["heyting-B64-late-cell"]
+    return out
+
+
+RESIDUATION_TABLES = _residuation_tables()
+
+
+@pytest.mark.parametrize("name", RESIDUATION_TABLES)
+def test_residuation_witness_is_the_first_failure(name):
+    op = RESIDUATION_TABLES[name]
+    assert residuation_witness(op) == _first_residuation_failure(op)
+
+
+def test_residuation_witness_cases_cover_both_verdicts_and_directions():
+    got = {name: residuation_witness(op) for name, op in RESIDUATION_TABLES.items()}
+    assert {w[3] for w in got.values() if w is not None} == {"forward", "backward"}
+    assert got["heyting-B64"] is None
+    # past the first block, which is one antecedent row at n = 64
+    assert got["heyting-B64-late-cell"][0] > 0
 
 
 def test_residuation_witness_directions():

@@ -1,3 +1,4 @@
+import tracemalloc
 from random import Random
 
 import pytest
@@ -37,6 +38,20 @@ def test_frame_validation():
         SelectionFrame(("w",), ((2,), (0,)))  # mask outside the worlds
     with pytest.raises(TooLarge):
         from_well_order([f"w{i}" for i in range(MAX_WORLDS + 1)])
+
+
+@pytest.mark.parametrize("k", (MAX_WORLDS + 1, 40))
+def test_world_guard_fires_before_any_row_is_built(k):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            from_well_order([f"w{i}" for i in range(k)])
+        with pytest.raises(TooLarge):
+            random_centered_frame(Random(0), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_well_order_properties_k3():
