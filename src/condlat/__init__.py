@@ -52,10 +52,9 @@ from .ops import (
 from .frames import (
     FixpointLattice,
     RelationalFrame,
+    closed_sets,
     fixpoints,
-    generate_from,
     random_frame,
-    singleton_generated,
 )
 from .representation import (
     build_fi_space,

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
 )
-from .frames import FIXPOINT_ENUM_LIMIT, fixpoints, random_frame, set_label
+from .frames import fixpoints, random_frame, set_label
 from .io import (
     lattice_dot,
     parse_frame,
@@ -172,7 +172,7 @@ def cmd_classify(args) -> int:
 def cmd_frame(args) -> int:
     doc = parse_frame(_read(args.file))
     run = Run()
-    fl = fixpoints(doc.frame, limit=args.limit)
+    fl = fixpoints(doc.frame)
     labels = [set_label(doc.frame, s) for s in fl.sets]
     print(f"{doc.name}: {len(fl.sets)} fixpoints")
     for lab in labels:
@@ -229,8 +229,7 @@ def cmd_represent(args) -> int:
           f"relation={cond.relation_matches[0]}")
     run.rec(cond.ok, file=args.file, check="space-conditions")
     if args.dot:
-        from .frames import singleton_generated
-        _dot(args, lattice_dot(singleton_generated(space.frame).lattice, doc.name))
+        _dot(args, lattice_dot(fixpoints(space.frame).lattice, doc.name))
     run.write(args.report)
     return run.exit_code()
 
@@ -687,9 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = _common(subs.add_parser("frame", help="fixpoints of a frame file"))
     s.add_argument("file")
-    s.add_argument("--limit", type=int, default=FIXPOINT_ENUM_LIMIT,
-                   help="largest point count whose fixpoints are enumerated "
-                        f"(default {FIXPOINT_ENUM_LIMIT})")
     s.set_defaults(func=cmd_frame)
 
     s = _common(subs.add_parser("represent", help="run both representations"))

@@ -80,8 +80,7 @@ class EmbeddingNotVerified(CondlatError):
 
 
 class BudgetExhausted(CondlatError):
-    """A search ran out of nodes, or a generative construction grew past
-    its element budget; a search carries its partial result."""
+    """A model search ran out of nodes; carries its partial result."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)

@@ -11,13 +11,13 @@ inclusion, always form a bounded lattice whose meet is intersection and
 whose join is the closure of the union, and the conditional restricted
 to fixpoints lands in the fixpoints again.
 
-Two roads to that lattice are provided.  ``fixpoints`` enumerates all
-2^m subsets and is guarded by a point-count limit.  ``generate_from``
-grows the least family containing the closures of given generator sets
-and closed under intersection, join, and the conditional; seeded with
-all singletons it provably reaches every fixpoint (each closed set is
-the join of the closures of its points), which is what the
-representation modules lean on for frames too large to enumerate.
+Every family of sets this package builds from a frame (the closure
+fixpoints here, the open fixpoints of a filter-ideal space in
+``representation``) is closed under intersection, so it is the family
+of closed sets of one closure operator.  ``closed_sets`` lists such a
+family with Ganter's NextClosure: in ascending integer order, with at
+most m closure calls per set (after one per point), and never more sets
+than asked for.
 """
 
 from __future__ import annotations
@@ -25,17 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .errors import (
-    BudgetExhausted,
-    InternalInconsistency,
-    TooLarge,
-    WidthMismatch,
-)
-from .lattice import FiniteLattice
+from .errors import InternalInconsistency, TooLarge, WidthMismatch
+from .lattice import MAX_ELEMENTS, FiniteLattice
 from .ops import ConditionalOp
-
-FIXPOINT_ENUM_LIMIT = 20
-GENERATE_BUDGET = 4096
 
 
 class RelationalFrame:
@@ -157,8 +149,46 @@ class FixpointLattice:
             ) from None
 
 
-def _assemble(frame: RelationalFrame, sets) -> FixpointLattice:
-    sets = tuple(sorted(sets))
+def closed_sets(m: int, close, limit: int | None) -> list:
+    """The sets of points 0..m-1 fixed by the closure operator close.
+
+    Ganter's NextClosure: from a closed set A, the next one in ascending
+    integer order is close(A ∩ above(p) ∪ {p}) for the lowest point p
+    not in A whose closure adds no point above p.  close is monotone, so
+    a point whose own closure already adds a point above p outside A is
+    passed over without a call.  Stops after limit + 1 sets (never, when
+    limit is None), so a caller can tell "more than limit" without
+    listing the rest.
+    """
+    full = (1 << m) - 1
+    own = [close(1 << p) for p in range(m)]
+    A = close(0)
+    out = [A]
+    while A != full and (limit is None or len(out) <= limit):
+        for p in range(m):
+            bit = 1 << p
+            above = full & -(bit << 1)
+            if A & bit or own[p] & above & ~A:
+                continue
+            B = close(A & above | bit)
+            if (B ^ A) & above == 0:
+                A = B
+                break
+        out.append(A)
+    return out
+
+
+def fixpoints(frame: RelationalFrame) -> FixpointLattice:
+    """All closure fixpoints of the frame, with their lattice and conditional.
+
+    Raises TooLarge, after listing at most MAX_ELEMENTS + 1 of them, when
+    there are more fixpoints than a lattice may have elements.
+    """
+    sets = tuple(closed_sets(frame.m, frame.closure, MAX_ELEMENTS))
+    if len(sets) > MAX_ELEMENTS:
+        raise TooLarge(
+            f"the {frame.m}-point frame has more than {MAX_ELEMENTS} fixpoints"
+        )
     index = {s: i for i, s in enumerate(sets)}
     names = [set_label(frame, s) for s in sets]
     rows = []
@@ -192,61 +222,6 @@ def _assemble(frame: RelationalFrame, sets) -> FixpointLattice:
         table.append(tuple(row))
     op = ConditionalOp(lat, tuple(table))
     return FixpointLattice(frame, sets, lat, op)
-
-
-def fixpoints(frame: RelationalFrame, limit: int = FIXPOINT_ENUM_LIMIT) -> FixpointLattice:
-    """All closure fixpoints by direct enumeration of 2^m subsets."""
-    if frame.m > limit:
-        raise TooLarge(
-            f"{frame.m} points would need 2^{frame.m} subset closures "
-            f"(limit {limit}); use generate_from"
-        )
-    sets = [A for A in range(frame.full_mask + 1) if frame.closure(A) == A]
-    return _assemble(frame, sets)
-
-
-def generate_from(frame: RelationalFrame, generators,
-                  budget: int = GENERATE_BUDGET) -> FixpointLattice:
-    """Least fixpoint family containing closures of the generators and
-    closed under intersection, join, and the conditional.
-
-    The bounds are always included: the closure of the empty set and the
-    full set.  With no generators this is the lattice of bounds.
-    """
-    found = {frame.closure(0), frame.full_mask}
-    for g in generators:
-        frame._guard(g)
-        found.add(frame.closure(g))
-    work = sorted(found)
-    while work:
-        if len(found) > budget:
-            raise BudgetExhausted(
-                f"generated family exceeded {budget} fixpoints"
-            )
-        a = work.pop()
-        for b in sorted(found):
-            for c in (
-                a & b,
-                frame.closure(a | b),
-                frame.arrow(a, b),
-                frame.arrow(b, a),
-            ):
-                if c not in found:
-                    found.add(c)
-                    work.append(c)
-    return _assemble(frame, found)
-
-
-def singleton_generated(frame: RelationalFrame,
-                        budget: int = GENERATE_BUDGET) -> FixpointLattice:
-    """The full fixpoint lattice via generators {p}, p a point.
-
-    Every closed set is the join of the closures of its singletons, so
-    this agrees with ``fixpoints`` while never enumerating 2^m subsets.
-    """
-    return generate_from(
-        frame, (1 << p for p in range(frame.m)), budget=budget
-    )
 
 
 def random_frame(rng: Random, m: int, density: float = 0.5) -> RelationalFrame:

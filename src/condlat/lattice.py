@@ -75,15 +75,16 @@ def grid_first_violation(n: int, arity: int, block):
     return None
 
 
-def first_violation(n: int, arity: int, violates, block):
+def first_violation(n: int, arity: int, violates, block=None):
     """Lexicographically first tuple of range(n)**arity where a law fails.
 
     violates(v) decides one tuple; block is its numpy form (see
-    ``grid_first_violation``).  Grids of fewer than GRID_MIN_INSTANCES
-    tuples are scanned with violates; larger ones are searched with block
-    and the witness is confirmed with violates.
+    ``grid_first_violation``).  Without a block, or on grids of fewer
+    than GRID_MIN_INSTANCES tuples, the grid is scanned with violates;
+    otherwise it is searched with block and the witness is confirmed
+    with violates.
     """
-    if n ** arity < GRID_MIN_INSTANCES:
+    if block is None or n ** arity < GRID_MIN_INSTANCES:
         for v in product(range(n), repeat=arity):
             if violates(v):
                 return v

@@ -426,14 +426,12 @@ def check_flattening(op: ConditionalOp) -> FlatteningReport:
 
 def precomplementation_report(neg: UnaryOp) -> AxiomReport:
     L, t = neg.lattice, neg.table
-    anti_w = None
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq(a, b) and not L.leq(t[b], t[a]):
-                anti_w = (a, b)
-                break
-        if anti_w:
-            break
+
+    def violates(v):
+        a, b = v
+        return L.leq(a, b) and not L.leq(t[b], t[a])
+
+    anti_w = first_violation(L.n, 2, violates)
     checks = {
         Axiom.PC_ANTI: AxiomCheck(
             Axiom.PC_ANTI, anti_w is None, anti_w,
@@ -492,17 +490,17 @@ def orthocomplement_report(neg: UnaryOp) -> OrthocomplementReport:
         ((a,) for a in range(L.n) if L.meet(a, t[a]) != L.bottom), None)
     inv_w = next(((a,) for a in range(L.n) if t[t[a]] != a), None)
     em_w = next(((a,) for a in range(L.n) if L.join(a, t[a]) != L.top), None)
-    dm_w = None
-    for a in range(L.n):
-        for b in range(L.n):
-            if t[L.meet(a, b)] != L.join(t[a], t[b]):
-                dm_w = (a, b, "meet")
-                break
-            if t[L.join(a, b)] != L.meet(t[a], t[b]):
-                dm_w = (a, b, "join")
-                break
-        if dm_w:
-            break
+
+    def meet_law_fails(a, b):
+        return t[L.meet(a, b)] != L.join(t[a], t[b])
+
+    def violates(v):
+        a, b = v
+        return meet_law_fails(a, b) or t[L.join(a, b)] != L.meet(t[a], t[b])
+
+    dm_w = first_violation(L.n, 2, violates)
+    if dm_w is not None:
+        dm_w += ("meet" if meet_law_fails(*dm_w) else "join",)
     return OrthocomplementReport(
         anti, (semi_w is None, semi_w), (inv_w is None, inv_w),
         (em_w is None, em_w), (dm_w is None, dm_w),
@@ -567,23 +565,17 @@ def is_orthomodular(neg: UnaryOp) -> Orthomodularity:
     """
     require_orthocomplement(neg)
     L, t = neg.lattice, neg.table
-    w1 = None
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq(a, b) and L.join(a, L.meet(t[a], b)) != b:
-                w1 = (a, b)
-                break
-        if w1:
-            break
-    w2 = None
-    for a in range(L.n):
-        for b in range(L.n):
-            lhs = L.meet(a, L.join(t[a], L.meet(a, b)))
-            if not L.leq(lhs, b):
-                w2 = (a, b)
-                break
-        if w2:
-            break
+
+    def law(v):
+        a, b = v
+        return L.leq(a, b) and L.join(a, L.meet(t[a], b)) != b
+
+    def detachment(v):
+        a, b = v
+        return not L.leq(L.meet(a, L.join(t[a], L.meet(a, b))), b)
+
+    w1 = first_violation(L.n, 2, law)
+    w2 = first_violation(L.n, 2, detachment)
     if (w1 is None) != (w2 is None):
         raise InternalInconsistency(
             f"orthomodularity routes disagree: law witness {w1}, detachment witness {w2}"
@@ -699,13 +691,18 @@ def classify(op: ConditionalOp) -> Classification:
     if label in _SASAKI_LABELS:
         L, T = op.lattice, op.table
         t = op.derive_negation().table
-        for a in range(L.n):
-            for b in range(L.n):
-                if T[a][b] != L.join(t[a], L.meet(a, b)):
-                    raise InternalInconsistency(
-                        f"label {label} but table is not ¬a ∨ (a ∧ b) at "
-                        f"({L.names[a]},{L.names[b]})"
-                    )
+
+        def violates(v):
+            a, b = v
+            return T[a][b] != L.join(t[a], L.meet(a, b))
+
+        w = first_violation(L.n, 2, violates)
+        if w is not None:
+            a, b = w
+            raise InternalInconsistency(
+                f"label {label} but table is not ¬a ∨ (a ∧ b) at "
+                f"({L.names[a]},{L.names[b]})"
+            )
     if label in _HEYTING_LABELS:
         w = residuation_witness(op)
         if w is not None:

@@ -21,22 +21,51 @@ principal, so points are stored as generator index pairs (f, i).
 ``check_space_conditions`` evaluates, over any frame plus a designated
 basis, the four conditions that characterize the spaces arising this
 way.
+
+Opens are never listed: a set is open exactly when it contains N(x), the
+intersection of the basis sets holding x, for each of its points x, so
+the open fixpoints are the closed sets of the frame closure alternated
+with the up-hull X |-> union of N(x), x in X.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 
-from .errors import (
-    BudgetExhausted,
-    EmbeddingNotVerified,
-    InternalInconsistency,
-)
-from .frames import RelationalFrame, generate_from, singleton_generated
-from .lattice import FiniteLattice, find_isomorphism
+from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
+from .frames import RelationalFrame, closed_sets, fixpoints, set_label
+from .lattice import MAX_ELEMENTS, FiniteLattice, find_isomorphism
 from .ops import ConditionalOp, require_preconditional
 
-OPENS_BUDGET = 1 << 14
+
+# -- the embedding check both routes share ----------------------------
+
+def _embedding_failures(L, T, frame, hat, *, image, map_name, verb):
+    """Does hat land in fixpoints, stay injective, and carry meet, join and
+    the conditional to intersection, closure-of-union and frame.arrow?
+    The three keywords word the failures the way each route does."""
+    failures = []
+    for a in range(L.n):
+        if frame.closure(hat[a]) != hat[a]:
+            failures.append(f"{image.format(L.names[a])} is not a fixpoint")
+            break
+    if len(set(hat)) != L.n:
+        failures.append(f"{map_name} is not injective")
+    if failures:
+        return failures
+    for a, b in product(range(L.n), repeat=2):
+        if hat[L.meet(a, b)] != hat[a] & hat[b]:
+            law = "meet"
+        elif hat[L.join(a, b)] != frame.closure(hat[a] | hat[b]):
+            law = "join"
+        elif hat[T[a][b]] != frame.arrow(hat[a], hat[b]):
+            law = "conditional"
+        else:
+            continue
+        return [f"{law} not {verb} at ({L.names[a]},{L.names[b]})"]
+    return []
 
 
 # -- pair frame --------------------------------------------------------
@@ -72,18 +101,18 @@ class PairEmbeddingReport:
     fallback_used: bool
     failures: tuple
     fixpoint_count: int
-    mapping: tuple | None  # element -> fixpoint index in the generated lattice
+    mapping: tuple | None  # element -> index in the fixpoint lattice
 
 
-def verify_pair_embedding(pf: PairFrame, budget: int = 4096) -> PairEmbeddingReport:
+def verify_pair_embedding(pf: PairFrame) -> PairEmbeddingReport:
     """Verify the candidate map is an isomorphism onto all fixpoints.
 
-    The fixpoint lattice is built by singleton generation, which reaches
-    every fixpoint without enumerating 2^|points| subsets.  Raises
-    EmbeddingNotVerified only when no isomorphism exists at all.
+    Raises EmbeddingNotVerified only when no isomorphism exists at all,
+    and TooLarge when the frame has more fixpoints than a lattice may
+    have elements.
     """
     L, T, fr = pf.lattice, pf.op.table, pf.frame
-    fl = singleton_generated(fr, budget=budget)
+    fl = fixpoints(fr)
 
     hat = []
     for a in range(L.n):
@@ -93,26 +122,9 @@ def verify_pair_embedding(pf: PairFrame, budget: int = 4096) -> PairEmbeddingRep
                 mask |= 1 << i
         hat.append(mask)
 
-    failures = []
-    for a in range(L.n):
-        if fr.closure(hat[a]) != hat[a]:
-            failures.append(f"image of {L.names[a]} is not a fixpoint")
-            break
-    if len(set(hat)) != L.n:
-        failures.append("candidate map is not injective")
-    if not failures:
-        for a in range(L.n):
-            for b in range(L.n):
-                if hat[L.meet(a, b)] != hat[a] & hat[b]:
-                    failures.append(f"meet not preserved at ({L.names[a]},{L.names[b]})")
-                elif hat[L.join(a, b)] != fr.closure(hat[a] | hat[b]):
-                    failures.append(f"join not preserved at ({L.names[a]},{L.names[b]})")
-                elif hat[T[a][b]] != fr.arrow(hat[a], hat[b]):
-                    failures.append(f"conditional not preserved at ({L.names[a]},{L.names[b]})")
-                if failures:
-                    break
-            if failures:
-                break
+    failures = _embedding_failures(
+        L, T, fr, hat, image="image of {}", map_name="candidate map", verb="preserved"
+    )
     if not failures and set(hat) != set(fl.sets):
         failures.append(
             f"candidate image has {len(set(hat))} fixpoints, frame has {len(fl.sets)}"
@@ -196,93 +208,81 @@ def build_fi_space(lattice: FiniteLattice, op: ConditionalOp) -> FilterIdealSpac
     return FilterIdealSpace(L, op, pairs, frame, tuple(basis))
 
 
-def open_sets(frame: RelationalFrame, basis, budget: int = OPENS_BUDGET):
-    """All opens of the topology generated by the basis sets.
+def _neighbourhoods(frame: RelationalFrame, basis) -> list:
+    """N(x) for each point x: the intersection of the basis sets holding x."""
+    nbhd = [frame.full_mask] * frame.m
+    for u in basis:
+        frame._guard(u)
+        for x in range(frame.m):
+            if u >> x & 1:
+                nbhd[x] &= u
+    return nbhd
 
-    Finite space: finite intersections of basis sets, then arbitrary
-    unions, plus the empty set and the full space.
-    """
-    inters = {frame.full_mask}
-    work = [int(b) for b in basis]
-    for b in work:
-        frame._guard(b)
-        inters.add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(inters):
-            for b in sorted(inters):
-                c = a & b
-                if c not in inters:
-                    if len(inters) > budget:
-                        raise BudgetExhausted("intersection family exceeded budget")
-                    inters.add(c)
-                    changed = True
-    opens = {0}
-    work = sorted(inters)
-    todo = list(work)
-    while todo:
-        if len(opens) > budget:
-            raise BudgetExhausted("open set family exceeded budget")
-        u = todo.pop()
-        new = []
-        for o in opens:
-            c = o | u
-            if c not in opens:
-                new.append(c)
-        for c in new:
-            opens.add(c)
-            todo.append(c)
-    return sorted(opens)
+
+def _up_hull(nbhd, X: int) -> int:
+    """The least open containing X: the union of N(x) over x in X."""
+    out = 0
+    while X:
+        low = X & -X
+        out |= nbhd[low.bit_length() - 1]
+        X ^= low
+    return out
+
+
+def _open_fixpoints(frame: RelationalFrame, nbhd, limit: int) -> list:
+    """Open fixpoints in ascending order, at most limit + 1 of them."""
+    def close(X):
+        # alternate the two closures until both fix the set
+        while True:
+            X = _up_hull(nbhd, X)
+            C = frame.closure(X)
+            if C == X:
+                return X
+            X = C
+
+    return closed_sets(frame.m, close, limit)
 
 
 @dataclass(frozen=True)
 class FIEmbeddingReport:
     ok: bool
     failures: tuple
-    open_count: int
-    open_fixpoint_count: int
+    open_fixpoint_count: int  # counted up to L.n + 1, which means "more than the image"
+    space: FilterIdealSpace = field(repr=False, compare=False)
+
+    @property
+    def open_count(self) -> int:
+        """All opens of the space, listed on demand; no verdict needs them.
+
+        The listing has no bound: the spaces of 33-55 element algebras
+        that verify_fi_embedding decides may have too many opens to list.
+        """
+        nbhd = _neighbourhoods(self.space.frame, self.space.basis)
+        return len(closed_sets(self.space.frame.m, partial(_up_hull, nbhd), None))
 
 
-def verify_fi_embedding(space: FilterIdealSpace, budget: int = OPENS_BUDGET) -> FIEmbeddingReport:
+def verify_fi_embedding(space: FilterIdealSpace) -> FIEmbeddingReport:
     """hat must be an isomorphism onto exactly the open fixpoints.
 
     Part one: hat lands in fixpoints, is injective, and carries meet,
     join, and the conditional to intersection, closure-of-union, and the
     frame conditional.  Part two: the image is exactly the set of open
-    fixpoints.  Raises EmbeddingNotVerified on failure.
+    fixpoints; each hat(a) is open, so after part one it is enough to
+    list L.n + 1 of them.  Raises EmbeddingNotVerified on failure.
     """
     L, T = space.lattice, space.op.table
     fr, hat = space.frame, space.basis
-    failures = []
-    for a in range(L.n):
-        if fr.closure(hat[a]) != hat[a]:
-            failures.append(f"hat({L.names[a]}) is not a fixpoint")
-            break
-    if len(set(hat)) != L.n:
-        failures.append("hat is not injective")
-    if not failures:
-        for a in range(L.n):
-            for b in range(L.n):
-                if hat[L.meet(a, b)] != hat[a] & hat[b]:
-                    failures.append(f"meet not carried at ({L.names[a]},{L.names[b]})")
-                elif hat[L.join(a, b)] != fr.closure(hat[a] | hat[b]):
-                    failures.append(f"join not carried at ({L.names[a]},{L.names[b]})")
-                elif hat[T[a][b]] != fr.arrow(hat[a], hat[b]):
-                    failures.append(
-                        f"conditional not carried at ({L.names[a]},{L.names[b]})"
-                    )
-                if failures:
-                    break
-            if failures:
-                break
-    opens = open_sets(fr, hat, budget=budget)
-    cofix = [o for o in opens if fr.closure(o) == o]
-    if not failures and set(cofix) != set(hat):
+    failures = _embedding_failures(
+        L, T, fr, hat, image="hat({})", map_name="hat", verb="carried"
+    )
+    cofix = _open_fixpoints(fr, _neighbourhoods(fr, hat), L.n)
+    if not failures and len(cofix) > L.n:
+        extra = next(u for u in cofix if u not in hat)
         failures.append(
-            f"image is {len(set(hat))} sets but the space has {len(cofix)} open fixpoints"
+            f"image is {L.n} sets but the open fixpoint "
+            f"{set_label(fr, extra)} lies outside it"
         )
-    report = FIEmbeddingReport(not failures, tuple(failures), len(opens), len(cofix))
+    report = FIEmbeddingReport(not failures, tuple(failures), len(cofix), space)
     if failures:
         raise EmbeddingNotVerified(
             "filter-ideal embedding failed: " + "; ".join(failures), report=report
@@ -306,10 +306,13 @@ class SpaceConditionsReport:
                 and self.pairs_realized[0] and self.relation_matches[0])
 
 
-def check_space_conditions(frame: RelationalFrame, basis,
-                           budget: int = OPENS_BUDGET) -> SpaceConditionsReport:
-    opens = open_sets(frame, basis, budget=budget)
-    cofix = sorted(o for o in opens if frame.closure(o) == o)
+def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsReport:
+    """The four conditions, with the compact opens taken as the open
+    fixpoints; raises TooLarge when there are more than MAX_ELEMENTS."""
+    nbhd = _neighbourhoods(frame, basis)
+    cofix = _open_fixpoints(frame, nbhd, MAX_ELEMENTS)
+    if len(cofix) > MAX_ELEMENTS:
+        raise TooLarge(f"the space has more than {MAX_ELEMENTS} compact opens")
     index = {u: k for k, u in enumerate(cofix)}
 
     # condition: compact opens closed under the three operations and a basis
@@ -328,7 +331,9 @@ def check_space_conditions(frame: RelationalFrame, basis,
         if structure_note:
             break
     if structure_note is None:
-        for o in opens:
+        # every open is the union of the N(x) inside it, and the least open
+        # that is no union of compact opens contains, so is, a failing N(x)
+        for o in sorted(nbhd):
             cover = 0
             for u in cofix:
                 if u & ~o == 0:

@@ -1,9 +1,11 @@
 import dataclasses
+import time
 
 import pytest
 
 from condlat import catalog
 from condlat.cli import main
+from condlat.frames import RelationalFrame
 from condlat.search import INVENTORY
 from condlat.io import (
     FrameDocument,
@@ -75,8 +77,14 @@ def test_frame_command_lists_fixpoints(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "7 fixpoints" in out
     assert "{x,y,w,z}" in out
-    assert main(["frame", str(p), "--limit", "3"]) == 1
-    assert "limit 3" in capsys.readouterr().err
+    # 2^40 fixpoints: refused after listing 65 of them, not after 2^40 closures
+    big = tmp_path / "discrete.frame"
+    big.write_text(serialize_frame(FrameDocument("discrete", RelationalFrame.from_edges(
+        [f"p{i}" for i in range(40)], (), reflexive=True))))
+    t0 = time.perf_counter()
+    assert main(["frame", str(big)]) == 1
+    assert time.perf_counter() - t0 < 5
+    assert "TooLarge: the 40-point frame has more than 64 fixpoints" in capsys.readouterr().err
 
 
 def test_represent_command(tmp_path, capsys):
@@ -85,6 +93,9 @@ def test_represent_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "isomorphic to its fixpoints: True" in out
     assert "embedding onto open fixpoints: True" in out
+    dot = tmp_path / "residual.dot"
+    assert main(["represent", path, "--dot", str(dot)]) == 0
+    assert dot.read_text().startswith("digraph")
 
     bad = write_entry(tmp_path, "const-top-2chain")
     assert main(["represent", bad]) == 1

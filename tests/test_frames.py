@@ -3,16 +3,15 @@ from random import Random
 import pytest
 
 from condlat import catalog
-from condlat.errors import BudgetExhausted, TooLarge, WidthMismatch
+from condlat.errors import TooLarge, WidthMismatch
 from condlat.frames import (
-    FIXPOINT_ENUM_LIMIT,
     RelationalFrame,
+    closed_sets,
     fixpoints,
-    generate_from,
     random_frame,
     set_label,
-    singleton_generated,
 )
+from condlat.lattice import MAX_ELEMENTS
 from condlat.ops import PRECONDITIONAL_AXIOMS, check_axioms
 
 
@@ -78,39 +77,44 @@ def test_fixpoint_conditional_is_preconditional(quad_frame):
     assert check_axioms(fl.op, PRECONDITIONAL_AXIOMS).ok
 
 
-def test_enum_limit_guard():
-    fr = random_frame(Random(1), 21)
-    with pytest.raises(TooLarge):
-        fixpoints(fr)
-    assert fr.m > FIXPOINT_ENUM_LIMIT
+def _scan_fixpoints(frame):
+    """The reference: every one of the 2^m subsets, closed or not."""
+    return [A for A in range(frame.full_mask + 1) if frame.closure(A) == A]
 
 
-def test_generate_from_agrees_with_enumeration(quad_frame):
-    gen = singleton_generated(quad_frame)
-    enum = fixpoints(quad_frame)
-    assert gen.sets == enum.sets
-    assert gen.op.table == enum.op.table
-
-
-def test_generate_from_partial_generators(quad_frame):
-    # bounds only
-    fl = generate_from(quad_frame, ())
-    assert quad_frame.closure(0) in fl.sets
-    assert quad_frame.full_mask in fl.sets
-    assert set(fl.sets) <= set(fixpoints(quad_frame).sets)
-
-
-def test_generate_budget():
-    fr = random_frame(Random(7), 12, density=0.2)
-    with pytest.raises(BudgetExhausted):
-        singleton_generated(fr, budget=1)
-
-
-def test_singleton_generated_matches_enumeration_on_random_frames():
+def test_closed_sets_match_the_subset_scan():
     rng = Random(3)
-    for _ in range(25):
-        fr = random_frame(rng, rng.randint(1, 7))
-        assert singleton_generated(fr).sets == fixpoints(fr).sets
+    for _ in range(300):
+        fr = random_frame(rng, rng.randint(1, 10), rng.choice((0.2, 0.5, 0.8)))
+        want = _scan_fixpoints(fr)
+        assert closed_sets(fr.m, fr.closure, None) == want
+        limit = rng.randint(0, 4)
+        assert closed_sets(fr.m, fr.closure, limit) == want[:limit + 1]
+        if len(want) > MAX_ELEMENTS:
+            with pytest.raises(TooLarge):
+                fixpoints(fr)
+            continue
+        fl = fixpoints(fr)
+        assert fl.sets == tuple(want)
+        assert fl.op.table == tuple(
+            tuple(want.index(fr.arrow(s, t)) for t in want) for s in want
+        )
+
+
+def test_fixpoints_refuse_more_than_a_lattice_holds_after_a_bounded_walk():
+    # a reflexive-only relation closes every set: 2^40 fixpoints
+    fr = RelationalFrame.from_edges([f"p{i}" for i in range(40)], (), reflexive=True)
+    calls = []
+
+    def close(A):
+        calls.append(A)
+        return fr.closure(A)
+
+    assert len(closed_sets(fr.m, close, MAX_ELEMENTS)) == MAX_ELEMENTS + 1
+    # one call per point up front, then at most m per listed set
+    assert len(calls) <= fr.m + 1 + MAX_ELEMENTS * fr.m
+    with pytest.raises(TooLarge, match="more than 64 fixpoints"):
+        fixpoints(fr)
 
 
 def test_set_label(quad_frame):

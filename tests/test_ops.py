@@ -13,7 +13,7 @@ from condlat.errors import (
     WidthMismatch,
 )
 from condlat.frames import fixpoints, random_frame
-from condlat.lattice import BLOCK_CELLS, antichain_bounded, boolean_algebra, chain
+from condlat.lattice import BLOCK_CELLS, FiniteLattice, antichain_bounded, boolean_algebra, chain
 from condlat.ops import (
     AXIOM_DEFS,
     Axiom,
@@ -333,6 +333,82 @@ def test_orthomodularity_split():
     L = catalog.entry("sasaki-benzene").lattice
     t = catalog.entry("sasaki-benzene").unary.table
     assert L.leq(a, b) and L.join(a, L.meet(t[a], b)) != b
+
+
+def _orthocomplemented_lattices():
+    """Ortholattices: MO3 (8 elements, orthomodular), the benzene ring
+    (6, not) and its product with the 2-chain (12, not)."""
+    mo3 = antichain_bounded("abcdef")
+    t = list(range(8))
+    t[mo3.bottom], t[mo3.top] = mo3.top, mo3.bottom
+    for x, y in ("ab", "cd", "ef"):
+        t[mo3.index(x)], t[mo3.index(y)] = mo3.index(y), mo3.index(x)
+    ben = catalog.entry("sasaki-benzene")
+    B, bt = ben.lattice, ben.unary.table
+    pairs = list(product(range(B.n), (0, 1)))
+    prod = FiniteLattice.from_leq(
+        [f"{B.names[x]}{i}" for x, i in pairs],
+        [(j, k) for j, (x, i) in enumerate(pairs) for k, (y, l) in enumerate(pairs)
+         if B.leq(x, y) and i <= l])
+    pt = [pairs.index((bt[x], 1 - i)) for x, i in pairs]
+    return {"MO3": UnaryOp(mo3, t), "benzene": ben.unary,
+            "benzene-x-2chain": UnaryOp(prod, pt)}
+
+
+ORTHOCOMPLEMENTS = _orthocomplemented_lattices()
+
+
+def _first_pair(n, fails):
+    return next(((a, b) for a, b in product(range(n), repeat=2) if fails(a, b)), None)
+
+
+def _unary_tables():
+    lattices = [chain(3), chain(9), boolean_algebra("abcd")]
+    lattices += [op.lattice for op in FIXPOINT_ALGEBRAS.values()]
+    out = dict(ORTHOCOMPLEMENTS)
+    for L in lattices:
+        rng = Random(L.n)
+        for i in range(6):
+            out[f"n{L.n}-random{i}"] = UnaryOp(L, [rng.randrange(L.n) for _ in range(L.n)])
+        # antitone, so the antitone law holds where random tables fail it
+        out[f"n{L.n}-top-swap"] = UnaryOp(
+            L, [L.top if a == L.bottom else L.bottom for a in range(L.n)])
+    return out
+
+
+UNARY_TABLES = _unary_tables()
+
+
+@pytest.mark.parametrize("name", UNARY_TABLES)
+def test_unary_law_witnesses_match_the_scan(name):
+    neg = UNARY_TABLES[name]
+    L, t = neg.lattice, neg.table
+    anti = _first_pair(L.n, lambda a, b: L.leq(a, b) and not L.leq(t[b], t[a]))
+    assert precomplementation_report(neg)[Axiom.PC_ANTI].witness == anti
+
+    def meet_dm(a, b):
+        return t[L.meet(a, b)] != L.join(t[a], t[b])
+
+    dm = _first_pair(L.n, lambda a, b: meet_dm(a, b)
+                     or t[L.join(a, b)] != L.meet(t[a], t[b]))
+    if dm is not None:
+        dm += ("meet" if meet_dm(*dm) else "join",)
+    assert orthocomplement_report(neg).de_morgan == (dm is None, dm)
+    if name in ORTHOCOMPLEMENTS:
+        law = _first_pair(L.n, lambda a, b: L.leq(a, b)
+                          and L.join(a, L.meet(t[a], b)) != b)
+        om = is_orthomodular(neg)
+        assert (om.holds, om.witness) == (law is None, law)
+
+
+def test_orthomodularity_verdicts_on_ortholattices():
+    verdicts = {name: is_orthomodular(u).holds for name, u in ORTHOCOMPLEMENTS.items()}
+    assert verdicts == {"MO3": True, "benzene": False, "benzene-x-2chain": False}
+    assert ORTHOCOMPLEMENTS["benzene-x-2chain"].lattice.n == 12
+    for u in ORTHOCOMPLEMENTS.values():
+        # classify cross-checks a Sasaki label against ¬a ∨ (a ∧ b)
+        label = classify(sasaki_hook(u)).label
+        assert label in (ClassLabel.SASAKI_OL, ClassLabel.SASAKI_OML)
 
 
 # -- residuation --------------------------------------------------------
