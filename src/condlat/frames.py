@@ -18,16 +18,68 @@ of closed sets of one closure operator.  ``closed_sets`` lists such a
 family with Ganter's NextClosure: in ascending integer order, with at
 most m closure calls per set (after one per point), and never more sets
 than asked for.
+
+The grids of n^2 conditionals (the fixpoint table and the literal meet
+and join checks here, the embedding and structure checks in
+``representation``) run through one kernel, ``RelationalFrame.arrows``:
+the conditional elementwise over arrays of masks held as uint64 words,
+W = ceil(m / 64) words a mask, in bitwise passes of 8 points each.
+``arrow_grid`` confirms every kernel grid with the scalar ``arrow`` at
+one fixed cell per row and raises InternalInconsistency on a mismatch.
+Grids of fewer than GRID_MIN_INSTANCES cells are computed cell by cell
+with ``arrow``, which costs less than the numpy calls there.  A failure
+is reported at its first cell in row-major order either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
+import numpy as np
+
 from .errors import InternalInconsistency, TooLarge, WidthMismatch
-from .lattice import MAX_ELEMENTS, FiniteLattice
+from .lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS, FiniteLattice, first_violation
 from .ops import ConditionalOp
+
+
+def _masks_of(words) -> list:
+    """(k, W) word rows back to k int masks."""
+    if words.shape[-1] == 1:
+        return words[:, 0].tolist()
+    return [int.from_bytes(w.tobytes(), "little")
+            for w in np.ascontiguousarray(words, "<u8")]
+
+
+def _keys(words):
+    """Word arrays as byte strings, most significant byte first, so that
+    comparing keys compares the masks as integers."""
+    X = np.ascontiguousarray(words[..., ::-1], ">u8")
+    return X.view(f"V{8 * X.shape[-1]}")[..., 0]
+
+
+def positions(sets, words):
+    """(index, found): where each mask of words sits among the ascending
+    masks sets, both as word arrays, and whether it is there at all."""
+    keys, want = _keys(sets), _keys(words)
+    idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return idx, keys[idx] == want
+
+
+def confirm_cells(arrow, A, B, out, masks=np.ndarray.tolist):
+    """Check the kernel grid out = A -> B, whose first two axes are rows
+    and columns, against the scalar arrow at the cell (i, cols - 1 - i mod
+    cols) of each row i; masks turns an array of cells into int masks."""
+    rows, cols = out.shape[:2]
+    i = np.arange(rows)
+    j = cols - 1 - i % cols
+    cells = [masks(np.broadcast_to(X, out.shape)[i, j]) for X in (A, B, out)]
+    for a, b, got in zip(*cells):
+        if arrow(a, b) != got:
+            raise InternalInconsistency(
+                f"arrow kernel and scalar arrow differ at ({a:#x},{b:#x})"
+            )
 
 
 class RelationalFrame:
@@ -55,6 +107,7 @@ class RelationalFrame:
         self.names = names
         self.m = m
         self.full_mask = full
+        self.words = -(-m // 64)   # uint64 words per mask in kernel arrays
         self._pred = tuple(pred)   # _pred[x] = {y : y -> x}
         self._succ = tuple(succ)   # _succ[y] = {x : y -> x}
         self._index = {n: i for i, n in enumerate(names)}
@@ -102,17 +155,70 @@ class RelationalFrame:
         self._guard(B)
         AB = A & B
         good = 0
-        for y in range(self.m):
-            if self._succ[y] & AB:
+        for y, succ in enumerate(self._succ):
+            if succ & AB:
                 good |= 1 << y
+        blocked = A & ~good
         out = 0
-        for x in range(self.m):
-            if self._pred[x] & A & ~good == 0:
+        for x, pred in enumerate(self._pred):
+            if pred & blocked == 0:
                 out |= 1 << x
         return out
 
     def closure(self, A: int) -> int:
         return self.arrow(self.full_mask, A)
+
+    def to_words(self, masks):
+        """Int masks (a mask or nested sequences of them) as a (..., W)
+        uint64 word array, least significant word first."""
+        arr = np.asarray(masks, dtype=object)
+        size = 8 * self.words
+        raw = []
+        for A in map(int, arr.ravel().tolist()):
+            self._guard(A)
+            raw.append(A.to_bytes(size, "little"))
+        return np.frombuffer(b"".join(raw), "<u8").reshape(arr.shape + (self.words,))
+
+    @cached_property
+    def _word_rows(self):
+        """pred and succ rows and the full mask as word arrays."""
+        return (self.to_words(self._pred), self.to_words(self._succ),
+                self.to_words(self.full_mask))
+
+    def _meeting(self, rows, X):
+        """Elementwise over the word array X: the mask of points p whose
+        row rows[p] meets X, found for 8 points (one byte) a pass."""
+        W = self.words
+        out = np.zeros(X.shape[:-1] + (8 * W,), np.uint8)
+        for byte in range(-(-self.m // 8)):
+            chunk = rows[8 * byte:8 * byte + 8]
+            hit = (X & chunk.reshape((len(chunk),) + (1,) * (X.ndim - 1) + (W,))).any(-1)
+            out[..., byte] = np.packbits(hit, axis=0, bitorder="little")[0]
+        return out.view("<u8")
+
+    def arrows(self, A, B):
+        """arrow elementwise over word arrays A and B of shape (..., W) that
+        broadcast: the points seeing into A ∩ B, then the points none of
+        whose A-predecessors is outside those, one pass per 8 points each."""
+        A, B = np.asarray(A), np.asarray(B)
+        pred, succ, full = self._word_rows
+        for X in (A, B):
+            if X.dtype != np.uint64 or X.shape[-1:] != (self.words,):
+                raise WidthMismatch(f"kernel masks must be uint64 words, {self.words} a mask")
+            if (X & ~full).any():
+                raise WidthMismatch(f"a mask addresses points outside this {self.m}-point frame")
+        good = self._meeting(succ, A & B)
+        return full & ~self._meeting(pred, A & ~good)
+
+    def arrow_grid(self, A, B):
+        """arrows over a grid whose first two axes are rows and columns,
+        confirmed by the scalar arrow at one cell per row."""
+        out = self.arrows(A, B)
+        confirm_cells(self.arrow, A, B, out, _masks_of)
+        return out
+
+    def closure_grid(self, A):
+        return self.arrow_grid(self._word_rows[2], A)
 
     def edges(self):
         return [
@@ -189,6 +295,7 @@ def fixpoints(frame: RelationalFrame) -> FixpointLattice:
         raise TooLarge(
             f"the {frame.m}-point frame has more than {MAX_ELEMENTS} fixpoints"
         )
+    n = len(sets)
     index = {s: i for i, s in enumerate(sets)}
     names = [set_label(frame, s) for s in sets]
     rows = []
@@ -199,28 +306,46 @@ def fixpoints(frame: RelationalFrame) -> FixpointLattice:
                 row |= 1 << j
         rows.append(row)
     lat = FiniteLattice(names, rows)
+    M, J = lat.meet_table, lat.join_table
+
     # the lattice operations must be literal: meet is intersection, join
     # is the closure of the union
-    for i, s in enumerate(sets):
-        for j, t in enumerate(sets):
-            if sets[lat.meet(i, j)] != s & t:
-                raise InternalInconsistency("fixpoint meet is not intersection")
-            if sets[lat.join(i, j)] != frame.closure(s | t):
-                raise InternalInconsistency("fixpoint join is not closure of union")
-    table = []
-    for s in sets:
-        row = []
-        for t in sets:
-            r = frame.arrow(s, t)
-            k = index.get(r)
-            if k is None:
-                raise InternalInconsistency(
-                    f"conditional of fixpoints left the family: "
-                    f"{set_label(frame, s)} -> {set_label(frame, t)}"
-                )
-            row.append(k)
-        table.append(tuple(row))
-    op = ConditionalOp(lat, tuple(table))
+    def unlike(v):
+        i, j = v
+        if sets[M[i][j]] != sets[i] & sets[j]:
+            return "meet is not intersection"
+        if sets[J[i][j]] != frame.closure(sets[i] | sets[j]):
+            return "join is not closure of union"
+        return None
+
+    # the literal checks, and the table with -1 where a conditional leaves
+    # the family
+    if n * n < GRID_MIN_INSTANCES:
+        bad = first_violation(n, 2, unlike)
+        table = [[index.get(frame.arrow(s, t), -1) for t in sets] for s in sets]
+    else:
+        S = frame.to_words(sets)
+
+        def block(a, b):
+            Ma, Ja = lat.meet_array[a, b], lat.join_array[a, b]
+            return ((S[Ma] != S[a] & S[b]).any(-1)
+                    | (S[Ja] != frame.closure_grid(S[a] | S[b])).any(-1))
+
+        bad = first_violation(n, 2, unlike, block)
+        idx, found = positions(S, frame.arrow_grid(S[:, None], S[None, :]))
+        table = np.where(found, idx, -1).tolist()
+    if bad:
+        i, j = bad
+        raise InternalInconsistency(
+            f"fixpoint {unlike(bad)} at ({names[i]},{names[j]})"
+        )
+    for i, row in enumerate(table):
+        if -1 in row:
+            raise InternalInconsistency(
+                f"conditional of fixpoints left the family: "
+                f"{names[i]} -> {names[row.index(-1)]}"
+            )
+    op = ConditionalOp(lat, tuple(tuple(row) for row in table))
     return FixpointLattice(frame, sets, lat, op)
 
 

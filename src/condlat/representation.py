@@ -26,17 +26,31 @@ Opens are never listed: a set is open exactly when it contains N(x), the
 intersection of the basis sets holding x, for each of its points x, so
 the open fixpoints are the closed sets of the frame closure alternated
 with the up-hull X |-> union of N(x), x in X.
+
+The n^2 cells of the embedding check (both routes) and of the structure
+check of ``check_space_conditions`` run on the frame kernel
+(``RelationalFrame.arrow_grid``, confirmed by the scalar ``arrow`` at
+one cell per row); grids of fewer than GRID_MIN_INSTANCES cells are
+checked cell by cell.  Either way the failure reported is the first in
+row-major order, its laws tried in the order meet, join, conditional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+
+import numpy as np
 
 from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
-from .frames import RelationalFrame, closed_sets, fixpoints, set_label
-from .lattice import MAX_ELEMENTS, FiniteLattice, find_isomorphism
+from .frames import RelationalFrame, closed_sets, fixpoints, positions, set_label
+from .lattice import (
+    GRID_MIN_INSTANCES,
+    MAX_ELEMENTS,
+    FiniteLattice,
+    find_isomorphism,
+    first_violation,
+)
 from .ops import ConditionalOp, require_preconditional
 
 
@@ -55,17 +69,29 @@ def _embedding_failures(L, T, frame, hat, *, image, map_name, verb):
         failures.append(f"{map_name} is not injective")
     if failures:
         return failures
-    for a, b in product(range(L.n), repeat=2):
-        if hat[L.meet(a, b)] != hat[a] & hat[b]:
-            law = "meet"
-        elif hat[L.join(a, b)] != frame.closure(hat[a] | hat[b]):
-            law = "join"
-        elif hat[T[a][b]] != frame.arrow(hat[a], hat[b]):
-            law = "conditional"
-        else:
-            continue
-        return [f"{law} not {verb} at ({L.names[a]},{L.names[b]})"]
-    return []
+    M, J = L.meet_table, L.join_table
+
+    def law(v):
+        a, b = v
+        if hat[M[a][b]] != hat[a] & hat[b]:
+            return "meet"
+        if hat[J[a][b]] != frame.closure(hat[a] | hat[b]):
+            return "join"
+        if hat[T[a][b]] != frame.arrow(hat[a], hat[b]):
+            return "conditional"
+        return None
+
+    def block(a, b):
+        H = frame.to_words(hat)
+        Ha, Hb = H[a], H[b]
+        return ((H[L.meet_array[a, b]] != Ha & Hb)
+                | (H[L.join_array[a, b]] != frame.closure_grid(Ha | Hb))
+                | (H[np.asarray(T)[a, b]] != frame.arrow_grid(Ha, Hb))).any(-1)
+
+    v = first_violation(L.n, 2, law, block)
+    if v is None:
+        return []
+    return [f"{law(v)} not {verb} at ({L.names[v[0]]},{L.names[v[1]]})"]
 
 
 # -- pair frame --------------------------------------------------------
@@ -316,20 +342,31 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
     index = {u: k for k, u in enumerate(cofix)}
 
     # condition: compact opens closed under the three operations and a basis
+    def leaves(v):
+        u, w = cofix[v[0]], cofix[v[1]]
+        if u & w not in index:
+            return "intersection"
+        if frame.closure(u | w) not in index:
+            return "join"
+        if frame.arrow(u, w) not in index:
+            return "conditional"
+        return None
+
+    n = len(cofix)
+    if n * n < GRID_MIN_INSTANCES:
+        bad = first_violation(n, 2, leaves)
+        arrow_at = None
+    else:
+        C = frame.to_words(cofix)
+        U, V = C[:, None], C[None, :]
+        arrow_at, arrow_in = positions(C, frame.arrow_grid(U, V))
+        out = ~(positions(C, U & V)[1] & positions(C, frame.closure_grid(U | V))[1]
+                & arrow_in)
+        bad = first_violation(n, 2, leaves, lambda a, b: out[a, b])
     structure_note = None
-    for u in cofix:
-        for v in cofix:
-            if u & v not in index:
-                structure_note = f"intersection leaves the family ({u:#x},{v:#x})"
-                break
-            if frame.closure(u | v) not in index:
-                structure_note = f"join leaves the family ({u:#x},{v:#x})"
-                break
-            if frame.arrow(u, v) not in index:
-                structure_note = f"conditional leaves the family ({u:#x},{v:#x})"
-                break
-        if structure_note:
-            break
+    if bad:
+        structure_note = (f"{leaves(bad)} leaves the family "
+                          f"({cofix[bad[0]]:#x},{cofix[bad[1]]:#x})")
     if structure_note is None:
         # every open is the union of the N(x) inside it, and the least open
         # that is no union of compact opens contains, so is, a failing N(x)
@@ -372,9 +409,10 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
             for u in cofix
         ]
         clat = FiniteLattice(names, rows)
-        table = tuple(
-            tuple(index[frame.arrow(u, v)] for v in cofix) for u in cofix
-        )
+        if arrow_at is None:
+            table = [[index[frame.arrow(u, v)] for v in cofix] for u in cofix]
+        else:
+            table = arrow_at.tolist()
         cop = ConditionalOp(clat, table)
         real_w = None
         for f in range(clat.n):

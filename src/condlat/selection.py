@@ -21,12 +21,24 @@ passes the core axioms together with MP, ID, NORM and negation import
 (taken with the Boolean complement) is turned into a selection frame on
 its atoms, and the frame's conditional is verified to transport back to
 the original table.
+
+``SelectionFrame.arrows`` evaluates the conditional over integer arrays
+of subset masks; ``induced_conditional`` and the transport check of
+``ba_to_selection`` run on it through ``arrow_grid``, which confirms one
+fixed cell per row with the scalar ``arrow`` (a mismatch raises
+InternalInconsistency).  The negation-import scan and the selection
+rows of ``ba_to_selection`` are ``leq_array`` gathers, the rows reduced
+with ``np.bitwise_and``.  Grids of fewer than GRID_MIN_INSTANCES cells
+(at most two worlds) keep the cell-by-cell loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
+
+import numpy as np
 
 from .errors import (
     InternalInconsistency,
@@ -35,7 +47,8 @@ from .errors import (
     TooLarge,
     WidthMismatch,
 )
-from .lattice import FiniteLattice, boolean_algebra
+from .frames import confirm_cells
+from .lattice import GRID_MIN_INSTANCES, FiniteLattice, boolean_algebra, first_violation
 from .ops import (
     Axiom,
     ConditionalOp,
@@ -99,6 +112,26 @@ class SelectionFrame:
         for w in range(self.k):
             if self.rel[A][w] & ~B == 0:
                 out |= 1 << w
+        return out
+
+    @cached_property
+    def rel_array(self):
+        """rel as a (2^k, k) integer array, built on first use."""
+        return np.array(self.rel, dtype=np.int64)
+
+    def arrows(self, A, B):
+        """arrow elementwise over integer mask arrays A and B that broadcast."""
+        A, B = np.asarray(A), np.asarray(B)
+        if ((A | B) & ~self.full_mask).any():
+            raise WidthMismatch("subset mask outside this frame's worlds")
+        inside = (self.rel_array[A] & ~B[..., None]) == 0
+        return inside.astype(np.int64) @ (1 << np.arange(self.k))
+
+    def arrow_grid(self, A, B):
+        """arrows over a grid of rows and columns, confirmed by the scalar
+        arrow at one cell per row."""
+        out = self.arrows(A, B)
+        confirm_cells(self.arrow, A, B, out)
         return out
 
 
@@ -203,9 +236,10 @@ def induced_conditional(frame: SelectionFrame):
     """
     lat = boolean_algebra(frame.names)
     n = lat.n
-    table = tuple(
-        tuple(frame.arrow(A, B) for B in range(n)) for A in range(n)
-    )
+    if n * n < GRID_MIN_INSTANCES:
+        table = [[frame.arrow(A, B) for B in range(n)] for A in range(n)]
+    else:
+        table = frame.arrow_grid(np.arange(n)[:, None], np.arange(n)).tolist()
     return ConditionalOp(lat, table)
 
 
@@ -235,20 +269,28 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
     their failure raises InternalInconsistency.
     """
     L, T = lattice, op.table
-    if not L.is_boolean():
+    neg = L.complement_map() if L.is_distributive() else None
+    if neg is None:
         raise NotBoolean(f"{L!r} is not a Boolean algebra")
     report = check_axioms(op, BA_AXIOMS)
     if not report.ok:
         bad = report.failing()[0]
         raise PreconditionFailed(f"required axiom fails: {bad.describe(L.names)}")
-    neg = L.complement_map()
-    for a in range(L.n):
-        for b in range(L.n):
-            if not L.leq(neg[T[a][b]], T[a][neg[b]]):
-                raise PreconditionFailed(
-                    f"required axiom fails: {Axiom.NEGIMP.value} with the Boolean"
-                    f" complement fails at ({L.names[a]},{L.names[b]})"
-                )
+
+    def negimp_fails(v):
+        a, b = v
+        return not L.leq(neg[T[a][b]], T[a][neg[b]])
+
+    def negimp_block(a, b):
+        TA, N = op.table_array, np.array(neg)
+        return ~L.leq_array[N[TA[a, b]], TA[a, N[b]]]
+
+    bad = first_violation(L.n, 2, negimp_fails, negimp_block)
+    if bad:
+        raise PreconditionFailed(
+            f"required axiom fails: {Axiom.NEGIMP.value} with the Boolean"
+            f" complement fails at ({L.names[bad[0]]},{L.names[bad[1]]})"
+        )
 
     atoms = tuple(L.atoms())
     k = len(atoms)
@@ -260,18 +302,23 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
     if len(element_of) != L.n or len(element_of) != 1 << k:
         raise InternalInconsistency("atom masks do not enumerate the powerset")
 
-    rel = []
-    for A in range(1 << k):
-        a = element_of[A]
-        row = []
-        for wp in range(k):
-            w = atoms[wp]
-            allowed = (1 << k) - 1
-            for b in range(L.n):
-                if L.leq(w, T[a][b]):
-                    allowed &= element_mask[b]
-            row.append(allowed)
-        rel.append(tuple(row))
+    # w selects within the meet of the b with w <= a -> b, as a mask over atoms
+    full = (1 << k) - 1
+    antecedents = [element_of[A] for A in range(1 << k)]
+    if L.n * L.n < GRID_MIN_INSTANCES:
+        rel = []
+        for a in antecedents:
+            row = []
+            for w in atoms:
+                allowed = full
+                for b in range(L.n):
+                    if L.leq(w, T[a][b]):
+                        allowed &= element_mask[b]
+                row.append(allowed)
+            rel.append(tuple(row))
+    else:
+        sees = L.leq_array[np.array(atoms)[:, None], op.table_array[antecedents, None, :]]
+        rel = np.bitwise_and.reduce(np.where(sees, element_mask, full), axis=-1).tolist()
     frame = SelectionFrame(tuple(L.names[a] for a in atoms), tuple(rel))
 
     fcheck = check_frame(frame)
@@ -279,12 +326,20 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
         raise InternalInconsistency(
             f"derived frame violates a required property: {fcheck}"
         )
-    for a in range(L.n):
-        for b in range(L.n):
-            if frame.arrow(element_mask[a], element_mask[b]) != element_mask[T[a][b]]:
-                raise InternalInconsistency(
-                    f"transported conditional differs at ({L.names[a]},{L.names[b]})"
-                )
+
+    def differs(v):
+        a, b = v
+        return frame.arrow(element_mask[a], element_mask[b]) != element_mask[T[a][b]]
+
+    def transport_block(a, b):
+        EM = np.array(element_mask)
+        return frame.arrow_grid(EM[a], EM[b]) != EM[op.table_array[a, b]]
+
+    bad = first_violation(L.n, 2, differs, transport_block)
+    if bad:
+        raise InternalInconsistency(
+            f"transported conditional differs at ({L.names[bad[0]]},{L.names[bad[1]]})"
+        )
     return SelectionModel(frame, atoms, element_mask)
 
 

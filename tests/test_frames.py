@@ -1,9 +1,12 @@
+import hashlib
 from random import Random
 
+import numpy as np
 import pytest
 
 from condlat import catalog
-from condlat.errors import TooLarge, WidthMismatch
+from condlat import frames as frames_module
+from condlat.errors import InternalInconsistency, TooLarge, WidthMismatch
 from condlat.frames import (
     RelationalFrame,
     closed_sets,
@@ -11,8 +14,10 @@ from condlat.frames import (
     random_frame,
     set_label,
 )
-from condlat.lattice import MAX_ELEMENTS
+from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS, FiniteLattice
 from condlat.ops import PRECONDITIONAL_AXIOMS, check_axioms
+from condlat.representation import build_pair_frame
+from conftest import TamperedFrame
 
 
 def test_frame_construction_and_relation():
@@ -131,3 +136,251 @@ def test_two_way_traffic_collapses_separation(quad_frame):
     # {x,y} contains y without w; {w,z} contains w without y: the two
     # points are separated by fixpoints in one direction each
     assert fr.closure(0b0011) == 0b0011 and fr.closure(0b1100) == 0b1100
+
+
+# -- the arrow kernel ----------------------------------------------------
+
+def _mask(words):
+    return int.from_bytes(np.ascontiguousarray(words, "<u8").tobytes(), "little")
+
+
+@pytest.mark.parametrize("m", list(range(1, 11)) + [63, 64, 65, 130])
+def test_kernel_matches_the_scalar_arrow_cell_for_cell(m):
+    rng = Random(m)
+    for density in (0.1, 0.5, 0.9):
+        fr = random_frame(rng, m, density)
+        As = [rng.randrange(fr.full_mask + 1) for _ in range(6)] + [0, fr.full_mask]
+        Bs = [rng.randrange(fr.full_mask + 1) for _ in range(5)] + [fr.full_mask]
+        if m > 64:  # bits on both sides of the first word boundary
+            As += [1 << 63 | 1 << 64, 1 << 64]
+            Bs += [1 << 63, 1 << 63 | 1 << 64]
+        Aw, Bw = fr.to_words(As), fr.to_words(Bs)
+        assert Aw.shape == (len(As), -(-m // 64))
+        grid = fr.arrows(Aw[:, None], Bw[None, :])
+        assert grid.shape == (len(As), len(Bs), fr.words)
+        for i, A in enumerate(As):
+            for j, B in enumerate(Bs):
+                assert _mask(grid[i, j]) == fr.arrow(A, B)
+        # one mask against a grid, either way round
+        left = fr.arrows(Aw[0], Bw[:, None])
+        right = fr.arrows(Aw[:, None], Bw[-1])
+        for j, B in enumerate(Bs):
+            assert _mask(left[j, 0]) == fr.arrow(As[0], B)
+        for i, A in enumerate(As):
+            assert _mask(right[i, 0]) == fr.arrow(A, Bs[-1])
+        assert _mask(fr.arrows(Aw[1], Bw[1])) == fr.arrow(As[1], Bs[1])
+
+
+@pytest.mark.parametrize("m", (3, 64, 65))
+def test_kernel_refuses_masks_outside_the_frame(m):
+    fr = random_frame(Random(0), m)
+    with pytest.raises(WidthMismatch):
+        fr.to_words([0, fr.full_mask + 1])
+    with pytest.raises(WidthMismatch):
+        fr.to_words(-1)
+    ok = fr.to_words(fr.full_mask)
+    spill = ok.copy()
+    spill[-1] |= np.uint64(1) << np.uint64(63)  # the point past the last
+    if m % 64 == 0:
+        spill = np.append(ok, np.uint64(1))     # one word too many
+    for A, B in ((spill, ok), (ok, spill), (ok.astype(np.int64), ok)):
+        with pytest.raises(WidthMismatch):
+            fr.arrows(A, B)
+
+
+def _counting(monkeypatch):
+    calls = []
+    kernel = RelationalFrame.arrows
+
+    def spy(self, A, B):
+        calls.append(np.broadcast_shapes(np.shape(A), np.shape(B))[:-1])
+        return kernel(self, A, B)
+
+    monkeypatch.setattr(RelationalFrame, "arrows", spy)
+    return calls
+
+
+def test_fixpoints_use_the_kernel_exactly_on_grids_of_the_cutoff(monkeypatch):
+    calls = _counting(monkeypatch)
+    rng = Random(7)
+    sizes = set()
+    for _ in range(60):
+        fr = random_frame(rng, rng.randint(2, 6))
+        calls.clear()
+        n = len(fixpoints(fr).sets)
+        sizes.add(n * n >= GRID_MIN_INSTANCES)
+        # the join check and the table: two n x n grids, or none
+        want = [(n, n), (n, n)] if n * n >= GRID_MIN_INSTANCES else []
+        assert calls == want, n
+    assert sizes == {True, False}
+
+
+def _lattice_key(fl):
+    L = fl.lattice
+    return (fl.sets, fl.op.table, L.meet_table, L.join_table,
+            tuple(L.up_mask(a) for a in range(L.n)))
+
+
+def _digest(keys):
+    return hashlib.sha256(repr(keys).encode()).hexdigest()[:16]
+
+
+def test_fixpoint_lattices_of_the_release_gate_frames_are_pinned():
+    # the 1000 frames of acceptance criterion 13 and the four seeded
+    # 8-point frames of the axiom tests, hashed as the scalar loops built them
+    rng = Random(0)
+    keys = []
+    for _ in range(1000):
+        fr = random_frame(rng, rng.randint(1, 8))
+        for _ in range(16):
+            rng.randrange(fr.full_mask + 1)
+        keys.append(_lattice_key(fixpoints(fr)))
+    assert _digest(keys) == "df5ad63a898b998c"
+    seeded = [_lattice_key(fixpoints(random_frame(Random(s), 8))) for s in (4, 9, 17, 22)]
+    assert _digest(seeded) == "ea2e0c60950b1f88"
+
+
+def test_fixpoints_of_a_frame_of_more_than_64_points():
+    # the pair frame of an 18-element algebra: 68 points, two words a mask
+    fl = fixpoints(random_frame(Random(4), 8))
+    fr = build_pair_frame(fl.lattice, fl.op).frame
+    assert fr.m == 68 and fr.words == 2
+    got = fixpoints(fr)
+    sets = closed_sets(fr.m, fr.closure, None)
+    assert got.sets == tuple(sets) and len(sets) == 18
+    assert got.op.table == tuple(
+        tuple(sets.index(fr.arrow(s, t)) for t in sets) for s in sets
+    )
+    L = got.lattice
+    for i, s in enumerate(sets):
+        for j, t in enumerate(sets):
+            assert sets[L.meet(i, j)] == s & t
+            assert sets[L.join(i, j)] == fr.closure(s | t)
+    assert max(sets).bit_length() > 64
+
+
+# -- forced failures, against the cell-by-cell loops ------------------------
+
+def _reference_failure(frame, sets):
+    """The first failure of the literal lattice checks and the table, cell
+    by cell in row-major order, as (message start, first cell)."""
+    index = {s: i for i, s in enumerate(sets)}
+    lat = FiniteLattice([set_label(frame, s) for s in sets],
+                        [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets])
+    for i, s in enumerate(sets):
+        for j, t in enumerate(sets):
+            if sets[lat.meet(i, j)] != s & t:
+                return "fixpoint meet is not intersection", (i, j)
+            if sets[lat.join(i, j)] != frame.closure(s | t):
+                return "fixpoint join is not closure of union", (i, j)
+    for i, s in enumerate(sets):
+        for j, t in enumerate(sets):
+            if frame.arrow(s, t) not in index:
+                return "conditional of fixpoints left the family", (i, j)
+    return None
+
+
+def _families(points, removals, rng):
+    """Families of subsets of an edgeless reflexive frame (closure is the
+    identity) with some sets removed, kept when they still form a lattice."""
+    fr = RelationalFrame.from_edges([f"p{i}" for i in range(points)], (), reflexive=True)
+    inner = list(range(1, fr.full_mask))
+    out = []
+    while len(out) < 12:
+        gone = set(rng.sample(inner, removals))
+        sets = [s for s in range(fr.full_mask + 1) if s not in gone]
+        try:
+            FiniteLattice([str(s) for s in sets],
+                          [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets])
+        except Exception:
+            continue
+        out.append(sets)
+    return fr, out
+
+
+@pytest.mark.parametrize("points", (3, 4))
+def test_lattice_check_reports_the_first_failing_cell(monkeypatch, points):
+    # 3 points: at most 7 sets, the cell-by-cell route; 4 points: the kernel
+    rng = Random(points)
+    fr, families = _families(points, 1 if points == 3 else 3, rng)
+    seen = set()
+    for sets in families:
+        monkeypatch.setattr(frames_module, "closed_sets", lambda m, close, limit: sets)
+        want = _reference_failure(fr, sets)
+        assert want is not None
+        msg, (i, j) = want
+        names = [set_label(fr, s) for s in sets]
+        with pytest.raises(InternalInconsistency) as exc:
+            fixpoints(fr)
+        assert str(exc.value) in (f"{msg} at ({names[i]},{names[j]})",
+                                  f"{msg}: {names[i]} -> {names[j]}")
+        assert (len(sets) ** 2 >= GRID_MIN_INSTANCES) == (points == 4)
+        seen.add(msg.split()[1])
+    assert {"meet", "join"} <= seen
+
+
+def test_meet_is_reported_before_join_at_the_same_cell(monkeypatch):
+    # without {0} and {0,1,2}: at ({0,1},{0,2}) both the meet {0} and the
+    # join {0,1,2} are missing, and no earlier cell fails
+    fr = RelationalFrame.from_edges([f"p{i}" for i in range(4)], (), reflexive=True)
+    sets = [s for s in range(16) if s not in (0b0001, 0b0111, 0b0010, 0b0100)]
+    monkeypatch.setattr(frames_module, "closed_sets", lambda m, close, limit: sets)
+    want = _reference_failure(fr, sets)
+    assert want == ("fixpoint meet is not intersection",
+                    (sets.index(0b0011), sets.index(0b0101)))
+    with pytest.raises(InternalInconsistency,
+                       match=r"^fixpoint meet is not intersection at \(\{p0,p1\},\{p0,p2\}\)$"):
+        fixpoints(fr)
+
+
+def _frame_with(rng, lo, hi):
+    while True:
+        fr = random_frame(rng, 6)
+        sets = closed_sets(fr.m, fr.closure, None)
+        if lo <= len(sets) <= hi:
+            return fr, sets
+
+
+@pytest.mark.parametrize("lo,hi", ((3, 7), (9, 20)))
+def test_a_conditional_leaving_the_family_is_named_at_its_first_cell(lo, hi):
+    rng = Random(lo)
+    named = 0
+    for _ in range(10):
+        fr, sets = _frame_with(rng, lo, hi)
+        n = len(sets)
+        # two cells away from the full antecedent, so closure is untouched
+        cells = {(sets[rng.randrange(n - 1)], sets[rng.randrange(n)]): 1 << rng.randrange(fr.m)
+                 for _ in range(2)}
+        bad = TamperedFrame(fr, cells)
+        want = _reference_failure(bad, sets)
+        if want is None:
+            assert fixpoints(bad).op.table != fixpoints(fr).op.table
+            continue
+        msg, (i, j) = want
+        assert msg == "conditional of fixpoints left the family"
+        with pytest.raises(InternalInconsistency) as exc:
+            fixpoints(bad)
+        assert str(exc.value) == (
+            f"{msg}: {set_label(fr, sets[i])} -> {set_label(fr, sets[j])}"
+        )
+        named += 1
+    assert named >= 5
+
+
+def test_kernel_and_scalar_disagreeing_raise_internal_inconsistency():
+    fr, sets = _frame_with(Random(1), 9, 20)
+    n = len(sets)
+    # row 0 is confirmed at its last column: bottom -> top
+    confirmed = TamperedFrame(fr, {(sets[0], sets[-1]): 1}, scalar=False)
+    with pytest.raises(InternalInconsistency, match="arrow kernel and scalar arrow differ"):
+        fixpoints(confirmed)
+    # a union that no confirmed cell (r, n - 1 - r) has: the join grid flags
+    # its first cell, where the scalar definition holds
+    unions = [[s | t for t in sets] for s in sets]
+    confirmed_unions = {unions[r][n - 1 - r] for r in range(n)}
+    U = next(u for row in unions for u in row if u not in confirmed_unions)
+    first = next((r, c) for r in range(n) for c in range(n) if unions[r][c] == U)
+    closure_cell = TamperedFrame(fr, {(fr.full_mask, U): 1}, scalar=False)
+    with pytest.raises(InternalInconsistency,
+                       match=rf"^grid flags \({first[0]}, {first[1]}\) but the definition holds"):
+        fixpoints(closure_cell)

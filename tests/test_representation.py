@@ -1,14 +1,16 @@
 from random import Random
 
+import numpy as np
 import pytest
 
 from condlat import catalog
 from condlat.errors import EmbeddingNotVerified, NotAPreconditional, TooLarge
 from condlat.frames import RelationalFrame, fixpoints, random_frame
-from condlat.lattice import MAX_ELEMENTS
+from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS
 from condlat.ops import ConditionalOp
 from condlat.representation import (
     FilterIdealSpace,
+    _embedding_failures,
     build_fi_space,
     build_pair_frame,
     check_space_conditions,
@@ -16,6 +18,7 @@ from condlat.representation import (
     verify_fi_embedding,
     verify_pair_embedding,
 )
+from conftest import TamperedFrame
 
 PRECONDITIONALS = catalog.preconditional_entries()
 
@@ -159,16 +162,167 @@ def test_space_conditions_match_the_oracle_on_random_bases():
     assert any(n and "not a union" in n for n in notes)
 
 
+def _kernel_grids(monkeypatch):
+    """The (rows, cols) of every kernel grid evaluated from now on."""
+    grids = []
+    kernel = RelationalFrame.arrows
+
+    def spy(self, A, B):
+        grids.append(np.broadcast_shapes(np.shape(A), np.shape(B))[:2])
+        return kernel(self, A, B)
+
+    monkeypatch.setattr(RelationalFrame, "arrows", spy)
+    return grids
+
+
 @pytest.mark.parametrize("seed", (2, 4, 22))
-def test_fi_route_decides_fixpoint_algebras_of_eight_point_frames(seed):
+def test_fi_route_decides_fixpoint_algebras_of_eight_point_frames(seed, monkeypatch):
     # seeds 2 and 22: 33 and 42 elements on 300 and 448 consonant pairs
     fl = fixpoints(random_frame(Random(seed), 8))
+    n = fl.lattice.n
     space = build_fi_space(fl.lattice, fl.op)
+    grids = _kernel_grids(monkeypatch)
     rep = verify_fi_embedding(space)
-    assert rep.ok and rep.open_fixpoint_count == fl.lattice.n
+    assert rep.ok and rep.open_fixpoint_count == n
+    # the embedding check: closure of unions and the conditional
+    assert grids == [(n, n), (n, n)]
     cond = check_space_conditions(space.frame, space.basis)
-    assert cond.ok and len(cond.cofix) == fl.lattice.n
-    assert (seed, fl.lattice.n) in ((2, 33), (4, 18), (22, 42))
+    assert cond.ok and len(cond.cofix) == n
+    assert grids[2:] == [(n, n), (n, n)]
+    assert (seed, n) in ((2, 33), (4, 18), (22, 42))
+
+
+def test_pair_route_decides_the_42_element_algebra_on_its_198_point_frame(monkeypatch):
+    fl = fixpoints(random_frame(Random(22), 8))
+    pf = build_pair_frame(fl.lattice, fl.op)
+    assert pf.frame.m == 198 and pf.frame.words == 4
+    grids = _kernel_grids(monkeypatch)
+    rep = verify_pair_embedding(pf)
+    assert rep.ok and rep.candidate_ok and not rep.fallback_used
+    assert rep.fixpoint_count == 42
+    # fixpoints: join check and table; the embedding check: join and conditional
+    assert grids == [(42, 42)] * 4
+
+
+def _first_failing_law(L, T, frame, hat):
+    """(law, a, b) at the first cell where hat does not carry a law."""
+    for a in range(L.n):
+        for b in range(L.n):
+            if hat[L.meet(a, b)] != hat[a] & hat[b]:
+                return "meet", a, b
+            if hat[L.join(a, b)] != frame.closure(hat[a] | hat[b]):
+                return "join", a, b
+            if hat[T[a][b]] != frame.arrow(hat[a], hat[b]):
+                return "conditional", a, b
+    return None
+
+
+def _reference_embedding_failures(L, T, frame, hat):
+    """The embedding check cell by cell, worded as the filter-ideal route."""
+    for a in range(L.n):
+        if frame.closure(hat[a]) != hat[a]:
+            return [f"hat({L.names[a]}) is not a fixpoint"] + (
+                ["hat is not injective"] if len(set(hat)) != L.n else [])
+    if len(set(hat)) != L.n:
+        return ["hat is not injective"]
+    first = _first_failing_law(L, T, frame, hat)
+    if first is None:
+        return []
+    law, a, b = first
+    return [f"{law} not carried at ({L.names[a]},{L.names[b]})"]
+
+
+def _fi_case(name):
+    e = catalog.entry(name)
+    space = build_fi_space(e.lattice, e.conditional)
+    return e.lattice, e.conditional.table, space.frame, list(space.basis)
+
+
+def _pair_case():
+    fl = fixpoints(random_frame(Random(4), 8))
+    pf = build_pair_frame(fl.lattice, fl.op)
+    hat = [sum(1 << i for i, (x, _) in enumerate(pf.points) if fl.lattice.leq(x, a))
+           for a in range(fl.lattice.n)]
+    return fl.lattice, fl.op.table, pf.frame, hat
+
+
+@pytest.mark.parametrize("case", ("material-B4", "material-B8", "pair-seed4"))
+def test_embedding_check_names_the_first_failing_law(case):
+    L, T, frame, hat = _pair_case() if case == "pair-seed4" else _fi_case(case)
+    assert (L.n ** 2 >= GRID_MIN_INSTANCES) == (case != "material-B4")
+    rng = Random(case)
+    seen = set()
+    for _ in range(80):
+        T2, hat2, cells = [list(row) for row in T], list(hat), {}
+        kind = rng.randrange(5)
+        if kind >= 3:    # two images swapped
+            a, b = rng.sample(range(L.n), 2)
+            hat2[a], hat2[b] = hat2[b], hat2[a]
+        elif kind == 0:  # one table cell changed
+            a, b = rng.randrange(L.n), rng.randrange(L.n)
+            T2[a][b] = (T2[a][b] + 1 + rng.randrange(L.n - 1)) % L.n
+        else:            # a closure of a union, or a conditional, answered wrong
+            a, b = rng.randrange(L.n), rng.randrange(L.n)
+            cell = (frame.full_mask, hat[a] | hat[b]) if kind == 1 else (hat[a], hat[b])
+            if cell[1] in hat if kind == 1 else cell[0] == frame.full_mask:
+                continue
+            cells[cell] = 1 << rng.randrange(frame.m)
+        fr = TamperedFrame(frame, cells)
+        want = _reference_embedding_failures(L, T2, fr, hat2)
+        got = _embedding_failures(L, T2, fr, hat2, image="hat({})", map_name="hat",
+                                  verb="carried")
+        assert got == want
+        seen.update(w.split()[0] for w in want)
+    assert {"meet", "join", "conditional"} <= seen
+
+
+@pytest.mark.parametrize("case", ("material-B4", "material-B8", "pair-seed4"))
+def test_embedding_check_names_a_meet_failing_alone(case):
+    # swap two images, then answer the closure and the conditional at the
+    # first failing cell the way the algebra does: only meet fails there
+    L, T, frame, hat = _pair_case() if case == "pair-seed4" else _fi_case(case)
+    alone = 0
+    for a in range(L.n):
+        for b in range(a + 1, L.n):
+            hat2 = list(hat)
+            hat2[a], hat2[b] = hat2[b], hat2[a]
+            first = _first_failing_law(L, T, frame, hat2)
+            if not first or first[0] != "meet":
+                continue
+            _, x, y = first
+            u, v = hat2[x], hat2[y]
+            fixes = {(frame.full_mask, u | v): frame.closure(u | v) ^ hat2[L.join(x, y)],
+                     (u, v): frame.arrow(u, v) ^ hat2[T[x][y]]}
+            fr = TamperedFrame(frame, fixes)
+            want = _reference_embedding_failures(L, T, fr, hat2)
+            if want != [f"meet not carried at ({L.names[x]},{L.names[y]})"]:
+                continue
+            assert _embedding_failures(L, T, fr, hat2, image="hat({})", map_name="hat",
+                                       verb="carried") == want
+            alone += 1
+    assert alone >= 1
+
+
+@pytest.mark.parametrize("name", ("material-B4", "material-B8"))
+def test_structure_check_names_the_first_operation_leaving_the_family(name):
+    e = catalog.entry(name)
+    space = build_fi_space(e.lattice, e.conditional)
+    frame, basis = space.frame, space.basis
+    cofix = check_space_conditions(frame, basis).cofix
+    opens = _open_sets(frame, basis)
+    rng = Random(name)
+    cells = [(frame.full_mask, u | v) for u in cofix for v in cofix if u | v not in cofix]
+    cells += [(u, v) for u in cofix for v in cofix if u != frame.full_mask]
+    seen = set()
+    for cell in cells:
+        # a closure no open fixpoint uses, or a conditional of two of them
+        fr = TamperedFrame(frame, {cell: 1 << rng.randrange(frame.m)})
+        rep = check_space_conditions(fr, basis)
+        assert rep.cofix == cofix
+        note = _structure_note(fr, opens, cofix)
+        assert rep.cofix_structure == (note is None, note)
+        seen.add(note and note.split()[0])
+    assert {"join", "conditional"} <= seen
 
 
 def test_fi_embedding_names_an_open_fixpoint_outside_the_image():

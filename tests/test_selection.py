@@ -1,18 +1,23 @@
+import hashlib
 import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 
 from condlat import catalog
+from condlat import selection as selection_module
 from condlat.errors import (
+    InternalInconsistency,
     NotBoolean,
     PreconditionFailed,
     TooLarge,
     WidthMismatch,
 )
-from condlat.lattice import chain
+from condlat.lattice import GRID_MIN_INSTANCES, FiniteLattice, chain
 from condlat.ops import (
     Axiom,
+    ConditionalOp,
     PRECONDITIONAL_AXIOMS,
     check_axiom,
     check_axioms,
@@ -169,3 +174,164 @@ def test_500_random_dense_frames_induce_core_tables():
         op = induced_conditional(fr)
         got = check_axioms(op, PRECONDITIONAL_AXIOMS)
         assert got.ok, (fr.rel, got.failing()[0].describe())
+
+
+# -- the selection kernel ------------------------------------------------
+
+def _frames(k):
+    rng = Random(k)
+    yield from_well_order([f"w{i}" for i in range(k)])
+    yield from_well_order([f"w{i}" for i in range(k)], tuple(rng.sample(range(k), k)))
+    for _ in range(3):
+        yield random_centered_frame(rng, k)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_selection_kernel_matches_the_scalar_arrow_cell_for_cell(k):
+    n = 1 << k
+    E = np.arange(n)
+    for fr in _frames(k):
+        grid = fr.arrows(E[:, None], E[None, :])
+        assert grid.tolist() == [[fr.arrow(A, B) for B in range(n)] for A in range(n)]
+        assert fr.arrows(E[-1], E).tolist() == [fr.arrow(n - 1, B) for B in range(n)]
+        assert fr.arrows(E[:, None], 0)[:, 0].tolist() == [fr.arrow(A, 0) for A in range(n)]
+        assert int(fr.arrows(1, n - 1)) == fr.arrow(1, n - 1)
+        for A, B in ((n, 0), (0, n), (-1, 0)):
+            with pytest.raises(WidthMismatch):
+                fr.arrows(np.array([0, A]), np.array([0, B]))
+
+
+def test_induced_conditional_uses_the_kernel_from_the_cutoff(monkeypatch):
+    calls = []
+    kernel = SelectionFrame.arrows
+
+    def spy(self, A, B):
+        calls.append(self.k)
+        return kernel(self, A, B)
+
+    monkeypatch.setattr(SelectionFrame, "arrows", spy)
+    for k in range(1, 7):
+        calls.clear()
+        op = induced_conditional(from_well_order([f"w{i}" for i in range(k)]))
+        assert calls == ([k] if op.lattice.n ** 2 >= GRID_MIN_INSTANCES else [])
+        calls.clear()
+        ba_to_selection(op.lattice, op)
+        # the transport check: one grid from 8 elements on
+        assert calls == ([k] if k >= 3 else [])
+
+
+def test_well_order_tables_and_round_trips_are_pinned():
+    # as the cell-by-cell loops built them, for both orders on 1..6 worlds
+    out = []
+    for k in range(1, 7):
+        for order in (tuple(range(k)), tuple(reversed(range(k)))):
+            wo = from_well_order([f"w{i}" for i in range(k)], order)
+            op = induced_conditional(wo)
+            model = ba_to_selection(op.lattice, op)
+            assert model.frame.rel == wo.rel
+            out.append((op.table, model.frame.rel, model.atoms, model.element_mask))
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == "378c13bffc5b8976"
+
+
+def test_round_trip_takes_one_complement_map(monkeypatch):
+    calls = []
+    complement_map = FiniteLattice.complement_map
+
+    def spy(self):
+        calls.append(self.n)
+        return complement_map(self)
+
+    monkeypatch.setattr(FiniteLattice, "complement_map", spy)
+    op = induced_conditional(from_well_order(("p", "q", "r")))
+    ba_to_selection(op.lattice, op)
+    assert calls == [8]
+    with pytest.raises(NotBoolean, match="is not a Boolean algebra"):
+        ba_to_selection(chain(3), ConditionalOp(chain(3), chain(3).join_table))
+
+
+def _first_negimp_failure(L, T, neg):
+    for a in range(L.n):
+        for b in range(L.n):
+            if not L.leq(neg[T[a][b]], T[a][neg[b]]):
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_negimp_failure_is_named_at_its_first_cell(monkeypatch, k):
+    # a complement map that is not the Boolean one: the table passes every
+    # other precondition, so the NEGIMP scan is what fails
+    op = induced_conditional(from_well_order([f"w{i}" for i in range(k)]))
+    L, rng, named = op.lattice, Random(k), 0
+    for _ in range(20):
+        neg = tuple(rng.randrange(L.n) for _ in range(L.n))
+        monkeypatch.setattr(L, "complement_map", lambda: neg)
+        first = _first_negimp_failure(L, op.table, neg)
+        if first is None:
+            ba_to_selection(L, op)
+            continue
+        a, b = first
+        with pytest.raises(PreconditionFailed) as exc:
+            ba_to_selection(L, op)
+        assert str(exc.value).endswith(
+            f"NEGIMP with the Boolean complement fails at ({L.names[a]},{L.names[b]})"
+        )
+        named += 1
+    assert named >= 10
+
+
+def test_select_all_fails_negimp_at_the_first_cell_of_the_scan():
+    op = induced_conditional(catalog.selection_entry("select-all-3").frame)
+    L = op.lattice
+    a, b = _first_negimp_failure(L, op.table, L.complement_map())
+    with pytest.raises(PreconditionFailed,
+                       match=rf"fails at \({L.names[a]},{L.names[b]}\)$"):
+        ba_to_selection(L, op)
+
+
+def _tampered_frames(cells, scalar=True, kernel=True):
+    """A SelectionFrame class whose scalar arrow, kernel, or both flip
+    worlds of the answer at the given (A, B) cells."""
+
+    class Tampered(SelectionFrame):
+        def arrow(self, A, B):
+            return super().arrow(A, B) ^ (cells.get((A, B), 0) if scalar else 0)
+
+        def arrows(self, A, B):
+            out = super().arrows(A, B)
+            if kernel:
+                out = out.copy()
+                A, B = np.broadcast_to(A, out.shape), np.broadcast_to(B, out.shape)
+                for (a, b), flip in cells.items():
+                    out[(A == a) & (B == b)] ^= flip
+            return out
+
+    return Tampered
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_transport_failure_is_named_at_its_first_cell(monkeypatch, k):
+    op = induced_conditional(from_well_order([f"w{i}" for i in range(k)]))
+    n = op.lattice.n
+    rng = Random(k)
+    for _ in range(5):
+        # boolean_algebra indices are atom masks, so cells are (A, B) pairs
+        cells = {(rng.randrange(n), rng.randrange(n)): 1 << rng.randrange(k) for _ in range(3)}
+        monkeypatch.setattr(selection_module, "SelectionFrame", _tampered_frames(cells))
+        a, b = min(cells)
+        with pytest.raises(InternalInconsistency,
+                           match=rf"^transported conditional differs at "
+                                 rf"\({op.lattice.names[a]},{op.lattice.names[b]}\)$"):
+            ba_to_selection(op.lattice, op)
+
+
+def test_selection_kernel_disagreeing_with_the_scalar_arrow_is_caught(monkeypatch):
+    op = induced_conditional(from_well_order(("p", "q", "r")))
+    # row 2 of the transport grid is confirmed at column 5
+    cells = {(2, 5): 1}
+    monkeypatch.setattr(selection_module, "SelectionFrame", _tampered_frames(cells, scalar=False))
+    with pytest.raises(InternalInconsistency, match="arrow kernel and scalar arrow differ"):
+        ba_to_selection(op.lattice, op)
+    wo = from_well_order(("p", "q", "r"))
+    with pytest.raises(InternalInconsistency, match="arrow kernel and scalar arrow differ"):
+        induced_conditional(_tampered_frames(cells, scalar=False)(wo.names, wo.rel))
