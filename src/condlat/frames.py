@@ -27,8 +27,10 @@ W = ceil(m / 64) words a mask, in bitwise passes of 8 points each.
 ``arrow_grid`` confirms every kernel grid with the scalar ``arrow`` at
 one fixed cell per row and raises InternalInconsistency on a mismatch.
 Grids of fewer than GRID_MIN_INSTANCES cells are computed cell by cell
-with ``arrow``, which costs less than the numpy calls there.  A failure
-is reported at its first cell in row-major order either way.
+with ``arrow``, which costs less than the numpy calls there: the
+conditional tables of a family of sets by ``arrow_table``, the literal
+checks by ``first_violation``.  A failure is reported at its first cell
+in row-major order either way.
 """
 
 from __future__ import annotations
@@ -220,6 +222,19 @@ class RelationalFrame:
     def closure_grid(self, A):
         return self.arrow_grid(self._word_rows[2], A)
 
+    def arrow_table(self, sets):
+        """The n x n table of sets[i] -> sets[j] over the ascending masks
+        sets, each cell the index of the result in sets or -1 where it is
+        not there: on arrow_grid from GRID_MIN_INSTANCES cells on, cell by
+        cell with arrow below."""
+        n = len(sets)
+        if n * n < GRID_MIN_INSTANCES:
+            index = {s: i for i, s in enumerate(sets)}
+            return [[index.get(self.arrow(s, t), -1) for t in sets] for s in sets]
+        S = self.to_words(sets)
+        idx, found = positions(S, self.arrow_grid(S[:, None], S[None, :]))
+        return np.where(found, idx, -1).tolist()
+
     def edges(self):
         return [
             (u, v)
@@ -318,27 +333,19 @@ def fixpoints(frame: RelationalFrame) -> FixpointLattice:
             return "join is not closure of union"
         return None
 
-    # the literal checks, and the table with -1 where a conditional leaves
-    # the family
-    if n * n < GRID_MIN_INSTANCES:
-        bad = first_violation(n, 2, unlike)
-        table = [[index.get(frame.arrow(s, t), -1) for t in sets] for s in sets]
-    else:
+    def block(a, b):
         S = frame.to_words(sets)
+        Ma, Ja = lat.meet_array[a, b], lat.join_array[a, b]
+        return ((S[Ma] != S[a] & S[b]).any(-1)
+                | (S[Ja] != frame.closure_grid(S[a] | S[b])).any(-1))
 
-        def block(a, b):
-            Ma, Ja = lat.meet_array[a, b], lat.join_array[a, b]
-            return ((S[Ma] != S[a] & S[b]).any(-1)
-                    | (S[Ja] != frame.closure_grid(S[a] | S[b])).any(-1))
-
-        bad = first_violation(n, 2, unlike, block)
-        idx, found = positions(S, frame.arrow_grid(S[:, None], S[None, :]))
-        table = np.where(found, idx, -1).tolist()
+    bad = first_violation(n, 2, unlike, block)
     if bad:
         i, j = bad
         raise InternalInconsistency(
             f"fixpoint {unlike(bad)} at ({names[i]},{names[j]})"
         )
+    table = frame.arrow_table(sets)
     for i, row in enumerate(table):
         if -1 in row:
             raise InternalInconsistency(

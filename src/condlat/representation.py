@@ -44,13 +44,7 @@ import numpy as np
 
 from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
 from .frames import RelationalFrame, closed_sets, fixpoints, positions, set_label
-from .lattice import (
-    GRID_MIN_INSTANCES,
-    MAX_ELEMENTS,
-    FiniteLattice,
-    find_isomorphism,
-    first_violation,
-)
+from .lattice import MAX_ELEMENTS, FiniteLattice, find_isomorphism, first_violation
 from .ops import ConditionalOp, require_preconditional
 
 
@@ -352,17 +346,15 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
             return "conditional"
         return None
 
-    n = len(cofix)
-    if n * n < GRID_MIN_INSTANCES:
-        bad = first_violation(n, 2, leaves)
-        arrow_at = None
-    else:
+    table = frame.arrow_table(cofix)
+
+    def block(a, b):
         C = frame.to_words(cofix)
-        U, V = C[:, None], C[None, :]
-        arrow_at, arrow_in = positions(C, frame.arrow_grid(U, V))
-        out = ~(positions(C, U & V)[1] & positions(C, frame.closure_grid(U | V))[1]
-                & arrow_in)
-        bad = first_violation(n, 2, leaves, lambda a, b: out[a, b])
+        U, V = C[a], C[b]
+        kept = positions(C, U & V)[1] & positions(C, frame.closure_grid(U | V))[1]
+        return ~kept | (np.asarray(table)[a, b] < 0)
+
+    bad = first_violation(len(cofix), 2, leaves, block)
     structure_note = None
     if bad:
         structure_note = (f"{leaves(bad)} leaves the family "
@@ -409,10 +401,6 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
             for u in cofix
         ]
         clat = FiniteLattice(names, rows)
-        if arrow_at is None:
-            table = [[index[frame.arrow(u, v)] for v in cofix] for u in cofix]
-        else:
-            table = arrow_at.tolist()
         cop = ConditionalOp(clat, table)
         real_w = None
         for f in range(clat.n):

@@ -28,8 +28,9 @@ of subset masks; ``induced_conditional`` and the transport check of
 fixed cell per row with the scalar ``arrow`` (a mismatch raises
 InternalInconsistency).  The negation-import scan and the selection
 rows of ``ba_to_selection`` are ``leq_array`` gathers, the rows reduced
-with ``np.bitwise_and``.  Grids of fewer than GRID_MIN_INSTANCES cells
-(at most two worlds) keep the cell-by-cell loops.
+with ``np.bitwise_and``.  The negation-import scan and the transport
+check search their grids with ``first_violation``, which scans grids of
+fewer than GRID_MIN_INSTANCES cells (at most two worlds) cell by cell.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import (
     WidthMismatch,
 )
 from .frames import confirm_cells
-from .lattice import GRID_MIN_INSTANCES, FiniteLattice, boolean_algebra, first_violation
+from .lattice import FiniteLattice, boolean_algebra, first_violation
 from .ops import (
     Axiom,
     ConditionalOp,
@@ -235,12 +236,8 @@ def induced_conditional(frame: SelectionFrame):
     bitmask i, so subset masks and element indices can be identified.
     """
     lat = boolean_algebra(frame.names)
-    n = lat.n
-    if n * n < GRID_MIN_INSTANCES:
-        table = [[frame.arrow(A, B) for B in range(n)] for A in range(n)]
-    else:
-        table = frame.arrow_grid(np.arange(n)[:, None], np.arange(n)).tolist()
-    return ConditionalOp(lat, table)
+    masks = np.arange(lat.n)
+    return ConditionalOp(lat, frame.arrow_grid(masks[:, None], masks).tolist())
 
 
 # NEGIMP is checked separately against the Boolean complement: the derived
@@ -305,20 +302,9 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
     # w selects within the meet of the b with w <= a -> b, as a mask over atoms
     full = (1 << k) - 1
     antecedents = [element_of[A] for A in range(1 << k)]
-    if L.n * L.n < GRID_MIN_INSTANCES:
-        rel = []
-        for a in antecedents:
-            row = []
-            for w in atoms:
-                allowed = full
-                for b in range(L.n):
-                    if L.leq(w, T[a][b]):
-                        allowed &= element_mask[b]
-                row.append(allowed)
-            rel.append(tuple(row))
-    else:
-        sees = L.leq_array[np.array(atoms)[:, None], op.table_array[antecedents, None, :]]
-        rel = np.bitwise_and.reduce(np.where(sees, element_mask, full), axis=-1).tolist()
+    sees = L.leq_array[np.array(atoms, dtype=np.intp)[:, None],
+                       op.table_array[antecedents, None, :]]
+    rel = np.bitwise_and.reduce(np.where(sees, element_mask, full), axis=-1).tolist()
     frame = SelectionFrame(tuple(L.names[a] for a in atoms), tuple(rel))
 
     fcheck = check_frame(frame)

@@ -201,7 +201,7 @@ def test_selection_kernel_matches_the_scalar_arrow_cell_for_cell(k):
                 fr.arrows(np.array([0, A]), np.array([0, B]))
 
 
-def test_induced_conditional_uses_the_kernel_from_the_cutoff(monkeypatch):
+def test_induced_conditional_always_uses_the_kernel(monkeypatch):
     calls = []
     kernel = SelectionFrame.arrows
 
@@ -213,11 +213,11 @@ def test_induced_conditional_uses_the_kernel_from_the_cutoff(monkeypatch):
     for k in range(1, 7):
         calls.clear()
         op = induced_conditional(from_well_order([f"w{i}" for i in range(k)]))
-        assert calls == ([k] if op.lattice.n ** 2 >= GRID_MIN_INSTANCES else [])
+        assert calls == [k]
         calls.clear()
         ba_to_selection(op.lattice, op)
-        # the transport check: one grid from 8 elements on
-        assert calls == ([k] if k >= 3 else [])
+        # the transport check: one grid from the cutoff of first_violation on
+        assert calls == ([k] if op.lattice.n ** 2 >= GRID_MIN_INSTANCES else [])
 
 
 def test_well_order_tables_and_round_trips_are_pinned():
