@@ -69,7 +69,7 @@ from .selection import (
 )
 from random import Random
 
-_AXIOM_BY_NAME = {ax.value: ax for ax in Axiom}
+_AXIOM_BY_NAME = {ax.value: ax for ax in BINARY_AXIOMS}
 
 
 class Run:
@@ -112,8 +112,8 @@ def _axiom_list(text: str):
     for tok in text.split(","):
         tok = tok.strip()
         if tok not in _AXIOM_BY_NAME:
-            print(f"error: unknown axiom {tok!r}; choose from "
-                  f"{', '.join(_AXIOM_BY_NAME)}", file=sys.stderr)
+            print(f"error: unknown axiom {tok!r}; choose from the axioms of "
+                  f"binary tables {', '.join(_AXIOM_BY_NAME)}", file=sys.stderr)
             raise SystemExit(2)
         out.append(_AXIOM_BY_NAME[tok])
     return tuple(out)
@@ -325,15 +325,15 @@ def _budget_exhausted(args, run, exc) -> int:
     return run.exit_code()
 
 
-def _subset_arg(text: str) -> int:
+def _subset_arg(text: str, worlds: int) -> int:
     if text == "-":
         return 0
-    try:
-        return sum(1 << int(tok) for tok in text.split(","))
-    except ValueError:
-        print(f"error: subsets are comma-separated world indices, got {text!r}",
-              file=sys.stderr)
+    toks = text.split(",")
+    if not all(tok.strip().isdecimal() and int(tok) < worlds for tok in toks):
+        print(f"error: subsets are comma-separated world indices 0..{worlds - 1},"
+              f" got {text!r}", file=sys.stderr)
         raise SystemExit(2)
+    return sum(1 << w for w in {int(tok) for tok in toks})
 
 
 def cmd_prob(args) -> int:
@@ -344,7 +344,8 @@ def cmd_prob(args) -> int:
             print("error: prob arrow needs two subsets (comma lists or -)",
                   file=sys.stderr)
             raise SystemExit(2)
-        A, B = _subset_arg(args.a), _subset_arg(args.b)
+        A, B = (_subset_arg(args.a, space.world_count),
+                _subset_arg(args.b, space.world_count))
         out = space.arrow(A, B)
         worlds = [str(w) for w in range(space.world_count) if out >> w & 1]
         print(",".join(worlds) if worlds else "-")

@@ -261,14 +261,6 @@ class FixpointLattice:
     lattice: FiniteLattice
     op: ConditionalOp
 
-    def index_of(self, mask: int) -> int:
-        try:
-            return self.sets.index(mask)
-        except ValueError:
-            raise InternalInconsistency(
-                f"{mask:#x} is not one of the collected fixpoints"
-            ) from None
-
 
 def closed_sets(m: int, close, limit: int | None) -> list:
     """The sets of points 0..m-1 fixed by the closure operator close.

@@ -72,7 +72,6 @@ def parse_lattice(text: str) -> LatticeDocument:
     name = None
     elements = None
     rel_pairs = []          # (a, b) with a <= b; covers get closed anyway
-    cover_only = True
     op_rows = None
     neg_row = None
     idx = {}
@@ -102,7 +101,6 @@ def parse_lattice(text: str) -> LatticeDocument:
             if len(parts) != 3:
                 raise ParseError(f"expected `{key} <a> <b>`", lineno)
             rel_pairs.append((element(parts[1], lineno), element(parts[2], lineno)))
-            cover_only &= key == "cover"
         elif key == "op":
             if elements is None:
                 raise ParseError("elements line must come before any op", lineno)
@@ -140,10 +138,7 @@ def parse_lattice(text: str) -> LatticeDocument:
     if elements is None:
         raise ParseError("missing elements line", 0)
     try:
-        if cover_only:
-            lattice = FiniteLattice.from_cover(elements, rel_pairs)
-        else:
-            lattice = FiniteLattice.from_leq(elements, rel_pairs)
+        lattice = FiniteLattice.from_leq(elements, rel_pairs)
     except ParseError:
         raise
     except Exception as exc:

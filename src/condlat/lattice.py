@@ -11,6 +11,8 @@ Conventions used by the whole package:
 * A law over an index grid range(n)**arity is decided by
   ``first_violation``: the lexicographic scan for small grids, numpy
   over blocks of antecedent rows for larger ones, same first witness.
+  A law is written once over tables read ``X[a][b]``: the scan passes
+  the tuple tables, the numpy route the arrays wrapped in ``Rows``.
 
 Construction is strict.  ``FiniteLattice`` refuses anything that is not
 a partial order with a global bottom, a global top, and all binary meets
@@ -73,6 +75,32 @@ def grid_first_violation(n: int, arity: int, block):
             first = np.unravel_index(hit[0], bad.shape)
             return (start + int(first[0]),) + tuple(int(i) for i in first[1:])
     return None
+
+
+class Rows:
+    """A numpy table read like a tuple table: ``Rows(arr)[a][b]`` is ``arr[a, b]``.
+
+    a and b may be broadcast index arrays, so a law written over tables
+    read X[a][b] evaluates a whole block of a grid at once.
+    """
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr):
+        self.arr = arr
+
+    def __getitem__(self, a):
+        return _Row(self.arr, a)
+
+
+class _Row:
+    __slots__ = ("arr", "a")
+
+    def __init__(self, arr, a):
+        self.arr, self.a = arr, a
+
+    def __getitem__(self, b):
+        return self.arr[self.a, b]
 
 
 def first_violation(n: int, arity: int, violates, block=None):
@@ -200,9 +228,6 @@ class FiniteLattice:
     def leq(self, a: int, b: int) -> bool:
         return bool(self._up[a] >> b & 1)
 
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
-
     def up_mask(self, a: int) -> int:
         return self._up[a]
 
@@ -256,17 +281,14 @@ class FiniteLattice:
 
     def distributivity_witness(self):
         """The first triple (a, b, c) violating a∧(b∨c) = (a∧b)∨(a∧c), or None."""
-        M, J = self.meet_table, self.join_table
 
-        def violates(v):
+        def fails(M, J, v):
             a, b, c = v
             return M[a][J[b][c]] != J[M[a][b]][M[a][c]]
 
-        def block(a, b, c):
-            Ma, Ja = self.meet_array, self.join_array
-            return Ma[a, Ja[b, c]] != Ja[Ma[a, b], Ma[a, c]]
-
-        return first_violation(self.n, 3, violates, block)
+        return first_violation(
+            self.n, 3, lambda v: fails(self.meet_table, self.join_table, v),
+            lambda *v: fails(Rows(self.meet_array), Rows(self.join_array), v))
 
     def is_distributive(self) -> bool:
         return self.distributivity_witness() is None
@@ -298,15 +320,6 @@ class FiniteLattice:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_cover(cls, names, cover_pairs, **kw):
-        """Build from covering pairs (a, b) meaning a is covered by b."""
-        names = tuple(names)
-        rows = [0] * len(names)
-        for a, b in cover_pairs:
-            rows[a] |= 1 << b
-        return cls(names, rows, **kw)
-
-    @classmethod
     def from_leq(cls, names, leq_pairs, **kw):
         """Build from arbitrary (a, b) pairs meaning a <= b; closure is taken."""
         names = tuple(names)
@@ -314,6 +327,9 @@ class FiniteLattice:
         for a, b in leq_pairs:
             rows[a] |= 1 << b
         return cls(names, rows, **kw)
+
+    # covering pairs (a, b), a covered by b, are leq pairs whose closure is the order
+    from_cover = from_leq
 
 
 def chain(k: int, names=None) -> FiniteLattice:

@@ -8,11 +8,13 @@ neg(a) = a -> bottom, unless a unary table is supplied explicitly.
 
 Every check is exhaustive: it decides all instances (at most 64^3 for a
 ternary axiom) and reports the lexicographically first counterexample
-together with both sides of the violated (in)equality.  Fewer than 64
-instances are scanned in lexicographic order with the scalar
-definitions; larger grids are evaluated with numpy over ascending blocks
-of antecedent rows (``grid_first_violation``), which stops at the same
-first witness, and that witness is confirmed by the scalar definition.
+together with both sides of the violated (in)equality.  Each law has
+one definition, two evaluators: fewer than 64 instances are scanned in
+lexicographic order over the tuple tables; larger grids evaluate the
+same definition with numpy over ascending blocks of antecedent rows
+(``grid_first_violation``, the tables read through ``Rows``), which
+stops at the same first witness, and that witness is confirmed on the
+tuple tables.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
 from .lattice import (
     GRID_MIN_INSTANCES,
     FiniteLattice,
+    Rows,
     first_violation,
     grid_first_violation,
 )
@@ -85,9 +88,6 @@ class UnaryOp:
                 raise WidthMismatch(f"unary table entry {v} out of range")
         object.__setattr__(self, "table", t)
 
-    def apply(self, a: int) -> int:
-        return self.table[a]
-
 
 @dataclass(frozen=True)
 class ConditionalOp:
@@ -109,9 +109,6 @@ class ConditionalOp:
                     raise WidthMismatch(f"table entry {v} out of range")
         object.__setattr__(self, "table", rows)
 
-    def apply(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     @cached_property
     def table_array(self):
         """The table as an n x n numpy array, built on first use."""
@@ -132,162 +129,95 @@ class ConditionalOp:
 
 # -- axiom definitions -------------------------------------------------
 #
-# Each definition evaluates one instance, returning (lhs, rhs); the
-# relation field says whether lhs <= rhs or lhs = rhs is required.  The
-# scalar form _d_* takes the tuple table and one index tuple; the grid
-# form _g_* is the same expression over the numpy table and broadcast
-# index arrays (see ``grid_first_violation``).
+# One definition, two evaluators.  Each definition evaluates one
+# instance over the meet table M and the conditional table T, both read
+# X[a][b], and returns (lhs, rhs); the relation field says whether
+# lhs <= rhs or lhs = rhs is required.  The scan passes the tuple tables
+# and Python ints; the grid passes the numpy tables wrapped in ``Rows``
+# and broadcast index arrays (see ``grid_first_violation``).
 
 @dataclass(frozen=True)
 class _AxiomDef:
     arity: int
     relation: str  # "le" or "eq"
     eval: object
-    grid: object
 
 
-def _d_p1(L, T, v):
+def _p1(L, M, T, v):
     a, = v
     return T[L.top][a], a
 
 
-def _g_p1(L, T, v):
-    a, = v
-    return T[L.top, a], a
-
-
-def _d_p2(L, T, v):
+def _p2(L, M, T, v):
     a, b = v
-    return L.meet_table[a][b], T[a][b]
+    return M[a][b], T[a][b]
 
 
-def _g_p2(L, T, v):
+def _p3(L, M, T, v):
     a, b = v
-    return L.meet_array[a, b], T[a, b]
+    return T[a][b], T[a][M[a][b]]
 
 
-def _d_p3(L, T, v):
-    a, b = v
-    return T[a][b], T[a][L.meet_table[a][b]]
-
-
-def _g_p3(L, T, v):
-    a, b = v
-    return T[a, b], T[a, L.meet_array[a, b]]
-
-
-def _d_p4(L, T, v):
+def _p4(L, M, T, v):
     a, b, c = v
-    return T[a][L.meet_table[b][c]], T[a][b]
+    return T[a][M[b][c]], T[a][b]
 
 
-def _g_p4(L, T, v):
+def _p5(L, M, T, v):
     a, b, c = v
-    return T[a, L.meet_array[b, c]], T[a, b]
-
-
-def _d_p5(L, T, v):
-    a, b, c = v
-    inner = T[L.meet_table[a][b]][c]
+    inner = T[M[a][b]][c]
     return T[a][inner], inner
 
 
-def _g_p5(L, T, v):
-    a, b, c = v
-    inner = T[L.meet_array[a, b], c]
-    return T[a, inner], inner
-
-
-def _d_mp(L, T, v):
+def _mp(L, M, T, v):
     a, b = v
-    return L.meet_table[a][T[a][b]], b
+    return M[a][T[a][b]], b
 
 
-def _g_mp(L, T, v):
-    a, b = v
-    return L.meet_array[a, T[a, b]], b
-
-
-def _d_wm(L, T, v):
+def _wm(L, M, T, v):
     a, b = v
     return b, T[a][b]
 
 
-def _g_wm(L, T, v):
-    a, b = v
-    return b, T[a, b]
-
-
-def _d_semi(L, T, v):
+def _semi(L, M, T, v):
     a, = v
-    return L.meet_table[a][T[a][L.bottom]], L.bottom
+    return M[a][T[a][L.bottom]], L.bottom
 
 
-def _g_semi(L, T, v):
-    a, = v
-    return L.meet_array[a, T[a, L.bottom]], L.bottom
-
-
-def _d_inv(L, T, v):
+def _inv(L, M, T, v):
     a, = v
     return T[T[a][L.bottom]][L.bottom], a
 
 
-def _g_inv(L, T, v):
-    a, = v
-    return T[T[a, L.bottom], L.bottom], a
-
-
-def _d_id(L, T, v):
+def _id(L, M, T, v):
     a, = v
     return T[a][a], L.top
 
 
-def _g_id(L, T, v):
-    a, = v
-    return T[a, a], L.top
-
-
-def _d_norm(L, T, v):
+def _norm(L, M, T, v):
     a, b, c = v
-    return L.meet_table[T[a][b]][T[a][c]], T[a][L.meet_table[b][c]]
+    return M[T[a][b]][T[a][c]], T[a][M[b][c]]
 
 
-def _g_norm(L, T, v):
-    a, b, c = v
-    return L.meet_array[T[a, b], T[a, c]], T[a, L.meet_array[b, c]]
-
-
-def _d_negimp(L, T, v):
+def _negimp(L, M, T, v):
     a, b = v
     return T[T[a][b]][L.bottom], T[a][T[b][L.bottom]]
 
 
-def _g_negimp(L, T, v):
-    a, b = v
-    return T[T[a, b], L.bottom], T[a, T[b, L.bottom]]
-
-
-def _d_flat(L, T, v):
-    a, b, c = v
-    inner = T[L.meet_table[a][b]][c]
-    return T[a][inner], inner
-
-
 AXIOM_DEFS = {
-    Axiom.P1: _AxiomDef(1, "le", _d_p1, _g_p1),
-    Axiom.P2: _AxiomDef(2, "le", _d_p2, _g_p2),
-    Axiom.P3: _AxiomDef(2, "le", _d_p3, _g_p3),
-    Axiom.P4: _AxiomDef(3, "le", _d_p4, _g_p4),
-    Axiom.P5: _AxiomDef(3, "le", _d_p5, _g_p5),
-    Axiom.MP: _AxiomDef(2, "le", _d_mp, _g_mp),
-    Axiom.WM: _AxiomDef(2, "le", _d_wm, _g_wm),
-    Axiom.SEMI: _AxiomDef(1, "eq", _d_semi, _g_semi),
-    Axiom.INV: _AxiomDef(1, "eq", _d_inv, _g_inv),
-    Axiom.ID: _AxiomDef(1, "eq", _d_id, _g_id),
-    Axiom.NORM: _AxiomDef(3, "le", _d_norm, _g_norm),
-    Axiom.NEGIMP: _AxiomDef(2, "le", _d_negimp, _g_negimp),
-    Axiom.FLAT: _AxiomDef(3, "eq", _d_flat, _g_p5),
+    Axiom.P1: _AxiomDef(1, "le", _p1),
+    Axiom.P2: _AxiomDef(2, "le", _p2),
+    Axiom.P3: _AxiomDef(2, "le", _p3),
+    Axiom.P4: _AxiomDef(3, "le", _p4),
+    Axiom.P5: _AxiomDef(3, "le", _p5),
+    Axiom.MP: _AxiomDef(2, "le", _mp),
+    Axiom.WM: _AxiomDef(2, "le", _wm),
+    Axiom.SEMI: _AxiomDef(1, "eq", _semi),
+    Axiom.INV: _AxiomDef(1, "eq", _inv),
+    Axiom.ID: _AxiomDef(1, "eq", _id),
+    Axiom.NORM: _AxiomDef(3, "le", _norm),
+    Axiom.NEGIMP: _AxiomDef(2, "le", _negimp),
+    Axiom.FLAT: _AxiomDef(3, "eq", _p5),
 }
 
 
@@ -333,10 +263,12 @@ class AxiomReport:
         return self.checks[axiom]
 
 
-def _violates(L, lhs, rhs, relation):
+def _fails(M, lhs, rhs, relation):
+    """True where the relation fails; x <= y is read as x ∧ y = x, so the
+    same test runs on scalars and on index arrays."""
     if relation == "eq":
         return lhs != rhs
-    return not L.leq(lhs, rhs)
+    return M[lhs][rhs] != lhs
 
 
 def check_axiom(op: ConditionalOp, axiom: Axiom) -> AxiomCheck:
@@ -344,32 +276,27 @@ def check_axiom(op: ConditionalOp, axiom: Axiom) -> AxiomCheck:
     d = AXIOM_DEFS.get(axiom)
     if d is None:
         raise ValueError(f"{axiom} is not an axiom of binary tables")
-    L, T = op.lattice, op.table
+    L, M, T = op.lattice, op.lattice.meet_table, op.table
     if L.n ** d.arity >= GRID_MIN_INSTANCES:
         return _grid_check(op, axiom, d)
     # the scalar route: every instance in lexicographic order
     for v in product(range(L.n), repeat=d.arity):
-        lhs, rhs = d.eval(L, T, v)
-        if _violates(L, lhs, rhs, d.relation):
+        lhs, rhs = d.eval(L, M, T, v)
+        if _fails(M, lhs, rhs, d.relation):
             return AxiomCheck(axiom, False, v, lhs, rhs, d.relation)
     return AxiomCheck(axiom, True)
 
 
 def _grid_check(op, axiom, d):
-    """The numpy route: the same first witness, confirmed by the scalar form."""
-    L = op.lattice
-
-    def block(*v):
-        lhs, rhs = d.grid(L, op.table_array, v)
-        if d.relation == "eq":
-            return lhs != rhs
-        return ~L.leq_array[lhs, rhs]
-
-    v = grid_first_violation(L.n, d.arity, block)
+    """The numpy route: the same first witness, confirmed on the scalar tables."""
+    L, M = op.lattice, op.lattice.meet_table
+    MA, TA = Rows(L.meet_array), Rows(op.table_array)
+    v = grid_first_violation(
+        L.n, d.arity, lambda *v: _fails(MA, *d.eval(L, MA, TA, v), d.relation))
     if v is None:
         return AxiomCheck(axiom, True)
-    lhs, rhs = d.eval(L, op.table, v)
-    if not _violates(L, lhs, rhs, d.relation):
+    lhs, rhs = d.eval(L, M, op.table, v)
+    if not _fails(M, lhs, rhs, d.relation):
         raise InternalInconsistency(f"{axiom} grid flags {v} but the definition holds there")
     return AxiomCheck(axiom, False, v, lhs, rhs, d.relation)
 
@@ -406,19 +333,16 @@ def check_flattening(op: ConditionalOp) -> FlatteningReport:
     """The flattening equation, plus each inclusion separately."""
     eq = check_axiom(op, Axiom.FLAT)
     fwd = check_axiom(op, Axiom.P5)
-    L, T = op.lattice, op.table
+    L = op.lattice
 
-    def violates(v):
-        a, b, c = v
-        inner = T[L.meet_table[a][b]][c]
-        return not L.leq(inner, T[a][inner])
+    def reverse_fails(M, T, v):
+        # P5 with its two sides swapped
+        lhs, rhs = _p5(L, M, T, v)
+        return _fails(M, rhs, lhs, "le")
 
-    def block(a, b, c):
-        Ta = op.table_array
-        inner = Ta[L.meet_array[a, b], c]
-        return ~L.leq_array[inner, Ta[a, inner]]
-
-    rev_w = first_violation(L.n, 3, violates, block)
+    rev_w = first_violation(
+        L.n, 3, lambda v: reverse_fails(L.meet_table, op.table, v),
+        lambda *v: reverse_fails(Rows(L.meet_array), Rows(op.table_array), v))
     return FlatteningReport(eq, fwd, rev_w is None, rev_w)
 
 
@@ -587,18 +511,17 @@ def is_orthomodular(neg: UnaryOp) -> Orthomodularity:
 
 def residuation_witness(op: ConditionalOp):
     """First (a, b, c, direction) violating a ∧ b <= c  iff  a <= b -> c."""
-    L, T = op.lattice, op.table
-    leq, M = L.leq, L.meet_table
+    L = op.lattice
 
-    def violates(v):
+    def fails(M, T, v):
+        # each side's x <= y read as x ∧ y = x
         a, b, c = v
-        return leq(M[a][b], c) != leq(a, T[b][c])
+        ab = M[a][b]
+        return (M[ab][c] == ab) != (M[a][T[b][c]] == a)
 
-    def block(a, b, c):
-        leq = L.leq_array
-        return leq[L.meet_array[a, b], c] != leq[a, op.table_array[b, c]]
-
-    w = first_violation(L.n, 3, violates, block)
+    w = first_violation(
+        L.n, 3, lambda v: fails(L.meet_table, op.table, v),
+        lambda *v: fails(Rows(L.meet_array), Rows(op.table_array), v))
     if w is None:
         return None
     a, b, c = w

@@ -26,11 +26,12 @@ the original table.
 of subset masks; ``induced_conditional`` and the transport check of
 ``ba_to_selection`` run on it through ``arrow_grid``, which confirms one
 fixed cell per row with the scalar ``arrow`` (a mismatch raises
-InternalInconsistency).  The negation-import scan and the selection
-rows of ``ba_to_selection`` are ``leq_array`` gathers, the rows reduced
-with ``np.bitwise_and``.  The negation-import scan and the transport
-check search their grids with ``first_violation``, which scans grids of
-fewer than GRID_MIN_INSTANCES cells (at most two worlds) cell by cell.
+InternalInconsistency).  The selection rows of ``ba_to_selection`` are
+``leq_array`` gathers reduced with ``np.bitwise_and``.  The
+negation-import scan and the transport check search their grids with
+``first_violation``, which scans grids of fewer than GRID_MIN_INSTANCES
+cells (at most two worlds) cell by cell; the negation-import law is
+written once and read on the tuple tables and through ``Rows``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     WidthMismatch,
 )
 from .frames import confirm_cells
-from .lattice import FiniteLattice, boolean_algebra, first_violation
+from .lattice import FiniteLattice, Rows, boolean_algebra, first_violation
 from .ops import (
     Axiom,
     ConditionalOp,
@@ -101,9 +102,6 @@ class SelectionFrame:
     @property
     def full_mask(self):
         return (1 << len(self.names)) - 1
-
-    def selected(self, A: int, w: int) -> int:
-        return self.rel[A][w]
 
     def arrow(self, A: int, B: int) -> int:
         full = self.full_mask
@@ -252,9 +250,6 @@ class SelectionModel:
     atoms: tuple          # lattice atom indices, in world order
     element_mask: tuple   # element -> bitmask over atom positions
 
-    def element_of(self, mask: int) -> int:
-        return self.element_mask.index(mask)
-
 
 def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel:
     """Represent a Boolean conditional algebra on a frame over its atoms.
@@ -274,15 +269,16 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
         bad = report.failing()[0]
         raise PreconditionFailed(f"required axiom fails: {bad.describe(L.names)}")
 
-    def negimp_fails(v):
+    def negimp_fails(M, N, T, v):
+        # ¬(a -> b) <= a -> ¬b, with x <= y read as x ∧ y = x
         a, b = v
-        return not L.leq(neg[T[a][b]], T[a][neg[b]])
+        lhs = N[T[a][b]]
+        return M[lhs][T[a][N[b]]] != lhs
 
-    def negimp_block(a, b):
-        TA, N = op.table_array, np.array(neg)
-        return ~L.leq_array[N[TA[a, b]], TA[a, N[b]]]
-
-    bad = first_violation(L.n, 2, negimp_fails, negimp_block)
+    bad = first_violation(
+        L.n, 2, lambda v: negimp_fails(L.meet_table, neg, T, v),
+        lambda *v: negimp_fails(Rows(L.meet_array), np.array(neg),
+                                Rows(op.table_array), v))
     if bad:
         raise PreconditionFailed(
             f"required axiom fails: {Axiom.NEGIMP.value} with the Boolean"

@@ -46,6 +46,19 @@ def test_check_unknown_axiom_exits_two(tmp_path, capsys):
     assert "unknown axiom" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_unary_axioms_are_refused_with_the_binary_list(tmp_path, capsys, command):
+    argv = ([command, write_entry(tmp_path, "meet-2chain"), "--axioms", "PC-ANTI"]
+            if command == "check" else [command, "--minimal", "--require", "PC-TOP"])
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown axiom" in err
+    choices = err.split(";")[1]
+    assert "FLAT" in choices and "PC-" not in choices
+
+
 def test_check_malformed_file_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.lat"
     p.write_text("lattice x\nelements a b\ncover a c\n")
@@ -165,6 +178,21 @@ def test_prob_arrow_round_trip(capsys):
     assert main(["prob", "arrow", "-", "-"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == ",".join(str(w) for w in range(11))
+
+
+def test_prob_arrow_takes_the_union_of_repeated_indices(capsys):
+    assert main(["prob", "arrow", "1,1", "1"]) == 0
+    repeated = capsys.readouterr().out.strip()
+    assert main(["prob", "arrow", "1", "1"]) == 0
+    assert repeated == capsys.readouterr().out.strip() == ",".join(str(w) for w in range(11))
+
+
+@pytest.mark.parametrize("subset", ["11", "0,11", "-1", "x"])
+def test_prob_arrow_rejects_indices_outside_the_space(capsys, subset):
+    with pytest.raises(SystemExit) as info:
+        main(["prob", "arrow", subset, "1"])
+    assert info.value.code == 2
+    assert "world indices 0..10" in capsys.readouterr().err
 
 
 def test_prob_verify_small_sample(capsys):

@@ -176,12 +176,38 @@ GRID_TABLES = {
 }
 
 
-def _product_scan(op, d):
-    """(holds, witness, lhs, rhs) by the lexicographic scan of d's instances."""
-    L, T = op.lattice, op.table
-    for v in product(range(L.n), repeat=d.arity):
-        lhs, rhs = d.eval(L, T, v)
-        if (lhs != rhs) if d.relation == "eq" else not L.leq(lhs, rhs):
+def _readme_axioms(L, T):
+    """The axiom list of the README, written out apart from ops.AXIOM_DEFS:
+    axiom -> (arity, relation, instance -> (lhs, rhs))."""
+    def imp(x, y):
+        return T[x][y]
+
+    def neg(x):
+        return imp(x, L.bottom)
+
+    m = L.meet
+    return {
+        Axiom.P1: (1, "le", lambda a: (imp(L.top, a), a)),
+        Axiom.P2: (2, "le", lambda a, b: (m(a, b), imp(a, b))),
+        Axiom.P3: (2, "le", lambda a, b: (imp(a, b), imp(a, m(a, b)))),
+        Axiom.P4: (3, "le", lambda a, b, c: (imp(a, m(b, c)), imp(a, b))),
+        Axiom.P5: (3, "le", lambda a, b, c: (imp(a, imp(m(a, b), c)), imp(m(a, b), c))),
+        Axiom.MP: (2, "le", lambda a, b: (m(a, imp(a, b)), b)),
+        Axiom.WM: (2, "le", lambda a, b: (b, imp(a, b))),
+        Axiom.SEMI: (1, "eq", lambda a: (m(a, neg(a)), L.bottom)),
+        Axiom.INV: (1, "eq", lambda a: (neg(neg(a)), a)),
+        Axiom.ID: (1, "eq", lambda a: (imp(a, a), L.top)),
+        Axiom.NORM: (3, "le", lambda a, b, c: (m(imp(a, b), imp(a, c)), imp(a, m(b, c)))),
+        Axiom.NEGIMP: (2, "le", lambda a, b: (neg(imp(a, b)), imp(a, neg(b)))),
+        Axiom.FLAT: (3, "eq", lambda a, b, c: (imp(a, imp(m(a, b), c)), imp(m(a, b), c))),
+    }
+
+
+def _product_scan(L, arity, relation, law):
+    """(holds, witness, lhs, rhs) by the lexicographic scan of one README law."""
+    for v in product(range(L.n), repeat=arity):
+        lhs, rhs = law(*v)
+        if (lhs != rhs) if relation == "eq" else not L.leq(lhs, rhs):
             return False, v, lhs, rhs
     return True, None, None, None
 
@@ -191,10 +217,12 @@ def test_grid_route_matches_the_scan_for_every_axiom(name):
     # the grid route is called directly, so tables below the cutoff of
     # check_axiom cover the unary and binary grid forms too
     op = GRID_TABLES[name]
+    readme = _readme_axioms(op.lattice, op.table)
     for axiom in BINARY_AXIOMS:
         d = AXIOM_DEFS[axiom]
+        assert (d.arity, d.relation) == readme[axiom][:2]
         grid = ops._grid_check(op, axiom, d)
-        scan = _product_scan(op, d)
+        scan = _product_scan(op.lattice, *readme[axiom])
         assert (grid.holds, grid.witness, grid.lhs, grid.rhs) == scan, axiom
         c = check_axiom(op, axiom)
         assert (c.holds, c.witness, c.lhs, c.rhs) == scan, axiom
