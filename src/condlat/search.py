@@ -8,14 +8,20 @@ looked at again, and a forbidden axiom of such instances that no value
 left can violate settles the spec with no node searched (Zhang & Zhang's
 SEM and McCune's Mace4 filter domains the same way).  It then assigns
 table entries in row-major order with ascending values, so the first
-witness is the lexicographically first table with the profile, and
-checks every other axiom instance the moment its last cell is filled.
-Instances whose reads depend on earlier table values
-(the nested sends of P5 and FLAT, the double negation of INV, the
-negations inside NEGIMP) wait on the exact cell that blocked them and
-are re-examined when it is assigned.  Required instances prune on
-violation; forbidden axioms prune once all their instances are decided
-without a single violation.
+witness is the lexicographically first table with the profile.
+
+Every instance is decided by the axiom's one definition in
+``ops.AXIOM_DEFS`` and the relation test ``ops._fails``, evaluated on
+the table as it stands: n row lists with None for an unassigned cell.
+An instance that reads an unassigned cell (None used as an index, or
+returned as a side) is re-read by a partial-table adapter, which lists
+the unassigned cells it reads in reading order.  On the empty table
+that list gives each instance's trigger, the last cell it reads at
+fixed indices; during the search a blocked instance waits on the first
+cell of the list (the nested sends of P5 and FLAT, the double negation
+of INV, the negations inside NEGIMP) and is re-examined when that cell
+is assigned.  Required instances prune on violation; forbidden axioms
+prune once all their instances are decided without a single violation.
 
 Every witness that comes back is re-verified against the exhaustive
 checkers before it is returned; the incremental bookkeeping is never
@@ -29,29 +35,27 @@ returns the first lattice carrying a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
-from .errors import BudgetExhausted, InternalInconsistency, TooLarge
+from .errors import BudgetExhausted, InternalInconsistency, MissingBound, NotALattice, TooLarge
 from .lattice import FiniteLattice, chain
-from .ops import AXIOM_DEFS, Axiom, ConditionalOp, check_axioms
+from .ops import AXIOM_DEFS, BINARY_AXIOMS, Axiom, ConditionalOp, _fails, check_axioms
 
 SEARCH_SIZE_LIMIT = 6
 DEFAULT_NODE_BUDGET = 5_000_000
 
-# unary-operation axioms have no place in a binary-table search
-_SEARCHABLE = tuple(ax for ax in Axiom if ax not in (Axiom.PC_ANTI, Axiom.PC_TOP))
-_ORDER = {ax: i for i, ax in enumerate(Axiom)}
 # axioms each of whose instances reads exactly one table cell, whose
 # position depends on the instance alone
 _SINGLE_CELL = frozenset((Axiom.P1, Axiom.P2, Axiom.MP, Axiom.WM, Axiom.SEMI, Axiom.ID))
 
 
 def _normalize(axioms) -> tuple:
-    out = tuple(sorted(set(axioms), key=_ORDER.__getitem__))
-    for ax in out:
-        if ax not in _SEARCHABLE:
+    # unary-operation axioms have no place in a binary-table search
+    axioms = tuple(axioms)
+    for ax in axioms:
+        if ax not in BINARY_AXIOMS:
             raise ValueError(f"{ax} is not an operation-table axiom")
-    return out
+    return tuple(ax for ax in BINARY_AXIOMS if ax in axioms)
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,13 @@ class SearchSpec:
         if n > SEARCH_SIZE_LIMIT:
             raise TooLarge(f"search over {n}^{n * n} tables is out of range")
         fixed = tuple(tuple(e) for e in self.fixed_entries)
+        pinned = {}
         for a, b, v in fixed:
             if not (0 <= a < n and 0 <= b < n and 0 <= v < n):
                 raise ValueError(f"fixed entry {(a, b, v)} out of range")
+            if pinned.setdefault((a, b), v) != v:
+                raise ValueError(f"fixed entries give cell {(a, b)} "
+                                 f"both {pinned[a, b]} and {v}")
         object.__setattr__(self, "fixed_entries", fixed)
 
 
@@ -90,102 +98,68 @@ class SearchResult:
         return bool(self.witnesses)
 
 
-def _instances(spec: SearchSpec):
-    """All axiom instances with their static read cells.
+class _PartialRow:
+    """Row a of a partial table as the adapter reads it: an unassigned
+    cell is listed in ``cells`` and read as the sentinel n, and so is a
+    read indexed by the sentinel."""
 
-    Returns (inst, static_bucket) where inst[i] = (axiom, required,
-    forbid_index, args) and static_bucket[c] lists the instances whose
-    last statically known cell is c.
+    __slots__ = ("t", "a", "cells")
+
+    def __init__(self, t, a, cells):
+        self.t, self.a, self.cells = t, a, cells
+
+    def __getitem__(self, b):
+        n = len(self.t)
+        if b == n:
+            return n
+        x = self.t[self.a][b]
+        if x is None:
+            self.cells.append(self.a * n + b)
+            return n
+        return x
+
+
+def _adapter(L: FiniteLattice, t):
+    """The partial-table adapter over t (n row lists, None where
+    unassigned): reads(d, v) evaluates definition d at instance v and
+    returns the unassigned cells (a * n + b) it read, in reading order.
+
+    The sentinel n indexes an (n+1)-th row and column of n added to the
+    meet table and to t, so it propagates through every read it indexes.
     """
-    L = spec.lattice
-    n, M = L.n, L.meet_table
-    bot, top = L.bottom, L.top
+    n = L.n
+    pad = ((n,) * (n + 1),)
+    M = tuple(row + (n,) for row in L.meet_table) + pad
+    cells = []
+    T = tuple(_PartialRow(t, a, cells) for a in range(n)) + pad
+
+    def reads(d, v):
+        cells.clear()
+        d.eval(L, M, T, v)
+        return list(cells)
+
+    return reads
+
+
+def _instances(spec: SearchSpec, reads):
+    """All axiom instances, bucketed by their static trigger.
+
+    ``reads`` is the adapter over the still empty table.  Returns (inst,
+    bucket) where inst[i] = (axiom, definition, required, forbid_index,
+    args) and bucket[c] lists the instances whose last cell read at
+    fixed indices is c.
+    """
+    n = spec.lattice.n
     inst = []
     bucket = [[] for _ in range(n * n)]
-    forbid_index = {ax: i for i, ax in enumerate(spec.forbid)}
-
-    def cells_of(ax, a, b, c):
-        if ax is Axiom.P1:
-            return ((top, a),)
-        if ax in (Axiom.P2, Axiom.MP, Axiom.WM):
-            return ((a, b),)
-        if ax is Axiom.NEGIMP:
-            return ((a, b), (b, bot))
-        if ax is Axiom.P3:
-            return ((a, b), (a, M[a][b]))
-        if ax is Axiom.P4:
-            return ((a, M[b][c]), (a, b))
-        if ax in (Axiom.P5, Axiom.FLAT):
-            return ((M[a][b], c),)
-        if ax in (Axiom.SEMI, Axiom.INV):
-            return ((a, bot),)
-        if ax is Axiom.ID:
-            return ((a, a),)
-        if ax is Axiom.NORM:
-            return ((a, b), (a, c), (a, M[b][c]))
-        raise AssertionError(ax)
-
     for ax in spec.require + spec.forbid:
-        arity = AXIOM_DEFS[ax].arity
+        d = AXIOM_DEFS[ax]
         required = ax in spec.require
-        fidx = forbid_index.get(ax, -1)
-        ranges = [range(n)] * arity + [range(1)] * (3 - arity)
-        for a in ranges[0]:
-            for b in ranges[1]:
-                for c in ranges[2]:
-                    i = len(inst)
-                    inst.append((ax, required, fidx, a, b, c))
-                    trigger = max(x * n + y for x, y in cells_of(ax, a, b, c))
-                    bucket[trigger].append(i)
+        fidx = -1 if required else spec.forbid.index(ax)
+        for v in product(range(n), repeat=d.arity):
+            bucket[max(reads(d, v))].append(len(inst))
+            inst.append((ax, d, required, fidx, v))
     return inst, bucket
-
-
-def _evaluate(entry, t, n, M, up, bot, top):
-    """1 holds, 0 violated, -(cell+1) blocked on an unassigned cell."""
-    ax, _req, _f, a, b, c = entry
-    if ax is Axiom.P1:
-        return up[t[top * n + a]] >> a & 1
-    if ax is Axiom.P2:
-        return up[M[a][b]] >> t[a * n + b] & 1
-    if ax is Axiom.P3:
-        return up[t[a * n + b]] >> t[a * n + M[a][b]] & 1
-    if ax is Axiom.P4:
-        return up[t[a * n + M[b][c]]] >> t[a * n + b] & 1
-    if ax is Axiom.P5 or ax is Axiom.FLAT:
-        u = t[M[a][b] * n + c]
-        cell = a * n + u
-        x = t[cell]
-        if x < 0:
-            return -cell - 1
-        return x == u if ax is Axiom.FLAT else up[x] >> u & 1
-    if ax is Axiom.MP:
-        return up[M[a][t[a * n + b]]] >> b & 1
-    if ax is Axiom.WM:
-        return up[b] >> t[a * n + b] & 1
-    if ax is Axiom.SEMI:
-        return M[a][t[a * n + bot]] == bot
-    if ax is Axiom.INV:
-        cell = t[a * n + bot] * n + bot
-        y = t[cell]
-        if y < 0:
-            return -cell - 1
-        return y == a
-    if ax is Axiom.ID:
-        return t[a * n + a] == top
-    if ax is Axiom.NORM:
-        lhs = M[t[a * n + b]][t[a * n + c]]
-        return up[lhs] >> t[a * n + M[b][c]] & 1
-    if ax is Axiom.NEGIMP:
-        cell = t[a * n + b] * n + bot
-        nx = t[cell]
-        if nx < 0:
-            return -cell - 1
-        cell = a * n + t[b * n + bot]
-        y = t[cell]
-        if y < 0:
-            return -cell - 1
-        return up[nx] >> y & 1
-    raise AssertionError(ax)
 
 
 def find_witness(spec: SearchSpec) -> SearchResult:
@@ -198,24 +172,41 @@ def find_witness(spec: SearchSpec) -> SearchResult:
     n = L.n
     ncells = n * n
     M = L.meet_table
-    up = tuple(L.up_mask(a) for a in range(n))
-    bot, top = L.bottom, L.top
+    t = [[None] * n for _ in range(n)]
+    reads = _adapter(L, t)
 
-    inst, bucket = _instances(spec)
+    inst, bucket = _instances(spec, reads)
     domains = [tuple(range(n))] * ncells
     for a, b, v in spec.fixed_entries:
         domains[a * n + b] = (v,)
 
-    # root pass (module docstring); a single-cell instance reads nothing
-    # of the probe table but its own cell
-    probe = [0] * ncells
+    def decide(i):
+        """True holds, False violated, -(c+1) waits on cell c, the first
+        unassigned cell instance i reads."""
+        ax, d, _req, _f, v = inst[i]
+        try:
+            lhs, rhs = d.eval(L, M, t, v)
+        except TypeError:              # an unassigned cell used as an index
+            lhs = None
+        if lhs is None or rhs is None:
+            cells = reads(d, v)
+            if not cells:
+                raise InternalInconsistency(f"{ax} at {v} reads no unassigned cell "
+                                            "but its definition is undecided")
+            return -cells[0] - 1
+        return not _fails(M, lhs, rhs, d.relation)
 
+    # root pass (module docstring); a single-cell instance is decided
+    # with its own cell alone assigned
     def holds(i, cell, v):
-        probe[cell] = v
-        return _evaluate(inst[i], probe, n, M, up, bot, top)
+        a, b = divmod(cell, n)
+        t[a][b] = v
+        r = decide(i)
+        t[a][b] = None
+        return r
 
     for cell in range(ncells):
-        filters = {i for i in bucket[cell] if inst[i][1] and inst[i][0] in _SINGLE_CELL}
+        filters = {i for i in bucket[cell] if inst[i][2] and inst[i][0] in _SINGLE_CELL}
         if filters:
             domains[cell] = tuple(v for v in domains[cell]
                                   if all(holds(i, cell, v) for i in filters))
@@ -231,14 +222,13 @@ def find_witness(spec: SearchSpec) -> SearchResult:
     if any(ax in _SINGLE_CELL and ax not in violable for ax in spec.forbid):
         return SearchResult((), 0, True)
 
-    t = [-1] * ncells
     pending = [[] for _ in range(ncells)]
     nforbid = len(spec.forbid)
     remaining = [0] * nforbid
     violated = [0] * nforbid
     for e in inst:
-        if e[2] >= 0:
-            remaining[e[2]] += 1
+        if e[3] >= 0:
+            remaining[e[3]] += 1
     trail = []          # (0, cell) pending pop | (1, f) unviolate | (2, f) undecide
     found = []
     nodes = 0
@@ -255,15 +245,14 @@ def find_witness(spec: SearchSpec) -> SearchResult:
 
     def settle(i) -> bool:
         """Evaluate instance i; False prunes the branch."""
-        e = inst[i]
-        r = _evaluate(e, t, n, M, up, bot, top)
+        r = decide(i)
         if r < 0:
             pending[-r - 1].append(i)
             trail.append((0, -r - 1))
             return True
-        if e[1]:                      # required
-            return bool(r)
-        f = e[2]
+        _ax, _d, required, f, _v = inst[i]
+        if required:
+            return r
         remaining[f] -= 1
         trail.append((2, f))
         if not r:
@@ -279,8 +268,9 @@ def find_witness(spec: SearchSpec) -> SearchResult:
                 # the decision-time prune must have settled every forbid
                 if remaining[f] or not violated[f]:
                     raise InternalInconsistency("forbid bookkeeping out of sync")
-            found.append(tuple(t))
+            found.append(tuple(map(tuple, t)))
             return not spec.find_all
+        row, b = t[cell // n], cell % n
         for v in domains[cell]:
             nodes += 1
             if nodes > spec.node_budget:
@@ -288,7 +278,7 @@ def find_witness(spec: SearchSpec) -> SearchResult:
                     f"node budget {spec.node_budget} exhausted",
                     partial=SearchResult(_verified(spec, found), nodes, False),
                 )
-            t[cell] = v
+            row[b] = v
             mark = len(trail)
             ok = True
             for i in bucket[cell]:
@@ -303,7 +293,7 @@ def find_witness(spec: SearchSpec) -> SearchResult:
             if ok and dfs(cell + 1):
                 return True
             undo(mark)
-        t[cell] = -1
+        row[b] = None
         return False
 
     stopped = dfs(0)
@@ -316,8 +306,7 @@ def _verified(spec: SearchSpec, tables) -> tuple:
     own incremental state is not trusted."""
     out = []
     for rows in tables:
-        n = spec.lattice.n
-        op = ConditionalOp(spec.lattice, tuple(tuple(rows[a * n + b] for b in range(n)) for a in range(n)))
+        op = ConditionalOp(spec.lattice, rows)
         rep = check_axioms(op, spec.require + spec.forbid)
         for ax in spec.require:
             if not rep[ax].holds:
@@ -365,7 +354,7 @@ def enumerate_lattices(n: int, names=None) -> tuple:
             continue
         try:
             L = FiniteLattice(names, rows)
-        except Exception:
+        except (MissingBound, NotALattice):
             continue
         key = min(
             tuple(

@@ -39,7 +39,7 @@ from condlat.ops import (
 
 from condlat.search import enumerate_lattices
 
-from conftest import names_at
+from conftest import _product_scan, _readme_axioms, names_at
 
 
 # -- table plumbing -----------------------------------------------------
@@ -174,42 +174,6 @@ GRID_TABLES = {
     **FIXPOINT_ALGEBRAS,
     "heyting-B64-late-cell": _heyting_b64_late_cell(),
 }
-
-
-def _readme_axioms(L, T):
-    """The axiom list of the README, written out apart from ops.AXIOM_DEFS:
-    axiom -> (arity, relation, instance -> (lhs, rhs))."""
-    def imp(x, y):
-        return T[x][y]
-
-    def neg(x):
-        return imp(x, L.bottom)
-
-    m = L.meet
-    return {
-        Axiom.P1: (1, "le", lambda a: (imp(L.top, a), a)),
-        Axiom.P2: (2, "le", lambda a, b: (m(a, b), imp(a, b))),
-        Axiom.P3: (2, "le", lambda a, b: (imp(a, b), imp(a, m(a, b)))),
-        Axiom.P4: (3, "le", lambda a, b, c: (imp(a, m(b, c)), imp(a, b))),
-        Axiom.P5: (3, "le", lambda a, b, c: (imp(a, imp(m(a, b), c)), imp(m(a, b), c))),
-        Axiom.MP: (2, "le", lambda a, b: (m(a, imp(a, b)), b)),
-        Axiom.WM: (2, "le", lambda a, b: (b, imp(a, b))),
-        Axiom.SEMI: (1, "eq", lambda a: (m(a, neg(a)), L.bottom)),
-        Axiom.INV: (1, "eq", lambda a: (neg(neg(a)), a)),
-        Axiom.ID: (1, "eq", lambda a: (imp(a, a), L.top)),
-        Axiom.NORM: (3, "le", lambda a, b, c: (m(imp(a, b), imp(a, c)), imp(a, m(b, c)))),
-        Axiom.NEGIMP: (2, "le", lambda a, b: (neg(imp(a, b)), imp(a, neg(b)))),
-        Axiom.FLAT: (3, "eq", lambda a, b, c: (imp(a, imp(m(a, b), c)), imp(m(a, b), c))),
-    }
-
-
-def _product_scan(L, arity, relation, law):
-    """(holds, witness, lhs, rhs) by the lexicographic scan of one README law."""
-    for v in product(range(L.n), repeat=arity):
-        lhs, rhs = law(*v)
-        if (lhs != rhs) if relation == "eq" else not L.leq(lhs, rhs):
-            return False, v, lhs, rhs
-    return True, None, None, None
 
 
 @pytest.mark.parametrize("name", GRID_TABLES)

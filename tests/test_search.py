@@ -1,13 +1,14 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
+from condlat import search
 from condlat.errors import BudgetExhausted, TooLarge
 from condlat.lattice import boolean_algebra, chain, find_isomorphism
 from condlat.ops import (
+    AXIOM_DEFS,
     Axiom,
     BINARY_AXIOMS,
-    ConditionalOp,
     PRECONDITIONAL_AXIOMS,
     check_axioms,
 )
@@ -19,18 +20,22 @@ from condlat.search import (
     minimal_witness,
 )
 
+from conftest import _product_scan, _readme_axioms
+
 P = PRECONDITIONAL_AXIOMS
 
 
 def profiles(lattice, axes):
     """(rows, mask) for every table in lexicographic order; bit j of mask
-    says whether axes[j] holds."""
+    says whether axes[j] holds by the README definitions, which the search
+    does not share."""
     n = lattice.n
     out = []
     for cells in product(range(n), repeat=n * n):
         rows = tuple(cells[i * n:(i + 1) * n] for i in range(n))
-        rep = check_axioms(ConditionalOp(lattice, rows), axes)
-        out.append((rows, sum(rep[ax].holds << j for j, ax in enumerate(axes))))
+        readme = _readme_axioms(lattice, rows)
+        out.append((rows, sum(_product_scan(lattice, *readme[ax])[0] << j
+                              for j, ax in enumerate(axes))))
     return out
 
 
@@ -120,6 +125,17 @@ def test_fixed_entry_decides_whether_a_forbid_settles_at_the_root(value, settled
     assert res.exhausted and (res.nodes == 0) is settled
 
 
+def test_conflicting_fixed_entries_are_refused():
+    c2 = chain(2)
+    with pytest.raises(ValueError, match=r"cell \(0, 0\) both 0 and 1"):
+        SearchSpec(c2, fixed_entries=((0, 0, 0), (0, 0, 1)), find_all=True)
+    # a repeated identical entry is one pin
+    res = find_witness(SearchSpec(c2, fixed_entries=((0, 0, 1), (0, 0, 1)),
+                                  find_all=True))
+    assert [op.table for op in res.witnesses] == [
+        rows for rows, _m in profiles(c2, ()) if rows[0][0] == 1]
+
+
 def test_budget_exhaustion_carries_partial_result():
     c3 = chain(3)
     with pytest.raises(BudgetExhausted) as info:
@@ -179,6 +195,53 @@ def test_every_split_of_single_cell_axioms_matches_brute_force_on_2chain():
         assert res.exhausted
 
 
+@pytest.mark.parametrize("lattice", [chain(2), chain(3)], ids=["chain2", "chain3"])
+def test_each_axiom_required_or_forbidden_alone_matches_brute_force(lattice):
+    tables = profiles(lattice, BINARY_AXIOMS)
+    for j, ax in enumerate(BINARY_AXIOMS):
+        for require, forbid, holds in (((ax,), (), 1), ((), (ax,), 0)):
+            res = find_witness(SearchSpec(lattice, require=require, forbid=forbid,
+                                          find_all=True))
+            want = [rows for rows, m in tables if m >> j & 1 == holds]
+            assert [op.table for op in res.witnesses] == want, (require, forbid)
+            assert res.exhausted
+
+
+def test_every_require_forbid_pair_matches_brute_force_on_2chain():
+    c2 = chain(2)
+    tables = profiles(c2, BINARY_AXIOMS)
+    for (i, x), (j, y) in permutations(enumerate(BINARY_AXIOMS), 2):
+        res = find_witness(SearchSpec(c2, require=(x,), forbid=(y,), find_all=True))
+        want = [rows for rows, m in tables if m >> i & 1 and not m >> j & 1]
+        assert [op.table for op in res.witnesses] == want, (x, y)
+        assert res.exhausted
+
+
+def _reads_one_cell_alone(L, d, v):
+    """Instance v of definition d reads exactly one cell on the empty table
+    and, with that cell alone assigned to any value, waits on nothing."""
+    n = L.n
+    t = [[None] * n for _ in range(n)]
+    reads = search._adapter(L, t)
+    cells = set(reads(d, v))
+    if len(cells) != 1:
+        return False
+    a, b = divmod(cells.pop(), n)
+    for x in range(n):
+        t[a][b] = x
+        if reads(d, v):
+            return False
+    return True
+
+
+def test_single_cell_axioms_are_those_the_adapter_finds():
+    found = {ax for ax in BINARY_AXIOMS
+             if all(_reads_one_cell_alone(L, AXIOM_DEFS[ax], v)
+                    for _label, L in INVENTORY
+                    for v in product(range(L.n), repeat=AXIOM_DEFS[ax].arity))}
+    assert found == search._SINGLE_CELL
+
+
 def test_first_witness_is_lexicographically_first_on_3chain():
     c3 = chain(3)
     axes = P + (Axiom.MP, Axiom.WM)
@@ -203,6 +266,16 @@ def test_witnesses_are_reverified():
 
 def test_enumerate_lattices_counts():
     assert [len(enumerate_lattices(n)) for n in range(1, 6)] == [1, 1, 1, 2, 5]
+
+
+def test_enumerate_lattices_lets_other_errors_through(monkeypatch):
+    # only MissingBound and NotALattice mark a candidate that is no lattice
+    def broken(names, rows):
+        raise RuntimeError("broken constructor")
+
+    monkeypatch.setattr(search, "FiniteLattice", broken)
+    with pytest.raises(RuntimeError, match="broken constructor"):
+        enumerate_lattices(3)
 
 
 def test_inventory_matches_enumeration_up_to_isomorphism():
