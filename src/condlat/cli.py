@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 
 from . import catalog
@@ -238,7 +239,7 @@ def cmd_selection(args) -> int:
     doc = parse_selection(_read(args.file))
     run = Run()
     if doc.defaulted:
-        toks = [set_label_sel(doc.frame, A) for A in doc.defaulted]
+        toks = [set_label(doc.frame, A) for A in doc.defaulted]
         print(f"defaulted to bare centering: {' '.join(toks)}")
     rep = check_frame(doc.frame)
     for prop in ("success", "centering", "functionality", "strong_density"):
@@ -256,11 +257,6 @@ def cmd_selection(args) -> int:
     run.rec(True, file=args.file, check="induced-label", label=str(c.label))
     run.write(args.report)
     return run.exit_code()
-
-
-def set_label_sel(frame, mask: int) -> str:
-    names = [frame.names[i] for i in range(frame.k) if mask >> i & 1]
-    return "{" + ",".join(names) + "}"
 
 
 def cmd_search(args) -> int:
@@ -366,57 +362,106 @@ def cmd_prob(args) -> int:
     return run.exit_code()
 
 
-# -- demo: the whole expectation suite, keyed by anchor -------------------
+# -- demo: the whole expectation suite, one check per anchor -------------
 
-def _demo_profiles(run):
+def _demo_checks(seed):
+    """(anchor, check) pairs in replay order; check() returns ok or
+    (ok, detail).  Listing the pairs runs no check: work that several
+    checks share is done once, by the first check that needs it."""
     for e in catalog.ENTRIES:
-        rep = check_axioms(e.conditional, tuple(e.profile))
-        bad = [ax.value for ax in e.profile if rep[ax].holds != e.profile[ax]]
-        run.rec(not bad, anchor=f"profile:{e.name}",
-                detail=",".join(bad) or "exact")
+        yield f"profile:{e.name}", partial(_profile, e)
         if e.label is not None:
-            c = classify(e.conditional)
-            run.rec(c.label is e.label, anchor=f"label:{e.name}",
-                    detail=str(c.label))
+            yield f"label:{e.name}", partial(_label, e)
         if e.expect_orthomodular is not None:
-            om = is_orthomodular(e.unary)
-            run.rec(om.holds == e.expect_orthomodular,
-                    anchor=f"orthomodular:{e.name}", detail=om.holds)
+            yield f"orthomodular:{e.name}", partial(_orthomodular, e)
+    yield "pinned:antichain-negation-import", _antichain_negation_import
+    yield "pinned:twin-peaks-normality", _twin_peaks_normality
+    yield "pinned:gate-normality-witness", partial(
+        _pinned_witness, "gate-to-bottom-6", Axiom.NORM, ("a", "b", "c"))
+    yield "pinned:tail-constant-mp-witness", partial(
+        _pinned_witness, "tail-constant-4chain", Axiom.MP, ("b", "a"))
+    for e in catalog.preconditional_entries():
+        # derived negation of every catalog preconditional is a precomplementation
+        yield f"derived-neg:{e.name}", lambda e=e: precomplementation_report(
+            e.conditional.derive_negation()).ok
+    yield "heyting:three-descriptions-3chain", _heyting_triple
+    yield "frame:quad-fixpoints", _quad_fixpoints
+    yield "frame:quad-49-entries", _quad_table
+    for e in catalog.preconditional_entries():
+        space = cache(partial(build_fi_space, e.lattice, e.conditional))
+        yield f"pair:{e.name}", partial(_pair_embedding, e)
+        yield f"space:{e.name}", partial(_fi_embedding, space)
+        yield f"space-conditions:{e.name}", lambda space=space: (
+            check_space_conditions(space().frame, space().basis).ok)
+    for se in catalog.SELECTION_ENTRIES:
+        yield f"selection:{se.name}", partial(_selection_properties, se)
+    yield "selection:density-gap-p5", _density_gap_p5
+    # round trips through the atom frame
+    for anchor, worlds in (("selection:roundtrip-B4", ("p", "q")),
+                           ("selection:roundtrip-B8", ("w0", "w1", "w2"))):
+        yield anchor, partial(_roundtrip, worlds)
+    yield "selection:select-all-gate", _select_all_gate
+    space = cache(confidence_space)
+    prob = cache(lambda: verify_axioms(space(), seed=seed))
+    yield "prob:boundary-arithmetic", partial(_boundary_arithmetic, space)
+    yield "prob:core-and-detachment", lambda: prob().ok
+    yield "prob:normality-witness", lambda: (
+        not prob()[Axiom.NORM].holds and prob()[Axiom.NORM].witness == NORM_WITNESS)
+    P = PRECONDITIONAL_AXIOMS
+    for ax, size in zip(P, (2, 2, 2, 3, 3)):
+        yield f"search:forbid-{ax.value}", partial(_forbid_alone, ax, size)
+    # pinned unique witnesses on the 2-chain
+    yield "search:only-const-top", partial(
+        _only_witness, P[1:], (P[0],), ((1, 1), (1, 1)))
+    yield "search:only-meet", partial(
+        _only_witness, P + (Axiom.MP,), (Axiom.WM,), ((0, 0), (0, 1)))
+    yield "search:2chain-vs-bruteforce", _search_bruteforce
+    laws = cache(partial(_random_frame_laws, seed))
+    yield "frames:closure-laws-1000", lambda: laws()[0]
+    yield "frames:induced-preconditional-1000", lambda: laws()[1]
 
 
-def _demo_pinned_values(run):
-    # negation import on the antichain: not-(a -> c) = a, a -> not-c = not-a
+def _profile(e):
+    rep = check_axioms(e.conditional, tuple(e.profile))
+    bad = [ax.value for ax in e.profile if rep[ax].holds != e.profile[ax]]
+    return not bad, ",".join(bad) or "exact"
+
+
+def _label(e):
+    c = classify(e.conditional)
+    return c.label is e.label, str(c.label)
+
+
+def _orthomodular(e):
+    holds = is_orthomodular(e.unary).holds
+    return holds == e.expect_orthomodular, holds
+
+
+def _antichain_negation_import():
+    # not-(a -> c) = a and a -> not-c = not-a
     e = catalog.entry("sasaki-M4")
-    L, T = e.lattice, e.conditional.table
-    neg = e.unary.table
+    L, T, neg = e.lattice, e.conditional.table, e.unary.table
     a, c = L.index("a"), L.index("c")
-    run.rec(neg[T[a][c]] == a and T[a][neg[c]] == neg[a],
-            anchor="pinned:antichain-negation-import")
-    # twin peaks: (a->b) and (a->c) = 1 while a->(b and c) = not-a
+    return neg[T[a][c]] == a and T[a][neg[c]] == neg[a]
+
+
+def _twin_peaks_normality():
+    # (a -> b) and (a -> c) = 1 while a -> (b and c) = not-a
     e = catalog.entry("sasaki-twin-peaks")
     L, T, neg = e.lattice, e.conditional.table, e.unary.table
     a, b, c = L.index("a"), L.index("b"), L.index("c")
-    run.rec(L.meet(T[a][b], T[a][c]) == L.top and T[a][L.meet(b, c)] == neg[a],
-            anchor="pinned:twin-peaks-normality")
-    # gate-to-bottom: normality dies exactly at (a, b, c)
-    e = catalog.entry("gate-to-bottom-6")
-    c6 = check_axiom(e.conditional, Axiom.NORM)
-    names = tuple(e.lattice.names[i] for i in c6.witness or ())
-    run.rec(not c6.holds and names == ("a", "b", "c"),
-            anchor="pinned:gate-normality-witness", detail=",".join(names))
-    # detachment failure of the tail-constant table sits at (b, a)
-    e = catalog.entry("tail-constant-4chain")
-    cmp_ = check_axiom(e.conditional, Axiom.MP)
-    names = tuple(e.lattice.names[i] for i in cmp_.witness or ())
-    run.rec(not cmp_.holds and names == ("b", "a"),
-            anchor="pinned:tail-constant-mp-witness", detail=",".join(names))
-    # derived negation of every catalog preconditional is a precomplementation
-    for e in catalog.preconditional_entries():
-        pre = precomplementation_report(e.conditional.derive_negation())
-        run.rec(pre.ok, anchor=f"derived-neg:{e.name}")
+    return L.meet(T[a][b], T[a][c]) == L.top and T[a][L.meet(b, c)] == neg[a]
 
 
-def _demo_heyting_triple(run):
+def _pinned_witness(name, ax, want):
+    """ax fails on the entry's table, first at the named elements."""
+    e = catalog.entry(name)
+    c = check_axiom(e.conditional, ax)
+    names = tuple(e.lattice.names[i] for i in c.witness or ())
+    return not c.holds and names == want, ",".join(names)
+
+
+def _heyting_triple():
     """On the 3-chain, three descriptions cut out the same tables."""
     L = chain(3, ("0", "h", "1"))
     residuated, full_axioms, four_axioms = set(), set(), set()
@@ -429,115 +474,97 @@ def _demo_heyting_triple(run):
             full_axioms.add(rows)
         if check_axioms(op, (Axiom.P3, Axiom.P4, Axiom.MP, Axiom.WM)).ok:
             four_axioms.add(rows)
-    run.rec(residuated == full_axioms == four_axioms,
-            anchor="heyting:three-descriptions-3chain",
-            detail=f"{len(residuated)} tables")
+    return residuated == full_axioms == four_axioms, f"{len(residuated)} tables"
 
 
-def _demo_frame(run):
+def _quad_fixpoints():
     fe = catalog.frame_entry("quad-two-way")
-    fl = fixpoints(fe.frame)
-    run.rec(fl.sets == fe.fixpoint_masks, anchor="frame:quad-fixpoints",
-            detail=len(fl.sets))
+    sets = fixpoints(fe.frame).sets
+    return sets == fe.fixpoint_masks, len(sets)
+
+
+def _quad_table():
+    fe = catalog.frame_entry("quad-two-way")
     mask_of = dict(fe.table_order)
-    ok = all(
+    return all(
         fe.frame.arrow(A, B) == mask_of[fe.table_names[i][j]]
         for i, (_, A) in enumerate(fe.table_order)
         for j, (_, B) in enumerate(fe.table_order)
     )
-    run.rec(ok, anchor="frame:quad-49-entries")
 
 
-def _demo_representation(run):
-    for e in catalog.preconditional_entries():
-        try:
-            pf = build_pair_frame(e.lattice, e.conditional)
-            prep = verify_pair_embedding(pf)
-            run.rec(prep.ok, anchor=f"pair:{e.name}",
-                    detail="fallback" if prep.fallback_used else "candidate")
-        except CondlatError as exc:
-            run.rec(False, anchor=f"pair:{e.name}", detail=exc)
-            continue
-        try:
-            space = build_fi_space(e.lattice, e.conditional)
-            frep = verify_fi_embedding(space)
-            run.rec(frep.ok, anchor=f"space:{e.name}",
-                    detail=f"{frep.open_fixpoint_count}-open-fixpoints")
-            cond = check_space_conditions(space.frame, space.basis)
-            run.rec(cond.ok, anchor=f"space-conditions:{e.name}")
-        except CondlatError as exc:
-            run.rec(False, anchor=f"space:{e.name}", detail=exc)
+def _pair_embedding(e):
+    prep = verify_pair_embedding(build_pair_frame(e.lattice, e.conditional))
+    return prep.ok, "fallback" if prep.fallback_used else "candidate"
 
 
-def _demo_selection(run):
-    for se in catalog.SELECTION_ENTRIES:
-        rep = check_frame(se.frame)
-        got = {k: getattr(rep, k)[0] for k in se.properties}
-        run.rec(got == se.properties, anchor=f"selection:{se.name}",
-                detail=",".join(k for k in got if got[k] != se.properties[k])
-                or "exact")
+def _fi_embedding(space):
+    frep = verify_fi_embedding(space())
+    return frep.ok, f"{frep.open_fixpoint_count}-open-fixpoints"
+
+
+def _selection_properties(se):
+    rep = check_frame(se.frame)
+    got = {k: getattr(rep, k)[0] for k in se.properties}
+    return got == se.properties, (
+        ",".join(k for k in got if got[k] != se.properties[k]) or "exact")
+
+
+def _density_gap_p5():
     # dropping strong density admits a P5 violation
-    gap = catalog.selection_entry("density-gap-3")
-    op = induced_conditional(gap.frame)
+    op = induced_conditional(catalog.selection_entry("density-gap-3").frame)
     c = check_axiom(op, Axiom.P5)
-    run.rec(not c.holds and c.witness == (6, 4, 0),
-            anchor="selection:density-gap-p5", detail=c.witness)
-    # round trips through the atom frame
-    for anchor, worlds in (("selection:roundtrip-B4", ("p", "q")),
-                           ("selection:roundtrip-B8", ("w0", "w1", "w2"))):
-        wo = from_well_order(worlds)
-        op = induced_conditional(wo)
-        model = ba_to_selection(op.lattice, op)
-        run.rec(model.frame.rel == wo.rel, anchor=anchor)
+    return not c.holds and c.witness == (6, 4, 0), c.witness
+
+
+def _roundtrip(worlds):
+    wo = from_well_order(worlds)
+    op = induced_conditional(wo)
+    return ba_to_selection(op.lattice, op).frame.rel == wo.rel
+
+
+def _select_all_gate():
     # the non-functional frame is rejected at the negation-import gate
-    sa = catalog.selection_entry("select-all-3")
-    op = induced_conditional(sa.frame)
+    op = induced_conditional(catalog.selection_entry("select-all-3").frame)
     try:
         ba_to_selection(op.lattice, op)
-        run.rec(False, anchor="selection:select-all-gate", detail="accepted")
     except PreconditionFailed as exc:
-        run.rec("NEGIMP" in str(exc), anchor="selection:select-all-gate")
+        return "NEGIMP" in str(exc)
+    return False, "accepted"
 
 
-def _demo_prob(run, seed):
-    space = confidence_space()
-    A, B, C, w = NORM_WITNESS
-    run.rec(space.cond_prob(0, B, A) == Fraction(9, 10)
-            and space.cond_prob(0, C, A) == Fraction(9, 10)
-            and space.cond_prob(0, B & C, A) == Fraction(4, 5),
-            anchor="prob:boundary-arithmetic")
-    rep = verify_axioms(space, seed=seed)
-    run.rec(rep.ok, anchor="prob:core-and-detachment")
-    run.rec(not rep[Axiom.NORM].holds and rep[Axiom.NORM].witness == NORM_WITNESS,
-            anchor="prob:normality-witness")
+def _boundary_arithmetic(space):
+    A, B, C, _w = NORM_WITNESS
+    return (space().cond_prob(0, B, A) == Fraction(9, 10)
+            and space().cond_prob(0, C, A) == Fraction(9, 10)
+            and space().cond_prob(0, B & C, A) == Fraction(4, 5))
 
 
-def _demo_search(run):
+def _forbid_alone(ax, size):
+    """The first inventory lattice where ax fails and the other core axioms
+    hold has the expected number of elements."""
     P = PRECONDITIONAL_AXIOMS
-    expect_size = {Axiom.P1: 2, Axiom.P2: 2, Axiom.P3: 2, Axiom.P4: 3, Axiom.P5: 3}
+    mw = minimal_witness(tuple(a for a in P if a is not ax), (ax,))
     sizes = {"point": 1, "chain2": 2, "chain3": 3}
-    for ax in P:
-        mw = minimal_witness(tuple(a for a in P if a is not ax), (ax,))
-        run.rec(mw.found and sizes.get(mw.label) == expect_size[ax],
-                anchor=f"search:forbid-{ax.value}", detail=mw.label)
-    # pinned unique witnesses on the 2-chain
+    return mw.found and sizes.get(mw.label) == size, mw.label
+
+
+def _only_witness(require, forbid, table):
+    res = find_witness(SearchSpec(chain(2, ("0", "1")), require=require,
+                                  forbid=forbid, find_all=True))
+    return [op.table for op in res.witnesses] == [table]
+
+
+def _search_bruteforce():
+    """The search agrees with brute force over every require/forbid split
+    of seven axioms on the 2-chain."""
     c2 = chain(2, ("0", "1"))
-    res = find_witness(SearchSpec(c2, require=P[1:], forbid=(P[0],), find_all=True))
-    run.rec([op.table for op in res.witnesses] == [((1, 1), (1, 1))],
-            anchor="search:only-const-top")
-    res = find_witness(SearchSpec(c2, require=P + (Axiom.MP,),
-                                  forbid=(Axiom.WM,), find_all=True))
-    run.rec([op.table for op in res.witnesses] == [((0, 0), (0, 1))],
-            anchor="search:only-meet")
-    # brute force agreement over every require/forbid split of 7 axioms
-    axes = P + (Axiom.MP, Axiom.WM)
+    axes = PRECONDITIONAL_AXIOMS + (Axiom.MP, Axiom.WM)
     profiles = {}
     for bits in range(16):
         rows = ((bits & 1, bits >> 1 & 1), (bits >> 2 & 1, bits >> 3 & 1))
-        op = ConditionalOp(c2, rows)
-        rep = check_axioms(op, axes)
+        rep = check_axioms(ConditionalOp(c2, rows), axes)
         profiles[rows] = {ax: rep[ax].holds for ax in axes}
-    agree = True
     for split in range(3 ** 7):
         req, forb, s = [], [], split
         for ax in axes:
@@ -551,14 +578,14 @@ def _demo_search(run):
             if all(prof[ax] for ax in req) and not any(prof[ax] for ax in forb)
         )
         res = find_witness(SearchSpec(c2, require=req, forbid=forb, find_all=True))
-        got = sorted(op.table for op in res.witnesses)
-        if got != want:
-            agree = False
-            break
-    run.rec(agree, anchor="search:2chain-vs-bruteforce", detail="2187-specs")
+        if sorted(op.table for op in res.witnesses) != want:
+            return False, "2187-specs"
+    return True, "2187-specs"
 
 
-def _demo_properties(run, seed):
+def _random_frame_laws(seed):
+    """(closure laws hold, induced conditionals are preconditionals) over
+    1000 random frames of 1-8 points."""
     rng = Random(seed)
     closure_ok = precond_ok = True
     for _ in range(1000):
@@ -573,89 +600,31 @@ def _demo_properties(run, seed):
                 closure_ok = False
             if A & ~B == 0 and cA & ~cB != 0:
                 closure_ok = False
-        fl = fixpoints(fr)
-        rep = check_axioms(fl.op, PRECONDITIONAL_AXIOMS)
-        if not rep.ok:
+        if not check_axioms(fixpoints(fr).op, PRECONDITIONAL_AXIOMS).ok:
             precond_ok = False
-    run.rec(closure_ok, anchor="frames:closure-laws-1000")
-    run.rec(precond_ok, anchor="frames:induced-preconditional-1000")
-
-
-def _entry_anchors(prefixes, entries):
-    return [f"{p}:{e.name}" for e in entries for p in prefixes]
-
-
-def _demo_sections(args):
-    """(name, anchors the section can emit, callable).  The anchor lists
-    let --filter skip whole sections instead of hiding their output."""
-    pe = catalog.preconditional_entries
-    return (
-        ("profiles",
-         lambda: _entry_anchors(("profile", "label", "orthomodular"),
-                                catalog.ENTRIES),
-         _demo_profiles),
-        ("pinned",
-         lambda: ["pinned:antichain-negation-import",
-                  "pinned:twin-peaks-normality",
-                  "pinned:gate-normality-witness",
-                  "pinned:tail-constant-mp-witness"]
-                 + _entry_anchors(("derived-neg",), pe()),
-         _demo_pinned_values),
-        ("heyting",
-         lambda: ["heyting:three-descriptions-3chain"],
-         _demo_heyting_triple),
-        ("frame",
-         lambda: ["frame:quad-fixpoints", "frame:quad-49-entries"],
-         _demo_frame),
-        ("representation",
-         lambda: _entry_anchors(("pair", "space", "space-conditions"), pe()),
-         _demo_representation),
-        ("selection",
-         lambda: [f"selection:{se.name}" for se in catalog.SELECTION_ENTRIES]
-                 + ["selection:density-gap-p5", "selection:roundtrip-B4",
-                    "selection:roundtrip-B8", "selection:select-all-gate"],
-         _demo_selection),
-        ("prob",
-         lambda: ["prob:boundary-arithmetic", "prob:core-and-detachment",
-                  "prob:normality-witness"],
-         lambda r: _demo_prob(r, args.seed)),
-        ("search",
-         lambda: [f"search:forbid-{ax.value}" for ax in PRECONDITIONAL_AXIOMS]
-                 + ["search:only-const-top", "search:only-meet",
-                    "search:2chain-vs-bruteforce"],
-         _demo_search),
-        ("properties",
-         lambda: ["frames:closure-laws-1000",
-                  "frames:induced-preconditional-1000"],
-         lambda r: _demo_properties(r, args.seed)),
-    )
+    return closure_ok, precond_ok
 
 
 def cmd_demo(args) -> int:
     run = Run()
-    for name, anchors, section in _demo_sections(args):
-        if args.filter:
-            candidates = list(anchors()) + [f"section:{name}"]
-            if not any(args.filter in a for a in candidates):
-                continue
-        try:
-            section(run)
-        except CondlatError as exc:
-            # a section must never abort the run; record and move on
-            run.rec(False, anchor=f"section:{name}", detail=exc)
-    shown = failures = 0
-    for ok, kv in run.records:
-        anchor = kv.get("anchor", "?")
+    for anchor, check in _demo_checks(args.seed):
         if args.filter and args.filter not in anchor:
             continue
-        shown += 1
-        failures += not ok
+        try:
+            result = check()
+        except CondlatError as exc:
+            # one failing check must never abort the run
+            result = False, exc
+        kv = {"anchor": anchor}
+        if isinstance(result, tuple):
+            result, kv["detail"] = result
+        run.rec(result, **kv)
         detail = kv.get("detail", "")
-        print(f"{'PASS' if ok else 'FAIL'} {anchor}"
+        print(f"{'PASS' if result else 'FAIL'} {anchor}"
               + (f" ({detail})" if detail != "" else ""))
-    print(f"{shown} checks, {failures} failures")
+    print(f"{len(run.records)} checks, {run.failures} failures")
     run.write(args.report)
-    return 1 if failures else 0
+    return run.exit_code()
 
 
 # -- wiring ---------------------------------------------------------------

@@ -247,8 +247,9 @@ class RelationalFrame:
         return f"RelationalFrame({self.m} points: {' '.join(self.names)})"
 
 
-def set_label(frame: RelationalFrame, mask: int) -> str:
-    members = [frame.names[i] for i in range(frame.m) if mask >> i & 1]
+def set_label(frame, mask: int) -> str:
+    """The members of a point mask by name, on any frame with `names`."""
+    members = [name for i, name in enumerate(frame.names) if mask >> i & 1]
     return "{" + ",".join(members) + "}"
 
 

@@ -355,20 +355,18 @@ def verify_axioms(
     )
 
     # pairwise, exhaustive: P2 a&b <= a->b; MP a & (a->b) <= b;
-    # P3 a->b <= a->(a&b)
+    # P3 a->b <= a->(a&b).  No name holds a violation grid, so each
+    # N x N grid is freed before the next one is built.
     AB = masks[:, None] & masks[None, :]
-    viol = AB & ~T
-    w2 = _first_violation(viol, masks, masks)
+    w2 = _first_violation(AB & ~T, masks, masks)
     checks[Axiom.P2] = ProbCheck(Axiom.P2, w2 is None, "exhaustive", N * N, w2)
 
-    viol = masks[:, None] & T & ~masks[None, :]
-    wmp = _first_violation(viol, masks, masks)
+    wmp = _first_violation(masks[:, None] & T & ~masks[None, :], masks, masks)
     checks[Axiom.MP] = ProbCheck(Axiom.MP, wmp is None, "exhaustive", N * N, wmp)
 
-    viol = T & ~np.take_along_axis(T, AB, axis=1)
-    w3 = _first_violation(viol, masks, masks)
+    w3 = _first_violation(T & ~np.take_along_axis(T, AB, axis=1), masks, masks)
     checks[Axiom.P3] = ProbCheck(Axiom.P3, w3 is None, "exhaustive", N * N, w3)
-    del viol, AB
+    del AB
 
     # ternary: exact sweeps, with the interval family as the second route
     fam = np.array(interval_sets(n), dtype=np.uint16)

@@ -90,28 +90,32 @@ def _embedding_failures(L, T, frame, hat, *, image, map_name, verb):
 
 # -- pair frame --------------------------------------------------------
 
+def _pair_space(L: FiniteLattice, pairs, brackets: str):
+    """The frame on (x, y) pairs in which (x, y) sees (x', y') iff not
+    x' <= y, and hat(a) = the point mask of the pairs with x <= a, for
+    each a in L.  brackets wraps the point names, as in "()" or "[]"."""
+    names = [f"{brackets[0]}{L.names[x]},{L.names[y]}{brackets[1]}" for x, y in pairs]
+    pred = [sum(1 << i for i, (_, y) in enumerate(pairs) if not L.leq(x, y))
+            for x, _ in pairs]
+    hat = tuple(sum(1 << i for i, (x, _) in enumerate(pairs) if L.leq(x, a))
+                for a in range(L.n))
+    return RelationalFrame(names, pred), hat
+
+
 @dataclass(frozen=True)
 class PairFrame:
     lattice: FiniteLattice
     op: ConditionalOp
     points: tuple          # (x, v) pairs, v some x -> y, sorted
     frame: RelationalFrame
+    hat: tuple             # hat[a] = point mask of the pairs with x <= a
 
 
 def build_pair_frame(lattice: FiniteLattice, op: ConditionalOp) -> PairFrame:
     require_preconditional(op)
     L, T = lattice, op.table
-    points = sorted({(x, T[x][y]) for x in range(L.n) for y in range(L.n)})
-    names = [f"({L.names[x]},{L.names[v]})" for x, v in points]
-    # (a, b) -> (c, d)  iff  not c <= b
-    pred = [0] * len(points)
-    for j, (c, _d) in enumerate(points):
-        row = 0
-        for i, (_a, b) in enumerate(points):
-            if not L.leq(c, b):
-                row |= 1 << i
-        pred[j] = row
-    return PairFrame(L, op, tuple(points), RelationalFrame(names, pred))
+    points = tuple(sorted({(x, T[x][y]) for x in range(L.n) for y in range(L.n)}))
+    return PairFrame(L, op, points, *_pair_space(L, points, "()"))
 
 
 @dataclass(frozen=True)
@@ -131,17 +135,8 @@ def verify_pair_embedding(pf: PairFrame) -> PairEmbeddingReport:
     and TooLarge when the frame has more fixpoints than a lattice may
     have elements.
     """
-    L, T, fr = pf.lattice, pf.op.table, pf.frame
+    L, T, fr, hat = pf.lattice, pf.op.table, pf.frame, pf.hat
     fl = fixpoints(fr)
-
-    hat = []
-    for a in range(L.n):
-        mask = 0
-        for i, (x, _v) in enumerate(pf.points):
-            if L.leq(x, a):
-                mask |= 1 << i
-        hat.append(mask)
-
     failures = _embedding_failures(
         L, T, fr, hat, image="image of {}", map_name="candidate map", verb="preserved"
     )
@@ -208,24 +203,8 @@ def build_fi_space(lattice: FiniteLattice, op: ConditionalOp) -> FilterIdealSpac
         raise InternalInconsistency(
             f"promised consonant pairs missing: {sorted(missing)[:4]}"
         )
-    names = [f"[{L.names[f]},{L.names[i]}]" for f, i in pairs]
     # (F, I) -> (F', I')  iff  I ∩ F' = ∅  iff  not f' <= i
-    pred = [0] * len(pairs)
-    for j, (f2, _i2) in enumerate(pairs):
-        row = 0
-        for k, (_f1, i1) in enumerate(pairs):
-            if not L.leq(f2, i1):
-                row |= 1 << k
-        pred[j] = row
-    frame = RelationalFrame(names, pred)
-    basis = []
-    for a in range(L.n):
-        mask = 0
-        for k, (f, _i) in enumerate(pairs):
-            if L.leq(f, a):
-                mask |= 1 << k
-        basis.append(mask)
-    return FilterIdealSpace(L, op, pairs, frame, tuple(basis))
+    return FilterIdealSpace(L, op, pairs, *_pair_space(L, pairs, "[]"))
 
 
 def _neighbourhoods(frame: RelationalFrame, basis) -> list:

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from condlat import catalog
+from condlat import catalog, cli
 from condlat.cli import main
+from condlat.errors import EmbeddingNotVerified
 from condlat.frames import RelationalFrame
 from condlat.search import INVENTORY
 from condlat.io import (
@@ -246,3 +247,118 @@ def test_demo_detects_catalog_mutation(monkeypatch, capsys):
     assert main(["demo", "--filter", "meet-2chain"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "meet-2chain" in out
+
+
+# the anchors of `condlat demo`, in replay order
+DEMO_ANCHORS = """
+    profile:const-top-2chain label:const-top-2chain
+    profile:const-bottom-2chain label:const-bottom-2chain
+    profile:consequent-projection-2chain label:consequent-projection-2chain
+    profile:antitone-step-3chain label:antitone-step-3chain
+    profile:collapse-step-3chain label:collapse-step-3chain
+    profile:tail-constant-4chain label:tail-constant-4chain
+    profile:meet-2chain label:meet-2chain
+    profile:identity-or-consequent-3chain label:identity-or-consequent-3chain
+    profile:residual-3chain label:residual-3chain profile:material-2chain
+    label:material-2chain profile:material-B4 label:material-B4
+    profile:material-B8 label:material-B8 profile:sasaki-M4 label:sasaki-M4
+    orthomodular:sasaki-M4 profile:sasaki-benzene label:sasaki-benzene
+    orthomodular:sasaki-benzene profile:sasaki-twin-peaks
+    label:sasaki-twin-peaks orthomodular:sasaki-twin-peaks
+    profile:gate-to-bottom-6 label:gate-to-bottom-6 profile:meet-M3
+    label:meet-M3 profile:meet-N5 label:meet-N5 profile:well-order-B4
+    label:well-order-B4 profile:well-order-B8 label:well-order-B8
+    pinned:antichain-negation-import pinned:twin-peaks-normality
+    pinned:gate-normality-witness pinned:tail-constant-mp-witness
+    derived-neg:tail-constant-4chain derived-neg:meet-2chain
+    derived-neg:residual-3chain derived-neg:material-2chain
+    derived-neg:material-B4 derived-neg:material-B8 derived-neg:sasaki-M4
+    derived-neg:sasaki-benzene derived-neg:sasaki-twin-peaks
+    derived-neg:gate-to-bottom-6 derived-neg:meet-M3 derived-neg:meet-N5
+    derived-neg:well-order-B4 derived-neg:well-order-B8
+    heyting:three-descriptions-3chain frame:quad-fixpoints
+    frame:quad-49-entries pair:tail-constant-4chain space:tail-constant-4chain
+    space-conditions:tail-constant-4chain pair:meet-2chain space:meet-2chain
+    space-conditions:meet-2chain pair:residual-3chain space:residual-3chain
+    space-conditions:residual-3chain pair:material-2chain
+    space:material-2chain space-conditions:material-2chain pair:material-B4
+    space:material-B4 space-conditions:material-B4 pair:material-B8
+    space:material-B8 space-conditions:material-B8 pair:sasaki-M4
+    space:sasaki-M4 space-conditions:sasaki-M4 pair:sasaki-benzene
+    space:sasaki-benzene space-conditions:sasaki-benzene
+    pair:sasaki-twin-peaks space:sasaki-twin-peaks
+    space-conditions:sasaki-twin-peaks pair:gate-to-bottom-6
+    space:gate-to-bottom-6 space-conditions:gate-to-bottom-6 pair:meet-M3
+    space:meet-M3 space-conditions:meet-M3 pair:meet-N5 space:meet-N5
+    space-conditions:meet-N5 pair:well-order-B4 space:well-order-B4
+    space-conditions:well-order-B4 pair:well-order-B8 space:well-order-B8
+    space-conditions:well-order-B8 selection:well-order-3
+    selection:density-gap-3 selection:select-all-3 selection:density-gap-p5
+    selection:roundtrip-B4 selection:roundtrip-B8 selection:select-all-gate
+    prob:boundary-arithmetic prob:core-and-detachment prob:normality-witness
+    search:forbid-P1 search:forbid-P2 search:forbid-P3 search:forbid-P4
+    search:forbid-P5 search:only-const-top search:only-meet
+    search:2chain-vs-bruteforce frames:closure-laws-1000
+    frames:induced-preconditional-1000
+""".split()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a check ran")
+
+
+def test_demo_anchors_are_listed_without_running_a_check(monkeypatch):
+    for name in ("check_axioms", "check_axiom", "classify", "fixpoints",
+                 "build_pair_frame", "build_fi_space", "check_frame",
+                 "induced_conditional", "confidence_space", "verify_axioms",
+                 "minimal_witness", "find_witness", "random_frame"):
+        monkeypatch.setattr(cli, name, _refuse)
+    pairs = list(cli._demo_checks(0))
+    assert [anchor for anchor, _ in pairs] == DEMO_ANCHORS
+    assert len(DEMO_ANCHORS) == len(set(DEMO_ANCHORS)) == 126
+    assert all(callable(check) for _, check in pairs)
+
+
+@pytest.mark.parametrize("pattern", ["pinned:", "prob:boundary"])
+def test_demo_filter_runs_only_the_matching_checks(monkeypatch, capsys, pattern):
+    for name in ("minimal_witness", "find_witness", "verify_axioms", "random_frame"):
+        monkeypatch.setattr(cli, name, _refuse)
+    assert main(["demo", "--filter", pattern]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    shown = [a for a in DEMO_ANCHORS if pattern in a]
+    assert [line.split()[1] for line in lines[:-1]] == shown
+    assert lines[-1] == f"{len(shown)} checks, 0 failures"
+
+
+def test_demo_filtered_report_holds_exactly_the_checks_shown(tmp_path, capsys):
+    report = tmp_path / "demo.txt"
+    assert main(["demo", "--filter", "meet-2chain", "--report", str(report)]) == 0
+    shown = capsys.readouterr().out.splitlines()[:-1]
+    records = report.read_text().splitlines()
+    assert len(shown) == len(records) == 6
+    for line, record in zip(shown, records):
+        assert record.split()[:2] == ["ok=true", "anchor=" + line.split()[1]]
+
+
+def test_demo_failure_stays_at_its_anchor(monkeypatch, tmp_path, capsys):
+    victim = catalog.entry("meet-2chain").conditional
+    verify = cli.verify_pair_embedding
+
+    def planted(pf):
+        if pf.op is victim:
+            raise EmbeddingNotVerified("planted failure")
+        return verify(pf)
+
+    monkeypatch.setattr(cli, "verify_pair_embedding", planted)
+    report = tmp_path / "demo.txt"
+    assert main(["demo", "--filter", "2chain", "--report", str(report)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(lines) - 1} checks, 1 failures"
+    at = lines.index("FAIL pair:meet-2chain (planted failure)")
+    # the entry's own space checks and every check after them still run
+    assert lines[at + 1:at + 3] == ["PASS space:meet-2chain (2-open-fixpoints)",
+                                    "PASS space-conditions:meet-2chain"]
+    assert lines[-2] == "PASS search:2chain-vs-bruteforce (2187-specs)"
+    text = report.read_text()
+    assert "section:" not in text and len(text.splitlines()) == len(lines) - 1
+    assert ("ok=false anchor=pair:meet-2chain detail=planted failure\n") in text
