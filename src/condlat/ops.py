@@ -14,7 +14,8 @@ lexicographic order over the tuple tables; larger grids evaluate the
 same definition with numpy over ascending blocks of antecedent rows
 (``grid_first_violation``, the tables read through ``Rows``), which
 stops at the same first witness, and that witness is confirmed on the
-tuple tables.
+tuple tables.  ``search`` reads the same definitions on partial tables,
+the confidence space (``probabilistic``) on the powerset of its worlds.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ class ConditionalOp:
 # X[a][b], and returns (lhs, rhs); the relation field says whether
 # lhs <= rhs or lhs = rhs is required.  The scan passes the tuple tables
 # and Python ints; the grid passes the numpy tables wrapped in ``Rows``
-# and broadcast index arrays (see ``grid_first_violation``).
+# and broadcast index arrays (see ``grid_first_violation``).  ``search``
+# reads them on partial tables, ``probabilistic`` on the powerset.
 
 @dataclass(frozen=True)
 class _AxiomDef:

@@ -12,11 +12,12 @@ while their intersection drops below it.
 
 Two evaluation routes are kept deliberately separate: a scalar route in
 exact ``Fraction`` arithmetic, and an integer numpy route that builds
-the full 2^n x 2^n table in closed form.  ``verify_axioms`` decides every
-axiom except NORM exactly on the table (P4 and P5 by reductions that
-cover all 2^3n triples), cross-checks the table against the scalar route
-on seeded cells and the ternary sweeps against the interval family; a
-disagreement is a bug, not a finding.
+the full 2^n x 2^n table in closed form.  ``verify_axioms`` reads every
+law from its definition in ``ops.AXIOM_DEFS`` on the powerset, decides
+every axiom except NORM exactly on the table (P4 and P5 by reductions
+that cover all 2^3n triples), cross-checks the table against the scalar
+route on seeded cells and the ternary sweeps against the interval
+family; a disagreement is a bug, not a finding.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from math import lcm
 import numpy as np
 
 from .errors import ConditioningOnNull, InternalInconsistency, TooLarge, WidthMismatch
-from .ops import Axiom
+from .lattice import Rows
+from .ops import AXIOM_DEFS, Axiom
 
 # full tables are dense: 2^12 x 2^12 at 2 bytes per cell is the ceiling
 TABLE_LIMIT = 12
@@ -217,13 +219,12 @@ class ProbReport:
 def _first_violation(viol: np.ndarray, *index_arrays):
     """Lexicographically first nonzero cell, decoded through the index
     arrays; appends the lowest violating world."""
-    flat = np.flatnonzero(viol.reshape(-1))
+    flat = np.flatnonzero(viol)
     if flat.size == 0:
         return None
-    i = int(flat[0])
-    coords = np.unravel_index(i, viol.shape)
+    coords = np.unravel_index(flat[0], viol.shape)
     sets = tuple(int(arr[c]) for arr, c in zip(index_arrays, coords))
-    bits = int(viol.reshape(-1)[i])
+    bits = int(viol[coords])
     return sets + ((bits & -bits).bit_length() - 1,)
 
 
@@ -236,26 +237,47 @@ def interval_sets(n: int) -> tuple:
     return tuple(out)
 
 
-# -- exact ternary sweeps -------------------------------------------------
-# Each sweep flags every antecedent A whose (B, C) block holds a
+# -- the laws, read from ops.AXIOM_DEFS ----------------------------------
+# Each sweep below flags every antecedent A whose (B, C) block holds a
 # violation, by a reduction that never visits the block, and then scans
-# the first flagged block from the definition.  The block functions take
-# a scalar A and broadcastable B, C (or three equal-length arrays).
+# the first flagged block from the axiom's definition.
 
-def _p4_block(T, A, B, C):
-    """P4: a->(b&c) <= a->b."""
-    return T[A, B & C] & ~T[A, B]
+class _Powerset:
+    """The powerset as an axiom's lattice and, through ``Rows``, its meet a & b."""
 
+    def __init__(self, N: int):
+        self.top, self.bottom = N - 1, 0
 
-def _p5_block(T, A, B, C):
-    """P5: a->((a&b)->c) <= (a&b)->c."""
-    inner = T[A & B, C]
-    return T[A, inner] & ~inner
+    def __getitem__(self, ab):
+        return ab[0] & ab[1]
 
 
-def _first_block_witness(T: np.ndarray, flagged: np.ndarray, block):
+class _Arrow:
+    """The arrow as a table for ``Rows``: X[a, b] = read(a, b), from the
+    uint16 table or the scalar ``space.arrow``.  The (A, B) grid it was
+    built with is answered with ``table`` itself, where a gather would
+    copy the whole table (8 MB at 11 worlds) for each law that reads it."""
+
+    def __init__(self, read, grid=(None, None), table=None):
+        self.read, self.grid, self.table = read, grid, table
+
+    def __getitem__(self, ab):
+        if ab[0] is self.grid[0] and ab[1] is self.grid[1]:
+            return self.table
+        return self.read(*ab)
+
+
+def _excess(ax: Axiom, N: int, T, v):
+    """lhs & ~rhs of ax at v, T read through ``Rows``: nonzero exactly
+    where lhs <= rhs fails, its lowest bit the lowest failing world."""
+    L = _Powerset(N)
+    lhs, rhs = AXIOM_DEFS[ax].eval(L, Rows(L), T, v)
+    return lhs & ~rhs
+
+
+def _first_block_witness(T: np.ndarray, flagged: np.ndarray, ax: Axiom):
     """(A, B, C, w) for the first flagged A, its (B, C) block scanned in
-    lexicographic order from the definition, or None if nothing is
+    lexicographic order from the definition of ax, or None if nothing is
     flagged."""
     hits = np.flatnonzero(flagged)
     if hits.size == 0:
@@ -266,7 +288,7 @@ def _first_block_witness(T: np.ndarray, flagged: np.ndarray, block):
     step = max(1, (1 << 20) // N)   # rows of B per slice: ~2^20 cells at a time
     for lo in range(0, N, step):
         B = cols[lo:lo + step]
-        found = _first_violation(block(T, A, B[:, None], cols), B, cols)
+        found = _first_violation(_excess(ax, N, Rows(T), (A, B[:, None], cols)), B, cols)
         if found is not None:
             return (A,) + found
     raise InternalInconsistency(f"sweep flagged antecedent {A:#x} but its block holds")
@@ -283,7 +305,7 @@ def p4_witness(T: np.ndarray):
     for i in range(N.bit_length() - 1):
         pairs = T.reshape(N, -1, 2, 1 << i)
         flagged |= (pairs[:, :, 0] & ~pairs[:, :, 1]).any(axis=(1, 2))
-    return _first_block_witness(T, flagged, _p4_block)
+    return _first_block_witness(T, flagged, Axiom.P4)
 
 
 def p5_witness(T: np.ndarray):
@@ -302,7 +324,7 @@ def p5_witness(T: np.ndarray):
         halves = reach.reshape(-1, 2, 1 << i, reach.shape[1])
         halves[:, 1] |= halves[:, 0]
     bad = np.packbits((T & ~cols) != 0, axis=1)
-    return _first_block_witness(T, (reach & bad).any(axis=1), _p5_block)
+    return _first_block_witness(T, (reach & bad).any(axis=1), Axiom.P5)
 
 
 def verify_axioms(
@@ -312,18 +334,18 @@ def verify_axioms(
     exhaustive=None,
     crosscheck: int = 512,
 ) -> ProbReport:
-    """Check P1-P5, MP and NORM over the table route.
+    """Check P1-P5, MP and NORM, each read from ``ops.AXIOM_DEFS``.
 
     P1 is exhaustive in A; P2, P3 and MP are exhaustive over all pairs.
     P4 and P5 are exact over all 2^3n triples by the sweeps
     ``p4_witness`` and ``p5_witness``, and a failing one reports the
     lexicographically first (A, B, C) with its lowest world.  The
-    interval family is scanned from the definitions as a second route:
-    a violation there that a sweep missed raises InternalInconsistency.
-    The NORM entry evaluates the pinned reference witness and only
-    searches the interval family when that instance unexpectedly passes.
-    Before any axiom runs, ``crosscheck`` cells of the table picked by
-    ``seed`` are recomputed on the scalar route; a mismatch raises
+    interval family is evaluated as a second route: a violation there
+    that a sweep missed raises InternalInconsistency.  NORM evaluates
+    the pinned reference witness on both routes and only searches the
+    interval family when that instance unexpectedly passes.  Before any
+    axiom runs, ``crosscheck`` cells of the table picked by ``seed`` are
+    recomputed on the scalar route; a mismatch raises
     InternalInconsistency.  ``samples`` and ``exhaustive`` are ignored;
     they keep the positional form ``verify_axioms(space, samples, seed,
     exhaustive)`` working.
@@ -345,38 +367,21 @@ def verify_axioms(
 
     checks = {}
     masks = np.arange(N, dtype=np.uint16)
-    full = N - 1
+    grid = (masks[:, None], masks[None, :])
+    arrow = Rows(_Arrow(lambda a, b: T[a, b], grid, T))
 
-    # P1: full -> a <= a
-    viol = T[full, :] & ~masks & full
-    checks[Axiom.P1] = ProbCheck(
-        Axiom.P1, not viol.any(), "exhaustive", N,
-        _first_violation(viol, masks) if viol.any() else None,
-    )
-
-    # pairwise, exhaustive: P2 a&b <= a->b; MP a & (a->b) <= b;
-    # P3 a->b <= a->(a&b).  No name holds a violation grid, so each
-    # N x N grid is freed before the next one is built.
-    AB = masks[:, None] & masks[None, :]
-    w2 = _first_violation(AB & ~T, masks, masks)
-    checks[Axiom.P2] = ProbCheck(Axiom.P2, w2 is None, "exhaustive", N * N, w2)
-
-    wmp = _first_violation(masks[:, None] & T & ~masks[None, :], masks, masks)
-    checks[Axiom.MP] = ProbCheck(Axiom.MP, wmp is None, "exhaustive", N * N, wmp)
-
-    w3 = _first_violation(T & ~np.take_along_axis(T, AB, axis=1), masks, masks)
-    checks[Axiom.P3] = ProbCheck(Axiom.P3, w3 is None, "exhaustive", N * N, w3)
-    del AB
+    # exhaustive over A, then over the (A, B) grid.  No name holds a
+    # violation grid, so each N x N grid is freed before the next one.
+    for ax, v in ((Axiom.P1, (masks,)), (Axiom.P2, grid), (Axiom.MP, grid), (Axiom.P3, grid)):
+        wit = _first_violation(_excess(ax, N, arrow, v), *(masks,) * len(v))
+        checks[ax] = ProbCheck(ax, wit is None, "exhaustive", N ** len(v), wit)
 
     # ternary: exact sweeps, with the interval family as the second route
     fam = np.array(interval_sets(n), dtype=np.uint16)
-    FA = np.repeat(fam, len(fam) * len(fam))
-    FB = np.tile(np.repeat(fam, len(fam)), len(fam))
-    FC = np.tile(fam, len(fam) * len(fam))
-    for ax, sweep, block in ((Axiom.P4, p4_witness, _p4_block),
-                             (Axiom.P5, p5_witness, _p5_block)):
+    fam3 = (fam[:, None, None], fam[None, :, None], fam[None, None, :])
+    for ax, sweep in ((Axiom.P4, p4_witness), (Axiom.P5, p5_witness)):
         wit = sweep(T)
-        if wit is None and block(T, FA, FB, FC).any():
+        if wit is None and _excess(ax, N, arrow, fam3).any():
             raise InternalInconsistency(f"{ax} sweep holds but the interval family fails")
         checks[ax] = ProbCheck(ax, wit is None, "exhaustive", N ** 3, wit)
 
@@ -384,24 +389,16 @@ def verify_axioms(
     # family scan only if it unexpectedly holds (a different space)
     wn = None
     if n == 11:
-        A, B, C, w = NORM_WITNESS
-        lhs = T[A, B] & T[A, C]
-        rhs = T[A, B & C]
-        if lhs & ~rhs & (1 << w):
-            sl = space.arrow(A, B) & space.arrow(A, C) & ~space.arrow(A, B & C)
-            if not sl >> w & 1:
+        *sets, w = NORM_WITNESS
+        if _excess(Axiom.NORM, N, arrow, sets) >> w & 1:
+            if not _excess(Axiom.NORM, N, Rows(_Arrow(space.arrow)), sets) >> w & 1:
                 raise InternalInconsistency("routes disagree on the pinned witness")
             wn = NORM_WITNESS
     if wn is None:
-        v = T[FA, FB] & T[FA, FC] & ~T[FA, FB & FC]
-        bad = np.flatnonzero(v)
-        if bad.size:
-            i = int(bad[0])
-            wn = (int(FA[i]), int(FB[i]), int(FC[i]),
-                  (int(v[i]) & -int(v[i])).bit_length() - 1)
+        wn = _first_violation(_excess(Axiom.NORM, N, arrow, fam3), fam, fam, fam)
     checks[Axiom.NORM] = ProbCheck(
         Axiom.NORM, wn is None, "pinned" if wn == NORM_WITNESS else "structured",
-        1 if wn == NORM_WITNESS else len(FA), wn,
+        1 if wn == NORM_WITNESS else len(fam) ** 3, wn,
     )
 
     return ProbReport(checks, crosschecked=len(picks) if crosscheck else 0)

@@ -198,10 +198,16 @@ def test_prob_arrow_rejects_indices_outside_the_space(capsys, subset):
 
 def test_prob_verify_small_sample(capsys):
     assert main(["prob", "verify"]) == 0
-    out = capsys.readouterr().out
-    assert "P5 holds (exhaustive, 8589934592 instances)" in out
-    assert "NORM fails" in out
-    assert "cross-checked" in out
+    assert capsys.readouterr().out == (
+        "P1 holds (exhaustive, 2048 instances)\n"
+        "P2 holds (exhaustive, 4194304 instances)\n"
+        "P3 holds (exhaustive, 4194304 instances)\n"
+        "P4 holds (exhaustive, 8589934592 instances)\n"
+        "P5 holds (exhaustive, 8589934592 instances)\n"
+        "MP holds (exhaustive, 4194304 instances)\n"
+        "NORM fails at ({11111111110},{1111111110},{11111111100}) world 0 (pinned)\n"
+        "table cross-checked against exact rationals on 517 cells\n"
+    )
 
 
 def test_report_file_records(tmp_path):

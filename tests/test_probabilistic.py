@@ -4,7 +4,8 @@ from math import lcm
 import numpy as np
 import pytest
 
-from condlat.errors import ConditioningOnNull, TooLarge, WidthMismatch
+from condlat import probabilistic
+from condlat.errors import ConditioningOnNull, InternalInconsistency, TooLarge, WidthMismatch
 from condlat.ops import Axiom
 from condlat.probabilistic import (
     NORM_WITNESS,
@@ -218,23 +219,40 @@ def test_closed_form_table_matches_per_world_loop():
         assert np.array_equal(table, loop_arrow_table(sp)), sp
 
 
+def first_cell(viol, *axes):
+    """The first nonzero cell of viol in C order, decoded through the
+    axes, with its lowest set bit as the world; None if all are zero."""
+    flat = np.flatnonzero(viol)
+    if flat.size == 0:
+        return None
+    idx = np.unravel_index(flat[0], viol.shape)
+    bits = int(viol[idx])
+    return tuple(int(ax[i]) for ax, i in zip(axes, idx)) + ((bits & -bits).bit_length() - 1,)
+
+
 def brute_first_witnesses(T):
-    """First (A, B, C, lowest w) of P4 and of P5 over every triple,
-    straight from the definitions on an int64 copy."""
+    """First witness of every law verify_axioms decides, straight from
+    the definitions in the README on an int64 copy: P1 over every A; P2,
+    P3 and MP over every pair; P4 and P5 over every triple; NORM over
+    the triples of the interval family."""
     T = T.astype(np.int64)
-    m = np.arange(len(T), dtype=np.int64)
-    A, B, C = m[:, None, None], m[None, :, None], m[None, None, :]
-    inner = T[A & B, C]
-    out = []
-    for viol in (T[A, B & C] & ~T[A, B], T[A, inner] & ~inner):
-        flat = np.flatnonzero(viol)
-        if flat.size == 0:
-            out.append(None)
-            continue
-        a, b, c = (int(x) for x in np.unravel_index(flat[0], viol.shape))
-        bits = int(viol[a, b, c])
-        out.append((a, b, c, (bits & -bits).bit_length() - 1))
-    return out
+    N = len(T)
+    m = np.arange(N, dtype=np.int64)
+    A, B = m[:, None], m[None, :]
+    A3, B3, C3 = m[:, None, None], m[None, :, None], m[None, None, :]
+    inner = T[A3 & B3, C3]
+    fam = np.array(interval_sets(N.bit_length() - 1), dtype=np.int64)
+    FA, FB, FC = fam[:, None, None], fam[None, :, None], fam[None, None, :]
+    return {
+        Axiom.P1: first_cell(T[N - 1, m] & ~m, m),                       # 1->a <= a
+        Axiom.P2: first_cell((A & B) & ~T[A, B], m, m),                  # a&b <= a->b
+        Axiom.P3: first_cell(T[A, B] & ~T[A, A & B], m, m),              # a->b <= a->(a&b)
+        Axiom.MP: first_cell(A & T[A, B] & ~B, m, m),                    # a&(a->b) <= b
+        Axiom.P4: first_cell(T[A3, B3 & C3] & ~T[A3, B3], m, m, m),      # a->(b&c) <= a->b
+        Axiom.P5: first_cell(T[A3, inner] & ~inner, m, m, m),            # a->((a&b)->c) <= (a&b)->c
+        Axiom.NORM: first_cell(T[FA, FB] & T[FA, FC] & ~T[FA, FB & FC],  # (a->b)&(a->c)
+                               fam, fam, fam),                            #   <= a->(b&c)
+    }
 
 
 def random_tables(seed, count):
@@ -259,7 +277,8 @@ def test_ternary_sweeps_match_brute_force():
     tables += list(random_tables(11, 40))
     seen = {"P4": set(), "P5": set()}
     for T in tables:
-        w4, w5 = brute_first_witnesses(T)
+        brute = brute_first_witnesses(T)
+        w4, w5 = brute[Axiom.P4], brute[Axiom.P5]
         assert p4_witness(T) == w4
         assert p5_witness(T) == w5
         seen["P4"].add(w4 is None)
@@ -268,12 +287,63 @@ def test_ternary_sweeps_match_brute_force():
     assert seen == {"P4": {True, False}, "P5": {True, False}}
 
 
-def test_verify_axioms_ternary_witnesses_match_brute_force():
-    for sp in seeded_spaces(9, 40, 5):
-        rep = verify_axioms(sp, crosscheck=16)
-        w4, w5 = brute_first_witnesses(arrow_table(sp))
-        assert (rep[Axiom.P4].holds, rep[Axiom.P4].witness) == (w4 is None, w4)
-        assert (rep[Axiom.P5].holds, rep[Axiom.P5].witness) == (w5 is None, w5)
+def test_verify_axioms_ternary_witnesses_match_brute_force(monkeypatch):
+    """Every law's verdict and witness, on seeded spaces and, through the
+    table route alone, on random tables, where P3 and P4 fail too."""
+    reports = [(verify_axioms(sp, crosscheck=16), arrow_table(sp))
+               for sp in seeded_spaces(9, 40, 6)]
+    for T in random_tables(11, 40):
+        n = len(T).bit_length() - 1
+        monkeypatch.setattr(probabilistic, "arrow_table", lambda sp, T=T: T)
+        sp = confidence_space(n, F(1, 2) if n > 1 else 1, F(1, 2))
+        reports.append((verify_axioms(sp, crosscheck=0), T))
+    seen = {}
+    for rep, T in reports:
+        N = len(T)
+        fam = len(interval_sets(N.bit_length() - 1))
+        sizes = {Axiom.P1: N, Axiom.P2: N * N, Axiom.P3: N * N, Axiom.MP: N * N,
+                 Axiom.P4: N ** 3, Axiom.P5: N ** 3, Axiom.NORM: fam ** 3}
+        for ax, w in brute_first_witnesses(T).items():
+            c = rep[ax]
+            assert (c.holds, c.witness, c.instances) == (w is None, w, sizes[ax]), (ax, T)
+            assert c.mode == ("structured" if ax is Axiom.NORM else "exhaustive")
+            seen.setdefault(ax, set()).add(c.holds)
+    # every law both holds and fails somewhere, so every failing path runs
+    assert seen == {ax: {True, False} for ax in sizes}
+
+
+def test_sweep_missing_a_family_violation_raises(monkeypatch):
+    failing = [sp for sp in seeded_spaces(9, 40, 6)
+               if brute_first_witnesses(arrow_table(sp))[Axiom.P5] is not None]
+    assert failing
+    monkeypatch.setattr(probabilistic, "p5_witness", lambda T: None)
+    for sp in failing:
+        with pytest.raises(InternalInconsistency, match="sweep holds but the interval family"):
+            verify_axioms(sp, crosscheck=0)
+
+
+def test_flipped_table_bit_trips_the_crosscheck(monkeypatch):
+    sp = confidence_space(world_count=4, self_mass=F(3, 4), threshold=F(3, 4))
+    table = arrow_table(sp)
+    for a, b in ((0, 0), (0, 15), (15, 0), (15, 15)):
+        for w in range(4):
+            T = table.copy()
+            T[a, b] ^= 1 << w
+            monkeypatch.setattr(probabilistic, "arrow_table", lambda sp, T=T: T)
+            with pytest.raises(InternalInconsistency, match="table and scalar routes disagree"):
+                verify_axioms(sp, crosscheck=1)
+
+
+def test_scalar_route_clearing_the_pinned_norm_cell_raises(space, monkeypatch):
+    A, B, C, w = NORM_WITNESS
+    arrow = ConfidenceSpace.arrow
+
+    def patched(self, a, b):
+        return arrow(self, a, b) | (1 << w if (a, b) == (A, B & C) else 0)
+
+    monkeypatch.setattr(ConfidenceSpace, "arrow", patched)
+    with pytest.raises(InternalInconsistency, match="routes disagree on the pinned witness"):
+        verify_axioms(space, crosscheck=0)
 
 
 def test_positional_call_forms_give_the_same_report():
