@@ -10,19 +10,22 @@ not normality; the stock failure conditions on everything except world
 0, where either ten-minus-one consequent sits exactly at the threshold
 while their intersection drops below it.
 
-Two evaluation routes are kept deliberately separate: a scalar route in
-exact ``Fraction`` arithmetic, and an integer numpy route that builds
-the full 2^n x 2^n table in closed form.  ``verify_axioms`` reads every
-law from its definition in ``ops.AXIOM_DEFS`` on the powerset, decides
-every axiom except NORM exactly on the table (P4 and P5 by reductions
-that cover all 2^3n triples), cross-checks the table against the scalar
-route on seeded cells and the ternary sweeps against the interval
-family; a disagreement is a bug, not a finding.
+Two evaluation routes are kept deliberately separate: a scalar route,
+world by world, in exact integer weights over a common denominator
+(``Fraction`` only at the ``measure`` and ``cond_prob`` API), and an
+integer numpy route that builds the full 2^n x 2^n table in closed form
+from threshold cut points.  ``verify_axioms`` reads every law from its
+definition in ``ops.AXIOM_DEFS`` on the powerset, decides every axiom
+except NORM exactly on the table (P4 and P5 by reductions that cover
+all 2^3n triples), cross-checks the table against the scalar route on
+seeded cells and the ternary sweeps against the interval family; a
+disagreement is a bug, not a finding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -81,13 +84,23 @@ class ConfidenceSpace:
         if S & ~self.full:
             raise WidthMismatch(f"subset {S:#x} exceeds {self.world_count} worlds")
 
+    @cached_property
+    def _scale(self) -> tuple:
+        """(D, s, o): D the least common denominator of the two masses,
+        s = D*self_mass and o = D*other_mass, all integers."""
+        D = lcm(self.self_mass.denominator, self.other_mass.denominator)
+        return D, int(self.self_mass * D), int(self.other_mass * D)
+
+    def _weight(self, w: int, S: int) -> int:
+        """D*mu_w(S), an integer: s + (|S|-1)*o for w in S, else |S|*o."""
+        _, s, o = self._scale
+        k = S.bit_count()
+        return s + (k - 1) * o if S >> w & 1 else k * o
+
     def measure(self, w: int, S: int) -> Fraction:
         """mu_w(S), exactly."""
         self._guard(S)
-        k = S.bit_count()
-        if S >> w & 1:
-            return self.self_mass + (k - 1) * self.other_mass
-        return k * self.other_mass
+        return Fraction(self._weight(w, S), self._scale[0])
 
     def cond_prob(self, w: int, B: int, A: int) -> Fraction:
         """mu_w(B | A); conditioning on a null set is an error here,
@@ -98,15 +111,18 @@ class ConfidenceSpace:
         return self.measure(w, A & B) / base
 
     def arrow(self, A: int, B: int) -> int:
-        """Worlds where the confidence in B given A clears the threshold."""
+        """Worlds where the confidence in B given A clears the threshold:
+        td * D*mu_w(A&B) >= tn * D*mu_w(A) with tn/td the threshold, one
+        world at a time on integer weights."""
         self._guard(A), self._guard(B)
+        tn, td = self.threshold.numerator, self.threshold.denominator
         out = 0
         for w in range(self.world_count):
-            base = self.measure(w, A)
+            base = self._weight(w, A)
             if base == 0:
                 hit = self.empty_antecedent_total
             else:
-                hit = self.measure(w, A & B) >= self.threshold * base
+                hit = td * self._weight(w, A & B) >= tn * base
             out |= hit << w
         return out
 
@@ -147,7 +163,7 @@ def _cuts(n: int, test) -> np.ndarray:
 
 def arrow_table(space: ConfidenceSpace) -> np.ndarray:
     """Dense (2^n, 2^n) uint16 table of arrow masks, pure integer
-    arithmetic.  With D a common denominator, D*mu_w(S) is
+    arithmetic.  With the space's integer scale (D, s, o), D*mu_w(S) is
     s + (|S|-1)*o for w in S and |S|*o otherwise, so the threshold test
     td * (D*mu_w(A&B)) >= tn * (D*mu_w(A)) at w depends only on
     a = |A|, k = |A&B| and whether w lies in A&B, in A-B or outside A.
@@ -156,9 +172,7 @@ def arrow_table(space: ConfidenceSpace) -> np.ndarray:
     n = space.world_count
     if n > TABLE_LIMIT:
         raise TooLarge(f"{n} worlds: table would have 2^{2 * n} cells")
-    D = lcm(space.self_mass.denominator, space.other_mass.denominator)
-    o = int(space.other_mass * D)
-    s = int(space.self_mass * D)
+    _, s, o = space._scale
     tn, td = space.threshold.numerator, space.threshold.denominator
 
     def clears(num, den):
@@ -345,10 +359,11 @@ def verify_axioms(
     the pinned reference witness on both routes and only searches the
     interval family when that instance unexpectedly passes.  Before any
     axiom runs, ``crosscheck`` cells of the table picked by ``seed`` are
-    recomputed on the scalar route; a mismatch raises
-    InternalInconsistency.  ``samples`` and ``exhaustive`` are ignored;
-    they keep the positional form ``verify_axioms(space, samples, seed,
-    exhaustive)`` working.
+    recomputed on the scalar route ``space.arrow``, which compares
+    integer weights world by world and never reads the table's cut
+    points; a mismatch raises InternalInconsistency.  ``samples`` and
+    ``exhaustive`` are ignored; they keep the positional form
+    ``verify_axioms(space, samples, seed, exhaustive)`` working.
     """
     n = space.world_count
     N = 1 << n

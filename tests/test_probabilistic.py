@@ -60,6 +60,12 @@ def test_measure_values_are_exact(space):
         space.measure(0, 1 << 11)
 
 
+def test_arrow_rejects_subsets_outside_the_space(space):
+    for A, B in ((1 << 11, 0), (0, 1 << 11)):
+        with pytest.raises(WidthMismatch):
+            space.arrow(A, B)
+
+
 def test_cond_prob_boundary_cases(space):
     A, B, C, w = NORM_WITNESS
     assert space.cond_prob(w, B, A) == F(9, 10)
@@ -207,6 +213,40 @@ def seeded_spaces(seed, count, max_worlds):
         self_mass = F(int(rng.integers(1, 21)), 20) if k > 1 else F(1)
         yield confidence_space(k, self_mass, F(int(rng.integers(1, 21)), 20),
                                bool(rng.integers(0, 2)))
+
+
+def fraction_arrow(space, A, B):
+    """The arrow straight from the definition, in Fraction arithmetic:
+    mu_w({w}) = self_mass, mu_w({v}) = other_mass for v != w, and w is
+    in the result when mu_w(B|A) >= threshold; a null antecedent goes by
+    empty_antecedent_total."""
+    def mu(w, S):
+        return sum((space.self_mass if v == w else space.other_mass)
+                   for v in range(space.world_count) if S >> v & 1)
+
+    out = 0
+    for w in range(space.world_count):
+        base = mu(w, A)
+        hit = (space.empty_antecedent_total if base == 0
+               else mu(w, A & B) / base >= space.threshold)
+        out |= hit << w
+    return out
+
+
+def test_scalar_and_table_routes_match_the_fraction_definition():
+    spaces = list(seeded_spaces(17, 12, 6))
+    spaces += [confidence_space(k, 1 if k == 1 else F(3, 4), F(3, 4), total)
+               for k in range(1, 7) for total in (True, False)]
+    # self mass 1: every world outside A has a null antecedent
+    spaces += [ConfidenceSpace(4, F(1), F(0), t, total)
+               for t in (F(1, 2), F(1)) for total in (True, False)]
+    for sp in spaces:
+        N = 1 << sp.world_count
+        T = arrow_table(sp)
+        for A in range(N):
+            for B in range(N):
+                want = fraction_arrow(sp, A, B)
+                assert sp.arrow(A, B) == want == int(T[A, B]), (sp, A, B)
 
 
 def test_closed_form_table_matches_per_world_loop():
