@@ -15,7 +15,10 @@ same definition with numpy over ascending blocks of antecedent rows
 (``grid_first_violation``, the tables read through ``Rows``), which
 stops at the same first witness, and that witness is confirmed on the
 tuple tables.  ``search`` reads the same definitions on partial tables,
-the confidence space (``probabilistic``) on the powerset of its worlds.
+the confidence space (``probabilistic``) on the powerset of its worlds,
+and the negation section on the table ¬a ∨ (a ∧ b): the semicomplement
+and involution laws of an orthocomplementation are SEMI and INV there,
+and the detachment form of orthomodularity is MP.
 """
 
 from __future__ import annotations
@@ -349,6 +352,17 @@ def check_flattening(op: ConditionalOp) -> FlatteningReport:
 
 
 # -- unary tables: precomplementations and orthocomplementations -------
+#
+# ``_neg_or_meet`` builds the table ¬a ∨ (a ∧ b), whose derived negation is
+# ¬ itself, so SEMI (a ∧ ¬a = 0), INV (¬¬a = a) and MP (the detachment form
+# of orthomodularity) are read from ``AXIOM_DEFS`` on it.  PC-ANTI, excluded
+# middle, De Morgan and the orthomodular law have no binary axiom.
+
+def _neg_or_meet(neg: UnaryOp) -> tuple:
+    """The rows of the table ¬a ∨ (a ∧ b) for any unary table ¬, ungated."""
+    L, t, J = neg.lattice, neg.table, neg.lattice.join_table
+    return tuple(tuple(J[t[a]][m] for m in L.meet_table[a]) for a in range(L.n))
+
 
 def precomplementation_report(neg: UnaryOp) -> AxiomReport:
     L, t = neg.lattice, neg.table
@@ -383,11 +397,7 @@ def require_precomplementation(neg: UnaryOp):
 def from_precomplementation(neg: UnaryOp) -> ConditionalOp:
     """The table a -> b = ¬a ∨ (a ∧ b) for a precomplementation ¬."""
     require_precomplementation(neg)
-    L, t = neg.lattice, neg.table
-    rows = tuple(
-        tuple(L.join(t[a], L.meet(a, b)) for b in range(L.n)) for a in range(L.n)
-    )
-    return ConditionalOp(L, rows)
+    return ConditionalOp(neg.lattice, _neg_or_meet(neg))
 
 
 @dataclass(frozen=True)
@@ -412,10 +422,9 @@ class OrthocomplementReport:
 def orthocomplement_report(neg: UnaryOp) -> OrthocomplementReport:
     L, t = neg.lattice, neg.table
     anti = precomplementation_report(neg)[Axiom.PC_ANTI]
-    semi_w = next(
-        ((a,) for a in range(L.n) if L.meet(a, t[a]) != L.bottom), None)
-    inv_w = next(((a,) for a in range(L.n) if t[t[a]] != a), None)
-    em_w = next(((a,) for a in range(L.n) if L.join(a, t[a]) != L.top), None)
+    op = ConditionalOp(L, _neg_or_meet(neg))
+    semi, inv = check_axiom(op, Axiom.SEMI), check_axiom(op, Axiom.INV)
+    em_w = first_violation(L.n, 1, lambda v: L.join(v[0], t[v[0]]) != L.top)
 
     def meet_law_fails(a, b):
         return t[L.meet(a, b)] != L.join(t[a], t[b])
@@ -428,7 +437,7 @@ def orthocomplement_report(neg: UnaryOp) -> OrthocomplementReport:
     if dm_w is not None:
         dm_w += ("meet" if meet_law_fails(*dm_w) else "join",)
     return OrthocomplementReport(
-        anti, (semi_w is None, semi_w), (inv_w is None, inv_w),
+        anti, (semi.holds, semi.witness), (inv.holds, inv.witness),
         (em_w is None, em_w), (dm_w is None, dm_w),
     )
 
@@ -436,13 +445,11 @@ def orthocomplement_report(neg: UnaryOp) -> OrthocomplementReport:
 def require_orthocomplement(neg: UnaryOp) -> OrthocomplementReport:
     report = orthocomplement_report(neg)
     if not report.defining_ok:
-        detail = []
-        if not report.antitone.holds:
-            detail.append(f"not antitone at {report.antitone.witness}")
-        if not report.semicomplement[0]:
-            detail.append(f"a ∧ ¬a != 0 at {report.semicomplement[1]}")
-        if not report.involution[0]:
-            detail.append(f"¬¬a != a at {report.involution[1]}")
+        names = neg.lattice.names
+        laws = (("not antitone", (report.antitone.holds, report.antitone.witness)),
+                ("a ∧ ¬a != 0", report.semicomplement), ("¬¬a != a", report.involution))
+        detail = [f"{law} at ({','.join(names[x] for x in w)})"
+                  for law, (holds, w) in laws if not holds]
         raise NotAnOrthocomplementation("; ".join(detail))
     if not report.ok:
         # derivable from the defining three, so this cannot fire on a
@@ -456,24 +463,22 @@ def require_orthocomplement(neg: UnaryOp) -> OrthocomplementReport:
 def sasaki_hook(neg: UnaryOp) -> ConditionalOp:
     """a -> b = ¬a ∨ (a ∧ b), requiring ¬ to be an orthocomplementation.
 
-    Computed in both of its equivalent shapes, ¬a ∨ (a ∧ b) and
-    ¬(a ∧ ¬(a ∧ b)), which must agree on an ortholattice.
+    Cross-checked against its equivalent shape ¬(a ∧ ¬(a ∧ b)), which
+    must agree on an ortholattice.
     """
     require_orthocomplement(neg)
-    L, t = neg.lattice, neg.table
-    rows = []
-    for a in range(L.n):
-        row = []
-        for b in range(L.n):
-            v1 = L.join(t[a], L.meet(a, b))
-            v2 = t[L.meet(a, t[L.meet(a, b)])]
-            if v1 != v2:
-                raise InternalInconsistency(
-                    f"Sasaki forms disagree at ({L.names[a]},{L.names[b]})"
-                )
-            row.append(v1)
-        rows.append(tuple(row))
-    return ConditionalOp(L, tuple(rows))
+    L, t, T = neg.lattice, neg.table, _neg_or_meet(neg)
+
+    def disagrees(v):
+        a, b = v
+        return T[a][b] != t[L.meet(a, t[L.meet(a, b)])]
+
+    w = first_violation(L.n, 2, disagrees)
+    if w is not None:
+        raise InternalInconsistency(
+            f"Sasaki forms disagree at ({L.names[w[0]]},{L.names[w[1]]})"
+        )
+    return ConditionalOp(L, T)
 
 
 @dataclass(frozen=True)
@@ -486,7 +491,7 @@ def is_orthomodular(neg: UnaryOp) -> Orthomodularity:
     """Orthomodular law, cross-checked against the Sasaki detachment form.
 
     Route 1: a <= b implies b = a ∨ (¬a ∧ b).
-    Route 2: a ∧ (¬a ∨ (a ∧ b)) <= b for all a, b.
+    Route 2: MP on the Sasaki hook, a ∧ (¬a ∨ (a ∧ b)) <= b for all a, b.
     The two must agree on any ortholattice.
     """
     require_orthocomplement(neg)
@@ -496,17 +501,13 @@ def is_orthomodular(neg: UnaryOp) -> Orthomodularity:
         a, b = v
         return L.leq(a, b) and L.join(a, L.meet(t[a], b)) != b
 
-    def detachment(v):
-        a, b = v
-        return not L.leq(L.meet(a, L.join(t[a], L.meet(a, b))), b)
-
-    w1 = first_violation(L.n, 2, law)
-    w2 = first_violation(L.n, 2, detachment)
-    if (w1 is None) != (w2 is None):
+    w = first_violation(L.n, 2, law)
+    mp = check_axiom(ConditionalOp(L, _neg_or_meet(neg)), Axiom.MP)
+    if (w is None) != mp.holds:
         raise InternalInconsistency(
-            f"orthomodularity routes disagree: law witness {w1}, detachment witness {w2}"
+            f"orthomodularity routes disagree: law witness {w}, detachment witness {mp.witness}"
         )
-    return Orthomodularity(w1 is None, w1)
+    return Orthomodularity(w is None, w)
 
 
 # -- residuation and the Heyting construction --------------------------
@@ -615,15 +616,9 @@ def classify(op: ConditionalOp) -> Classification:
 
     if label in _SASAKI_LABELS:
         L, T = op.lattice, op.table
-        t = op.derive_negation().table
-
-        def violates(v):
-            a, b = v
-            return T[a][b] != L.join(t[a], L.meet(a, b))
-
-        w = first_violation(L.n, 2, violates)
-        if w is not None:
-            a, b = w
+        S = _neg_or_meet(op.derive_negation())
+        if T != S:
+            a, b = first_violation(L.n, 2, lambda v: T[v[0]][v[1]] != S[v[0]][v[1]])
             raise InternalInconsistency(
                 f"label {label} but table is not ¬a ∨ (a ∧ b) at "
                 f"({L.names[a]},{L.names[b]})"

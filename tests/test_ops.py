@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import product
 from random import Random
@@ -6,6 +7,7 @@ import pytest
 
 from condlat import catalog, ops
 from condlat.errors import (
+    InternalInconsistency,
     NotAPrecomplementation,
     NotAnOrthocomplementation,
     NotAPreconditional,
@@ -301,20 +303,10 @@ def test_orthocomplement_report_on_m4():
 
 def test_orthocomplement_rejects_boolean_complement_shuffle():
     B = boolean_algebra(("p", "q"))
-    # swap the images of the two atoms: stays antitone-shaped but not involutive
+    # each atom sent to itself: antitone and involutive, but p ∧ ¬p = p
     bad = UnaryOp(B, (3, 1, 2, 0))
-    with pytest.raises(NotAnOrthocomplementation):
+    with pytest.raises(NotAnOrthocomplementation, match=r"^a ∧ ¬a != 0 at \(p\)$"):
         require_orthocomplement(bad)
-
-
-def test_sasaki_table_formula():
-    e = catalog.entry("sasaki-M4")
-    op = sasaki_hook(e.unary)
-    assert op.table == e.conditional.table
-    L, t = e.lattice, e.unary.table
-    for a in range(L.n):
-        for b in range(L.n):
-            assert op.table[a][b] == L.join(t[a], L.meet(a, b))
 
 
 def test_orthomodularity_split():
@@ -348,6 +340,26 @@ def _orthocomplemented_lattices():
 
 
 ORTHOCOMPLEMENTS = _orthocomplemented_lattices()
+SASAKI_CASES = {**ORTHOCOMPLEMENTS, **{
+    e.name: e.unary for e in catalog.ENTRIES if e.name.startswith("sasaki-")}}
+
+
+def _neg_or_meet_brute(neg):
+    L, t = neg.lattice, neg.table
+    return tuple(tuple(L.join(t[a], L.meet(a, b)) for b in range(L.n)) for a in range(L.n))
+
+
+def test_sasaki_table_formula():
+    assert len(SASAKI_CASES) == 6
+    for name, neg in SASAKI_CASES.items():
+        op = sasaki_hook(neg)
+        assert op.table == _neg_or_meet_brute(neg), name
+        if name.startswith("sasaki-"):
+            assert op.table == catalog.entry(name).conditional.table, name
+
+
+def _first_element(n, fails):
+    return next(((a,) for a in range(n) if fails(a)), None)
 
 
 def _first_pair(n, fails):
@@ -377,6 +389,19 @@ def test_unary_law_witnesses_match_the_scan(name):
     L, t = neg.lattice, neg.table
     anti = _first_pair(L.n, lambda a, b: L.leq(a, b) and not L.leq(t[b], t[a]))
     assert precomplementation_report(neg)[Axiom.PC_ANTI].witness == anti
+    if anti is None and t[L.top] == L.bottom:
+        assert from_precomplementation(neg).table == _neg_or_meet_brute(neg)
+    else:
+        with pytest.raises(NotAPrecomplementation):
+            from_precomplementation(neg)
+
+    rep = orthocomplement_report(neg)
+    semi = _first_element(L.n, lambda a: L.meet(a, t[a]) != L.bottom)
+    inv = _first_element(L.n, lambda a: t[t[a]] != a)
+    em = _first_element(L.n, lambda a: L.join(a, t[a]) != L.top)
+    assert rep.semicomplement == (semi is None, semi)
+    assert rep.involution == (inv is None, inv)
+    assert rep.excluded_middle == (em is None, em)
 
     def meet_dm(a, b):
         return t[L.meet(a, b)] != L.join(t[a], t[b])
@@ -385,10 +410,13 @@ def test_unary_law_witnesses_match_the_scan(name):
                      or t[L.join(a, b)] != L.meet(t[a], t[b]))
     if dm is not None:
         dm += ("meet" if meet_dm(*dm) else "join",)
-    assert orthocomplement_report(neg).de_morgan == (dm is None, dm)
+    assert rep.de_morgan == (dm is None, dm)
     if name in ORTHOCOMPLEMENTS:
         law = _first_pair(L.n, lambda a, b: L.leq(a, b)
                           and L.join(a, L.meet(t[a], b)) != b)
+        detachment = _first_pair(
+            L.n, lambda a, b: not L.leq(L.meet(a, L.join(t[a], L.meet(a, b))), b))
+        assert (detachment is None) == (law is None)
         om = is_orthomodular(neg)
         assert (om.holds, om.witness) == (law is None, law)
 
@@ -401,6 +429,50 @@ def test_orthomodularity_verdicts_on_ortholattices():
         # classify cross-checks a Sasaki label against ¬a ∨ (a ∧ b)
         label = classify(sasaki_hook(u)).label
         assert label in (ClassLabel.SASAKI_OL, ClassLabel.SASAKI_OML)
+
+
+def _bend_neg_or_meet(monkeypatch):
+    """Make ops build ¬a ∨ (a ∧ b) with 1 -> a = 1 (on sasaki-M4, 1 -> a = a).
+    The column of 0, which SEMI and INV read, is kept, so sasaki-M4 still
+    passes require_orthocomplement."""
+    real = ops._neg_or_meet
+
+    def bent(neg):
+        L = neg.lattice
+        rows = [list(row) for row in real(neg)]
+        rows[L.top][L.index("a")] = L.top
+        return rows
+
+    monkeypatch.setattr(ops, "_neg_or_meet", bent)
+    return catalog.entry("sasaki-M4")
+
+
+def test_sasaki_forms_disagreeing_raise(monkeypatch):
+    e = _bend_neg_or_meet(monkeypatch)
+    with pytest.raises(InternalInconsistency, match=r"Sasaki forms disagree at \(1,a\)"):
+        sasaki_hook(e.unary)
+
+
+def test_orthomodularity_routes_disagreeing_raise(monkeypatch):
+    # the bent cell breaks MP, 1 ∧ (1 -> a) = 1 > a, where the law holds
+    e = _bend_neg_or_meet(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="orthomodularity routes disagree"):
+        is_orthomodular(e.unary)
+
+
+def test_sasaki_label_off_the_formula_raises(monkeypatch):
+    e = _bend_neg_or_meet(monkeypatch)
+    with pytest.raises(InternalInconsistency,
+                       match=r"label SasakiOML but table is not ¬a ∨ \(a ∧ b\) at \(1,a\)"):
+        classify(e.conditional)
+
+
+def test_orthocomplement_failing_a_derived_law_raises(monkeypatch):
+    real = ops.orthocomplement_report
+    monkeypatch.setattr(ops, "orthocomplement_report", lambda neg: dataclasses.replace(
+        real(neg), excluded_middle=(False, (neg.lattice.bottom,))))
+    with pytest.raises(InternalInconsistency, match="failed a derived one"):
+        require_orthocomplement(catalog.entry("sasaki-M4").unary)
 
 
 # -- residuation --------------------------------------------------------
