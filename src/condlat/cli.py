@@ -629,8 +629,9 @@ def cmd_demo(args) -> int:
 
 # -- wiring ---------------------------------------------------------------
 
-def _common(sub):
-    sub.add_argument("--dot", metavar="FILE", help="write a DOT rendering")
+def _common(sub, dot=False):
+    if dot:
+        sub.add_argument("--dot", metavar="FILE", help="write a DOT rendering")
     sub.add_argument("--report", metavar="FILE",
                      help="write key=value records, one check per line")
     return sub
@@ -645,20 +646,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = p.add_subparsers(dest="command", required=True)
 
-    s = _common(subs.add_parser("check", help="axiom checks on a lattice file"))
+    s = _common(subs.add_parser("check", help="axiom checks on a lattice file"), dot=True)
     s.add_argument("file")
     s.add_argument("--axioms", help="comma list, default all")
     s.set_defaults(func=cmd_check)
 
-    s = _common(subs.add_parser("classify", help="most specific class label"))
+    s = _common(subs.add_parser("classify", help="most specific class label"), dot=True)
     s.add_argument("file")
     s.set_defaults(func=cmd_classify)
 
-    s = _common(subs.add_parser("frame", help="fixpoints of a frame file"))
+    s = _common(subs.add_parser("frame", help="fixpoints of a frame file"), dot=True)
     s.add_argument("file")
     s.set_defaults(func=cmd_frame)
 
-    s = _common(subs.add_parser("represent", help="run both representations"))
+    s = _common(subs.add_parser("represent", help="run both representations"), dot=True)
     s.add_argument("file")
     s.set_defaults(func=cmd_represent)
 

@@ -19,18 +19,22 @@ family with Ganter's NextClosure: in ascending integer order, with at
 most m closure calls per set (after one per point), and never more sets
 than asked for.
 
-The grids of n^2 conditionals (the fixpoint table and the literal meet
-and join checks here, the embedding and structure checks in
-``representation``) run through one kernel, ``RelationalFrame.arrows``:
-the conditional elementwise over arrays of masks held as uint64 words,
-W = ceil(m / 64) words a mask, in bitwise passes of 8 points each.
-``arrow_grid`` confirms every kernel grid with the scalar ``arrow`` at
-one fixed cell per row and raises InternalInconsistency on a mismatch.
-Grids of fewer than GRID_MIN_INSTANCES cells are computed cell by cell
-with ``arrow``, which costs less than the numpy calls there: the
-conditional tables of a family of sets by ``arrow_table``, the literal
-checks by ``first_violation``.  A failure is reported at its first cell
-in row-major order either way.
+The grids of n^2 conditionals (the algebra of a family of sets here,
+the embedding checks in ``representation``) run through one kernel,
+``RelationalFrame.arrows``: the conditional elementwise over arrays of
+masks held as uint64 words, W = ceil(m / 64) words a mask, in bitwise
+passes of 8 points each.  ``arrow_grid`` confirms every kernel grid with
+the scalar ``arrow`` at one fixed cell per row and raises
+InternalInconsistency on a mismatch.
+
+``set_algebra`` is the algebra of any family of frame sets: the family
+ordered by inclusion, its conditional table, and the first cell where
+meet is not intersection, join is not the closure of the union or the
+conditional leaves the family.  ``fixpoints`` reads it for the closure
+fixpoints, ``representation.check_space_conditions`` for the compact
+opens.  Grids of fewer than GRID_MIN_INSTANCES cells are computed cell by
+cell with ``arrow``, which costs less than the numpy calls there; a
+failure is reported at its first cell in row-major order either way.
 """
 
 from __future__ import annotations
@@ -222,19 +226,6 @@ class RelationalFrame:
     def closure_grid(self, A):
         return self.arrow_grid(self._word_rows[2], A)
 
-    def arrow_table(self, sets):
-        """The n x n table of sets[i] -> sets[j] over the ascending masks
-        sets, each cell the index of the result in sets or -1 where it is
-        not there: on arrow_grid from GRID_MIN_INSTANCES cells on, cell by
-        cell with arrow below."""
-        n = len(sets)
-        if n * n < GRID_MIN_INSTANCES:
-            index = {s: i for i, s in enumerate(sets)}
-            return [[index.get(self.arrow(s, t), -1) for t in sets] for s in sets]
-        S = self.to_words(sets)
-        idx, found = positions(S, self.arrow_grid(S[:, None], S[None, :]))
-        return np.where(found, idx, -1).tolist()
-
     def edges(self):
         return [
             (u, v)
@@ -292,6 +283,55 @@ def closed_sets(m: int, close, limit: int | None) -> list:
     return out
 
 
+def set_algebra(frame: RelationalFrame, sets):
+    """The algebra of a family of frame sets: (lattice, table, failure).
+
+    The lattice is sets (ascending masks) ordered by inclusion, each
+    named by set_label; table[i][j] is the index of sets[i] -> sets[j] in
+    sets, or -1 where it is not there; failure is (law, i, j) at the
+    first cell in row-major order where meet is not intersection ("meet"),
+    join is not the closure of the union ("join") or the conditional
+    leaves the family ("conditional"), tried in that order, or None.
+    Grids of GRID_MIN_INSTANCES cells or more run on the kernel, the
+    table confirmed at one cell per row and a failure at its cell by the
+    scalar law; smaller ones cell by cell with the scalar arrow.
+    """
+    n = len(sets)
+    index = {s: i for i, s in enumerate(sets)}
+    lat = FiniteLattice([set_label(frame, s) for s in sets],
+                        [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets])
+    M, J = lat.meet_table, lat.join_table
+    scalar = n * n < GRID_MIN_INSTANCES
+    if scalar:
+        table = [[index.get(frame.arrow(s, t), -1) for t in sets] for s in sets]
+    else:
+        S = frame.to_words(sets)
+        idx, found = positions(S, frame.arrow_grid(S[:, None], S[None, :]))
+        T = np.where(found, idx, -1)
+        table = T.tolist()
+
+    def law(v):
+        i, j = v
+        s, t = sets[i], sets[j]
+        if sets[M[i][j]] != s & t:
+            return "meet"
+        if sets[J[i][j]] != frame.closure(s | t):
+            return "join"
+        # the scalar table is the scalar route; a kernel cell is recomputed
+        if (table[i][j] if scalar else index.get(frame.arrow(s, t), -1)) < 0:
+            return "conditional"
+        return None
+
+    def block(a, b):
+        Sa, Sb = S[a], S[b]
+        return ((S[lat.meet_array[a, b]] != Sa & Sb).any(-1)
+                | (S[lat.join_array[a, b]] != frame.closure_grid(Sa | Sb)).any(-1)
+                | (T[a, b] < 0))
+
+    bad = first_violation(n, 2, law, block)
+    return lat, table, bad and (law(bad), *bad)
+
+
 def fixpoints(frame: RelationalFrame) -> FixpointLattice:
     """All closure fixpoints of the frame, with their lattice and conditional.
 
@@ -303,50 +343,16 @@ def fixpoints(frame: RelationalFrame) -> FixpointLattice:
         raise TooLarge(
             f"the {frame.m}-point frame has more than {MAX_ELEMENTS} fixpoints"
         )
-    n = len(sets)
-    index = {s: i for i, s in enumerate(sets)}
-    names = [set_label(frame, s) for s in sets]
-    rows = []
-    for s in sets:
-        row = 0
-        for t, j in index.items():
-            if s & ~t == 0:
-                row |= 1 << j
-        rows.append(row)
-    lat = FiniteLattice(names, rows)
-    M, J = lat.meet_table, lat.join_table
-
-    # the lattice operations must be literal: meet is intersection, join
-    # is the closure of the union
-    def unlike(v):
-        i, j = v
-        if sets[M[i][j]] != sets[i] & sets[j]:
-            return "meet is not intersection"
-        if sets[J[i][j]] != frame.closure(sets[i] | sets[j]):
-            return "join is not closure of union"
-        return None
-
-    def block(a, b):
-        S = frame.to_words(sets)
-        Ma, Ja = lat.meet_array[a, b], lat.join_array[a, b]
-        return ((S[Ma] != S[a] & S[b]).any(-1)
-                | (S[Ja] != frame.closure_grid(S[a] | S[b])).any(-1))
-
-    bad = first_violation(n, 2, unlike, block)
-    if bad:
-        i, j = bad
-        raise InternalInconsistency(
-            f"fixpoint {unlike(bad)} at ({names[i]},{names[j]})"
-        )
-    table = frame.arrow_table(sets)
-    for i, row in enumerate(table):
-        if -1 in row:
-            raise InternalInconsistency(
-                f"conditional of fixpoints left the family: "
-                f"{names[i]} -> {names[row.index(-1)]}"
-            )
-    op = ConditionalOp(lat, tuple(tuple(row) for row in table))
-    return FixpointLattice(frame, sets, lat, op)
+    lat, table, failure = set_algebra(frame, sets)
+    if failure:
+        law, i, j = failure
+        a, b = lat.names[i], lat.names[j]
+        raise InternalInconsistency({
+            "meet": f"fixpoint meet is not intersection at ({a},{b})",
+            "join": f"fixpoint join is not closure of union at ({a},{b})",
+            "conditional": f"conditional of fixpoints left the family: {a} -> {b}",
+        }[law])
+    return FixpointLattice(frame, sets, lat, ConditionalOp(lat, tuple(map(tuple, table))))
 
 
 def random_frame(rng: Random, m: int, density: float = 0.5) -> RelationalFrame:

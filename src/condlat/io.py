@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import MissingBound, NotALattice, NotAPartialOrder, ParseError, TooLarge
 from .frames import RelationalFrame
 from .lattice import FiniteLattice
 from .ops import ConditionalOp, UnaryOp
@@ -139,9 +139,7 @@ def parse_lattice(text: str) -> LatticeDocument:
         raise ParseError("missing elements line", 0)
     try:
         lattice = FiniteLattice.from_leq(elements, rel_pairs)
-    except ParseError:
-        raise
-    except Exception as exc:
+    except (NotAPartialOrder, MissingBound, NotALattice, TooLarge) as exc:
         raise ParseError(f"not a bounded lattice: {exc}", 0) from exc
     cond = ConditionalOp(lattice, tuple(op_rows)) if op_rows is not None else None
     neg = UnaryOp(lattice, neg_row) if neg_row is not None else None

@@ -27,23 +27,28 @@ intersection of the basis sets holding x, for each of its points x, so
 the open fixpoints are the closed sets of the frame closure alternated
 with the up-hull X |-> union of N(x), x in X.
 
-The n^2 cells of the embedding check (both routes) and of the structure
-check of ``check_space_conditions`` run on the frame kernel
-(``RelationalFrame.arrow_grid``, confirmed by the scalar ``arrow`` at
-one cell per row); grids of fewer than GRID_MIN_INSTANCES cells are
-checked cell by cell.  Either way the failure reported is the first in
-row-major order, its laws tried in the order meet, join, conditional.
+The n^2 cells of the embedding check (both routes) run on the frame
+kernel (``RelationalFrame.arrow_grid``, confirmed by the scalar
+``arrow`` at one cell per row); grids of fewer than GRID_MIN_INSTANCES
+cells are checked cell by cell.  Either way the failure reported is the
+first in row-major order, its laws tried in the order meet, join,
+conditional.  The structure condition of ``check_space_conditions`` is
+``frames.set_algebra`` on the compact opens, the same check ``fixpoints``
+makes on all fixpoints, and its lattice and table give the consonant
+pairs that the pairs-realized condition looks up; ``build_fi_space``
+lists its points with the same ``_consonant_pairs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 
 import numpy as np
 
 from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
-from .frames import RelationalFrame, closed_sets, fixpoints, positions, set_label
+from .frames import RelationalFrame, closed_sets, fixpoints, set_algebra, set_label
 from .lattice import MAX_ELEMENTS, FiniteLattice, find_isomorphism, first_violation
 from .ops import ConditionalOp, require_preconditional
 
@@ -165,16 +170,24 @@ def verify_pair_embedding(pf: PairFrame) -> PairEmbeddingReport:
 
 # -- filter-ideal space ------------------------------------------------
 
+def _dissonant(L: FiniteLattice, T, i: int) -> int:
+    """The mask of the a with some b where a ∧ b <= i but not (a -> b) <= i."""
+    down = L.down_mask(i)
+    return sum(1 << a for a in range(L.n)
+               if any(down >> L.meet(a, b) & 1 and not down >> T[a][b] & 1
+                      for b in range(L.n)))
+
+
 def consonant(lattice: FiniteLattice, op: ConditionalOp, f: int, i: int) -> bool:
     """Does f <= a and a ∧ b <= i force (a -> b) <= i?"""
-    L, T = lattice, op.table
-    for a in range(L.n):
-        if not L.leq(f, a):
-            continue
-        for b in range(L.n):
-            if L.leq(L.meet(a, b), i) and not L.leq(T[a][b], i):
-                return False
-    return True
+    return lattice.up_mask(f) & _dissonant(lattice, op.table, i) == 0
+
+
+def _consonant_pairs(L: FiniteLattice, op: ConditionalOp) -> tuple:
+    """Every consonant (f, i) pair, sorted."""
+    bad = [_dissonant(L, op.table, i) for i in range(L.n)]
+    return tuple((f, i) for f in range(L.n) for i in range(L.n)
+                 if L.up_mask(f) & bad[i] == 0)
 
 
 @dataclass(frozen=True)
@@ -189,12 +202,7 @@ class FilterIdealSpace:
 def build_fi_space(lattice: FiniteLattice, op: ConditionalOp) -> FilterIdealSpace:
     require_preconditional(op)
     L, T = lattice, op.table
-    pairs = tuple(
-        (f, i)
-        for f in range(L.n)
-        for i in range(L.n)
-        if consonant(L, op, f, i)
-    )
+    pairs = _consonant_pairs(L, op)
     # sanity: the pairs the theory promises must be present
     promised = {(x, T[x][y]) for x in range(L.n) for y in range(L.n)}
     promised.update((L.top, b) for b in range(L.n))
@@ -312,56 +320,28 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
     cofix = _open_fixpoints(frame, nbhd, MAX_ELEMENTS)
     if len(cofix) > MAX_ELEMENTS:
         raise TooLarge(f"the space has more than {MAX_ELEMENTS} compact opens")
-    index = {u: k for k, u in enumerate(cofix)}
 
     # condition: compact opens closed under the three operations and a basis
-    def leaves(v):
-        u, w = cofix[v[0]], cofix[v[1]]
-        if u & w not in index:
-            return "intersection"
-        if frame.closure(u | w) not in index:
-            return "join"
-        if frame.arrow(u, w) not in index:
-            return "conditional"
-        return None
-
-    table = frame.arrow_table(cofix)
-
-    def block(a, b):
-        C = frame.to_words(cofix)
-        U, V = C[a], C[b]
-        kept = positions(C, U & V)[1] & positions(C, frame.closure_grid(U | V))[1]
-        return ~kept | (np.asarray(table)[a, b] < 0)
-
-    bad = first_violation(len(cofix), 2, leaves, block)
+    clat, table, failure = set_algebra(frame, cofix)
     structure_note = None
-    if bad:
-        structure_note = (f"{leaves(bad)} leaves the family "
-                          f"({cofix[bad[0]]:#x},{cofix[bad[1]]:#x})")
-    if structure_note is None:
+    if failure:
+        law, i, j = failure
+        structure_note = (f"{'intersection' if law == 'meet' else law} leaves the family "
+                          f"({cofix[i]:#x},{cofix[j]:#x})")
+    else:
         # every open is the union of the N(x) inside it, and the least open
         # that is no union of compact opens contains, so is, a failing N(x)
-        for o in sorted(nbhd):
-            cover = 0
-            for u in cofix:
-                if u & ~o == 0:
-                    cover |= u
-            if cover != o:
-                structure_note = f"open {o:#x} is not a union of compact opens"
-                break
+        o = next((o for o in sorted(nbhd)
+                  if o != reduce(or_, (u for u in cofix if u & ~o == 0), 0)), None)
+        if o is not None:
+            structure_note = f"open {o:#x} is not a union of compact opens"
     cond_structure = (structure_note is None, structure_note)
 
-    fmask = []
-    imask = []
-    for x in range(frame.m):
-        fm = im = 0
-        for k, u in enumerate(cofix):
-            if u >> x & 1:
-                fm |= 1 << k
-            if u & frame.successors(x) == 0:
-                im |= 1 << k
-        fmask.append(fm)
-        imask.append(im)
+    # F(x) and I(x) as masks over cofix: the opens that hold x, and those
+    # that hold no successor of x
+    fmask = [sum(1 << k for k, u in enumerate(cofix) if u >> x & 1) for x in range(frame.m)]
+    imask = [sum(1 << k for k, u in enumerate(cofix) if u & frame.successors(x) == 0)
+             for x in range(frame.m)]
 
     sep_w = None
     seen = {}
@@ -374,38 +354,24 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
     cond_sep = (sep_w is None, sep_w)
 
     if cond_structure[0]:
-        names = [f"u{k}" for k in range(len(cofix))]
-        rows = [
-            sum(1 << j for j, v in enumerate(cofix) if u & ~v == 0)
-            for u in cofix
-        ]
-        clat = FiniteLattice(names, rows)
-        cop = ConditionalOp(clat, table)
-        real_w = None
-        for f in range(clat.n):
-            for i in range(clat.n):
-                if not consonant(clat, cop, f, i):
-                    continue
-                want = (clat.up_mask(f), clat.down_mask(i))
-                if not any(
-                    (fmask[x], imask[x]) == want for x in range(frame.m)
-                ):
-                    real_w = (f, i)
-                    break
-            if real_w:
-                break
+        realized = set(zip(fmask, imask))
+        real_w = next(((f, i) for f, i in _consonant_pairs(clat, ConditionalOp(clat, table))
+                       if (clat.up_mask(f), clat.down_mask(i)) not in realized), None)
         cond_real = (real_w is None, real_w)
     else:
         cond_real = (False, "compact opens are not operation-closed")
 
-    rel_w = None
-    for x in range(frame.m):
-        for y in range(frame.m):
-            if frame.related(x, y) != (imask[x] & fmask[y] == 0):
-                rel_w = (x, y)
-                break
-        if rel_w:
-            break
+    # condition: x -> y iff I(x) ∩ F(y) = ∅; the numpy form reads x -> y
+    # as bit x of the predecessor row of y
+    F, I = np.array(fmask, np.uint64), np.array(imask, np.uint64)
+    P = frame.to_words([frame.predecessors(y) for y in range(frame.m)])
+    R = np.unpackbits(P.view(np.uint8), axis=-1, count=frame.m, bitorder="little").astype(bool)
+
+    def mismatch(v):
+        x, y = v
+        return frame.related(x, y) != (imask[x] & fmask[y] == 0)
+
+    rel_w = first_violation(frame.m, 2, mismatch, lambda x, y: R[y, x] != (I[x] & F[y] == 0))
     cond_rel = (rel_w is None, rel_w)
 
     return SpaceConditionsReport(

@@ -227,6 +227,21 @@ def test_dot_flag_writes_hasse(tmp_path):
     assert dot.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("argv", [
+    ["selection", "fixtures/density-gap-3.self"],
+    ["search", "--minimal", "--require", "P1"],
+    ["prob", "verify"],
+    ["demo"],
+], ids=lambda argv: argv[0])
+def test_dot_is_refused_where_nothing_is_drawn(tmp_path, capsys, argv):
+    dot = tmp_path / "x.dot"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--dot", str(dot)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+    assert not dot.exists()
+
+
 def test_demo_filter_subset(capsys):
     assert main(["demo", "--filter", "pinned:"]) == 0
     out = capsys.readouterr().out

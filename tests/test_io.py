@@ -1,7 +1,8 @@
 import pytest
 
 from condlat import catalog
-from condlat.errors import ParseError
+from condlat import io as io_module
+from condlat.errors import InternalInconsistency, ParseError
 from condlat.io import (
     FrameDocument,
     LatticeDocument,
@@ -69,6 +70,25 @@ def test_parse_rejections():
         load_document("widget x\n")
     with pytest.raises(ParseError):
         load_document("   \n# only comments\n")
+
+
+def test_lattice_errors_become_parse_errors_and_nothing_else(monkeypatch):
+    big = " ".join(f"e{k}" for k in range(65))
+    for text in ("lattice x\nelements a b\n",                                # no bounds
+                 "lattice x\nelements 0 a b c d 1\ncover 0 a\ncover 0 b\ncover a c\n"
+                 "cover a d\ncover b c\ncover b d\ncover c 1\ncover d 1\n",  # no a ∨ b
+                 "lattice x\nelements a b\nleq a b\nleq b a\n",              # a cycle
+                 f"lattice x\nelements {big}\n"):                             # 65 elements
+        with pytest.raises(ParseError, match="not a bounded lattice"):
+            parse_lattice(text)
+
+    def broken(names, pairs):
+        raise InternalInconsistency("lattice construction bug")
+
+    # a bug while building the lattice is not malformed input
+    monkeypatch.setattr(io_module.FiniteLattice, "from_leq", broken)
+    with pytest.raises(InternalInconsistency, match="lattice construction bug"):
+        parse_lattice("lattice x\nelements 0 1\ncover 0 1\n")
 
 
 @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=lambda e: e.name)

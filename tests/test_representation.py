@@ -82,6 +82,15 @@ def test_consonant_pairs_include_the_promised_ones():
             assert consonant(L, e.conditional, x, T[x][y])
 
 
+@pytest.mark.parametrize("entry", PRECONDITIONALS, ids=lambda e: e.name)
+def test_fi_points_are_exactly_the_consonant_pairs(entry):
+    L, T = entry.lattice, entry.conditional.table
+    want = tuple((f, i) for f in range(L.n) for i in range(L.n)
+                 if all(L.leq(T[a][b], i) for a in range(L.n) if L.leq(f, a)
+                        for b in range(L.n) if L.leq(L.meet(a, b), i)))
+    assert build_fi_space(L, entry.conditional).pairs == want
+
+
 def test_basis_is_principal_filters():
     e = catalog.entry("residual-3chain")
     space = build_fi_space(e.lattice, e.conditional)
@@ -139,9 +148,46 @@ def test_open_fixpoints_and_open_count_match_the_oracle(entry):
     assert check_space_conditions(fr, space.basis).cofix == tuple(cofix)
 
 
+def _conditions_oracle(frame, cofix, structure_holds):
+    """separated, pairs_realized and relation_matches by loops over their
+    definitions.  F(x) is the compact opens holding x, I(x) those holding
+    no successor of x; the compact opens form a lattice under inclusion
+    with meet ∩ and conditional frame.arrow, in which (f, i) is consonant
+    when f <= a and a ∧ b <= i force (a -> b) <= i."""
+    m, n = frame.m, len(cofix)
+    F = [{k for k in range(n) if cofix[k] >> x & 1} for x in range(m)]
+    I = [{k for k in range(n)
+          if not any(frame.related(x, y) and cofix[k] >> y & 1 for y in range(m))}
+         for x in range(m)]
+    sep = next(((x0, x) for x in range(m) for x0 in range(x)
+                if F[x0] == F[x] and I[x0] == I[x]), None)
+    rel = next(((x, y) for x in range(m) for y in range(m)
+                if frame.related(x, y) != (not I[x] & F[y])), None)
+    if not structure_holds:
+        return (sep is None, sep), (False, "compact opens are not operation-closed"), \
+            (rel is None, rel)
+    le = [[cofix[a] & ~cofix[b] == 0 for b in range(n)] for a in range(n)]
+    meet = [[cofix.index(cofix[a] & cofix[b]) for b in range(n)] for a in range(n)]
+    imp = [[cofix.index(frame.arrow(cofix[a], cofix[b])) for b in range(n)] for a in range(n)]
+
+    def consonant(f, i):
+        return all(le[imp[a][b]][i] for a in range(n) if le[f][a]
+                   for b in range(n) if le[meet[a][b]][i])
+
+    def realized(f, i):
+        up = {k for k in range(n) if le[f][k]}
+        down = {k for k in range(n) if le[k][i]}
+        return any(F[x] == up and I[x] == down for x in range(m))
+
+    real = next(((f, i) for f in range(n) for i in range(n)
+                 if consonant(f, i) and not realized(f, i)), None)
+    return (sep is None, sep), (real is None, real), (rel is None, rel)
+
+
 def test_space_conditions_match_the_oracle_on_random_bases():
     rng = Random(5)
     notes = []
+    failed = {"separated": 0, "pairs_realized": 0, "relation_matches": 0}
     for _ in range(200):
         fr = random_frame(rng, rng.randint(1, 7), rng.choice((0.3, 0.6)))
         basis = [rng.randrange(fr.full_mask + 1) for _ in range(rng.randint(0, 5))]
@@ -156,10 +202,30 @@ def test_space_conditions_match_the_oracle_on_random_bases():
         note = _structure_note(fr, opens, cofix)
         assert rep.cofix_structure == (note is None, note)
         notes.append(note)
-    # the cases cover a structure that holds and both ways it can fail
+        want = _conditions_oracle(fr, cofix, note is None)
+        assert (rep.separated, rep.pairs_realized, rep.relation_matches) == want
+        for name, (holds, _) in zip(failed, want):
+            failed[name] += not holds
+    # the cases cover a structure that holds and both ways it can fail, and
+    # each of the other three conditions holding and failing
+    assert all(0 < k < len(notes) for k in failed.values()), failed
     assert None in notes
     assert any(n and "leaves the family" in n for n in notes)
     assert any(n and "not a union" in n for n in notes)
+
+
+@pytest.mark.parametrize("entry", PRECONDITIONALS, ids=lambda e: e.name)
+def test_separation_and_relation_match_the_oracle_with_one_edge_flipped(entry):
+    # frames of 8 or more points put the relation condition on its numpy block
+    space = build_fi_space(entry.lattice, entry.conditional)
+    m, rng = space.frame.m, Random(entry.name)
+    for _ in range(4):
+        pred = [space.frame.predecessors(y) for y in range(m)]
+        pred[rng.randrange(m)] ^= 1 << rng.randrange(m)
+        fr = RelationalFrame(space.frame.names, pred)
+        rep = check_space_conditions(fr, space.basis)
+        sep, _, rel = _conditions_oracle(fr, list(rep.cofix), False)
+        assert (rep.separated, rep.relation_matches) == (sep, rel)
 
 
 def _kernel_grids(monkeypatch):
