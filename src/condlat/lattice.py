@@ -144,56 +144,46 @@ class FiniteLattice:
             if rows[a] & ~full:
                 raise NotAPartialOrder(f"row for {names[a]} references unknown elements")
             rows[a] |= 1 << a
-        # transitive closure, then antisymmetry; a cycle shows up as a 2-cycle here
+        # transitive closure, then antisymmetry: a <= b <= a with a != b
+        # exactly when the two up-sets coincide, so only a repeated row
+        # needs the scan for the first such pair
         for k in range(n):
             kbit = 1 << k
             for a in range(n):
                 if rows[a] & kbit:
                     rows[a] |= rows[k]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rows[a] >> b & 1 and rows[b] >> a & 1:
-                    raise NotAPartialOrder(
-                        f"{names[a]} <= {names[b]} and {names[b]} <= {names[a]}"
-                    )
+        if len(set(rows)) != n:
+            a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                        if rows[a] >> b & 1 and rows[b] >> a & 1)
+            raise NotAPartialOrder(f"{names[a]} <= {names[b]} and {names[b]} <= {names[a]}")
 
         dn = [0] * n
         for a in range(n):
             for b in _bits(rows[a]):
                 dn[b] |= 1 << a
 
-        bottom = top = -1
-        for a in range(n):
-            if rows[a] == full:
-                bottom = a
-            if dn[a] == full:
-                top = a
-        if bottom < 0:
+        # an element is named by its down-set and by its up-set: the bottom
+        # is the x whose up-set is everything, the meet of a and b the x
+        # whose down-set is dn[a] & dn[b], and dually the top and the join
+        by_dn = {d: x for x, d in enumerate(dn)}
+        by_up = {u: x for x, u in enumerate(rows)}
+        bottom, top = by_up.get(full), by_dn.get(full)
+        if bottom is None:
             raise MissingBound("no global bottom")
-        if top < 0:
+        if top is None:
             raise MissingBound("no global top")
 
         meet_t = [[0] * n for _ in range(n)]
         join_t = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                common = dn[a] & dn[b]
-                m = -1
-                for x in _bits(common):
-                    if common & ~dn[x] == 0:
-                        m = x
-                        break
-                if m < 0:
+                m = by_dn.get(dn[a] & dn[b])
+                if m is None:
                     raise NotALattice(f"{names[a]} and {names[b]} have no meet")
-                meet_t[a][b] = meet_t[b][a] = m
-                common = rows[a] & rows[b]
-                j = -1
-                for x in _bits(common):
-                    if common & ~rows[x] == 0:
-                        j = x
-                        break
-                if j < 0:
+                j = by_up.get(rows[a] & rows[b])
+                if j is None:
                     raise NotALattice(f"{names[a]} and {names[b]} have no join")
+                meet_t[a][b] = meet_t[b][a] = m
                 join_t[a][b] = join_t[b][a] = j
 
         self.n = n

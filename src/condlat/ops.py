@@ -419,10 +419,14 @@ class OrthocomplementReport:
                 and self.de_morgan[0])
 
 
-def orthocomplement_report(neg: UnaryOp) -> OrthocomplementReport:
+def orthocomplement_report(
+    neg: UnaryOp, hook: ConditionalOp | None = None
+) -> OrthocomplementReport:
+    """The defining and derived laws of an orthocomplementation; hook is
+    the table ¬a ∨ (a ∧ b) when the caller has built it already."""
     L, t = neg.lattice, neg.table
     anti = precomplementation_report(neg)[Axiom.PC_ANTI]
-    op = ConditionalOp(L, _neg_or_meet(neg))
+    op = ConditionalOp(L, _neg_or_meet(neg)) if hook is None else hook
     semi, inv = check_axiom(op, Axiom.SEMI), check_axiom(op, Axiom.INV)
     em_w = first_violation(L.n, 1, lambda v: L.join(v[0], t[v[0]]) != L.top)
 
@@ -442,8 +446,10 @@ def orthocomplement_report(neg: UnaryOp) -> OrthocomplementReport:
     )
 
 
-def require_orthocomplement(neg: UnaryOp) -> OrthocomplementReport:
-    report = orthocomplement_report(neg)
+def require_orthocomplement(
+    neg: UnaryOp, hook: ConditionalOp | None = None
+) -> OrthocomplementReport:
+    report = orthocomplement_report(neg, hook)
     if not report.defining_ok:
         names = neg.lattice.names
         laws = (("not antitone", (report.antitone.holds, report.antitone.witness)),
@@ -466,8 +472,10 @@ def sasaki_hook(neg: UnaryOp) -> ConditionalOp:
     Cross-checked against its equivalent shape ¬(a ∧ ¬(a ∧ b)), which
     must agree on an ortholattice.
     """
-    require_orthocomplement(neg)
-    L, t, T = neg.lattice, neg.table, _neg_or_meet(neg)
+    L, t = neg.lattice, neg.table
+    hook = ConditionalOp(L, _neg_or_meet(neg))
+    require_orthocomplement(neg, hook)
+    T = hook.table
 
     def disagrees(v):
         a, b = v
@@ -478,7 +486,7 @@ def sasaki_hook(neg: UnaryOp) -> ConditionalOp:
         raise InternalInconsistency(
             f"Sasaki forms disagree at ({L.names[w[0]]},{L.names[w[1]]})"
         )
-    return ConditionalOp(L, T)
+    return hook
 
 
 @dataclass(frozen=True)
@@ -494,15 +502,16 @@ def is_orthomodular(neg: UnaryOp) -> Orthomodularity:
     Route 2: MP on the Sasaki hook, a ∧ (¬a ∨ (a ∧ b)) <= b for all a, b.
     The two must agree on any ortholattice.
     """
-    require_orthocomplement(neg)
     L, t = neg.lattice, neg.table
+    hook = ConditionalOp(L, _neg_or_meet(neg))
+    require_orthocomplement(neg, hook)
 
     def law(v):
         a, b = v
         return L.leq(a, b) and L.join(a, L.meet(t[a], b)) != b
 
     w = first_violation(L.n, 2, law)
-    mp = check_axiom(ConditionalOp(L, _neg_or_meet(neg)), Axiom.MP)
+    mp = check_axiom(hook, Axiom.MP)
     if (w is None) != mp.holds:
         raise InternalInconsistency(
             f"orthomodularity routes disagree: law witness {w}, detachment witness {mp.witness}"

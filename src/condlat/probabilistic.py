@@ -14,7 +14,8 @@ Two evaluation routes are kept deliberately separate: a scalar route,
 world by world, in exact integer weights over a common denominator
 (``Fraction`` only at the ``measure`` and ``cond_prob`` API), and an
 integer numpy route that builds the full 2^n x 2^n table in closed form
-from threshold cut points.  ``verify_axioms`` reads every law from its
+from threshold cut points, one block of antecedent rows at a time with
+set sizes read by popcount.  ``verify_axioms`` reads every law from its
 definition in ``ops.AXIOM_DEFS`` on the powerset, decides every axiom
 except NORM exactly on the table (P4 and P5 by reductions that cover
 all 2^3n triples), cross-checks the table against the scalar route on
@@ -37,6 +38,8 @@ from .ops import AXIOM_DEFS, Axiom
 
 # full tables are dense: 2^12 x 2^12 at 2 bytes per cell is the ceiling
 TABLE_LIMIT = 12
+# cells of the table written per block of antecedent rows
+TABLE_BLOCK_CELLS = 1 << 16
 
 
 def _mask(worlds) -> int:
@@ -76,7 +79,7 @@ class ConfidenceSpace:
 
     # -- scalar route ----------------------------------------------------
 
-    @property
+    @cached_property
     def full(self) -> int:
         return (1 << self.world_count) - 1
 
@@ -91,16 +94,16 @@ class ConfidenceSpace:
         D = lcm(self.self_mass.denominator, self.other_mass.denominator)
         return D, int(self.self_mass * D), int(self.other_mass * D)
 
-    def _weight(self, w: int, S: int) -> int:
-        """D*mu_w(S), an integer: s + (|S|-1)*o for w in S, else |S|*o."""
+    def _weights(self, k: int) -> tuple:
+        """D*mu_w(S) for |S| = k, integers, indexed by whether w lies in
+        S: (k*o, s + (k-1)*o)."""
         _, s, o = self._scale
-        k = S.bit_count()
-        return s + (k - 1) * o if S >> w & 1 else k * o
+        return k * o, s + (k - 1) * o
 
     def measure(self, w: int, S: int) -> Fraction:
         """mu_w(S), exactly."""
         self._guard(S)
-        return Fraction(self._weight(w, S), self._scale[0])
+        return Fraction(self._weights(S.bit_count())[S >> w & 1], self._scale[0])
 
     def cond_prob(self, w: int, B: int, A: int) -> Fraction:
         """mu_w(B | A); conditioning on a null set is an error here,
@@ -113,16 +116,19 @@ class ConfidenceSpace:
     def arrow(self, A: int, B: int) -> int:
         """Worlds where the confidence in B given A clears the threshold:
         td * D*mu_w(A&B) >= tn * D*mu_w(A) with tn/td the threshold, one
-        world at a time on integer weights."""
+        world at a time on integer weights; |A| and |A&B| are counted
+        once per call."""
         self._guard(A), self._guard(B)
-        tn, td = self.threshold.numerator, self.threshold.denominator
+        tn, td = self.threshold.as_integer_ratio()
+        AB = A & B
+        weight_a, weight_ab = self._weights(A.bit_count()), self._weights(AB.bit_count())
         out = 0
         for w in range(self.world_count):
-            base = self._weight(w, A)
+            base = weight_a[A >> w & 1]
             if base == 0:
                 hit = self.empty_antecedent_total
             else:
-                hit = td * self._weight(w, A & B) >= tn * base
+                hit = td * weight_ab[AB >> w & 1] >= tn * base
             out |= hit << w
         return out
 
@@ -168,7 +174,10 @@ def arrow_table(space: ConfidenceSpace) -> np.ndarray:
     td * (D*mu_w(A&B)) >= tn * (D*mu_w(A)) at w depends only on
     a = |A|, k = |A&B| and whether w lies in A&B, in A-B or outside A.
     For each of the three the test is monotone in k (o >= 0), so it is
-    the cut k >= cut[a], and the table is three masked comparisons."""
+    the cut k >= cut[a].  The table is written in blocks of antecedent
+    rows of about TABLE_BLOCK_CELLS cells: a and k by popcount, and each
+    of the three parts kept or zeroed by multiplying it with its cut
+    test."""
     n = space.world_count
     if n > TABLE_LIMIT:
         raise TooLarge(f"{n} worlds: table would have 2^{2 * n} cells")
@@ -187,15 +196,17 @@ def arrow_table(space: ConfidenceSpace) -> np.ndarray:
 
     N = 1 << n
     masks = np.arange(N, dtype=np.uint16)
-    count = np.zeros(N, dtype=np.uint8)
-    for w in range(n):
-        count[1 << w:2 << w] = count[:1 << w] + 1
-    a = count[:, None]
-    AB = masks[:, None] & masks
-    k = count[AB]
-    table = np.where(k >= both[a], AB, 0)
-    table |= np.where(k >= only_a[a], masks[:, None] ^ AB, 0)
-    table |= np.where(k >= neither[a], masks[:, None] ^ (N - 1), 0)
+    table = np.empty((N, N), dtype=np.uint16)
+    step = max(1, TABLE_BLOCK_CELLS // N)
+    for lo in range(0, N, step):
+        A = masks[lo:lo + step, None]
+        a = np.bitwise_count(A)
+        AB = A & masks
+        k = np.bitwise_count(AB)
+        out = table[lo:lo + step]
+        np.multiply(AB, k >= both[a], out=out)
+        out |= (A ^ AB) * (k >= only_a[a])
+        out |= (A ^ (N - 1)) * (k >= neither[a])
     return table
 
 
@@ -371,7 +382,7 @@ def verify_axioms(
 
     if crosscheck:
         rng = np.random.default_rng(seed)
-        picks = {(int(a), int(b)) for a, b in rng.integers(0, N, size=(crosscheck, 2))}
+        picks = set(map(tuple, rng.integers(0, N, size=(crosscheck, 2)).tolist()))
         picks |= {(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0)}
         picks |= {(NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))}
         for a, b in picks:

@@ -353,7 +353,9 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
         seen[key] = x
     cond_sep = (sep_w is None, sep_w)
 
-    if cond_structure[0]:
+    # the consonant pairs need only the operations; an open that is no
+    # union of compact opens leaves them defined
+    if not failure:
         realized = set(zip(fmask, imask))
         real_w = next(((f, i) for f, i in _consonant_pairs(clat, ConditionalOp(clat, table))
                        if (clat.up_mask(f), clat.down_mask(i)) not in realized), None)

@@ -73,22 +73,38 @@ def test_pentagon_not_distributive_but_complemented():
 
 
 def test_rejections_have_specific_types():
-    with pytest.raises(NotAPartialOrder):
+    with pytest.raises(NotAPartialOrder, match="^a <= b and b <= a$"):
         FiniteLattice.from_leq(("a", "b"), [(0, 1), (1, 0)])
-    with pytest.raises(NotAPartialOrder):
+    with pytest.raises(NotAPartialOrder, match="^b <= c and c <= b$"):
+        # a cycle b <= c <= d <= b: the first pair in index order is named
+        FiniteLattice.from_leq(("a", "b", "c", "d"), [(1, 2), (2, 3), (3, 1)])
+    with pytest.raises(NotAPartialOrder, match="^duplicate element names$"):
         FiniteLattice(("a", "a"), (0, 0))
-    with pytest.raises(MissingBound):
+    with pytest.raises(NotAPartialOrder, match="^row for a references unknown elements$"):
+        FiniteLattice(("a", "b"), (0b100, 0))
+    with pytest.raises(NotAPartialOrder, match="^relation row count does not match"):
+        FiniteLattice(("a", "b"), (0, 0, 0))
+    with pytest.raises(MissingBound, match="^no global bottom$"):
         # two incomparable points: no bottom
         FiniteLattice(("a", "b"), (1, 2))
-    with pytest.raises(NotALattice):
-        # two middle antichains stacked: meets of coatoms do not exist
+    with pytest.raises(MissingBound, match="^no global top$"):
+        FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100))
+    # two middle antichains stacked: the atoms have no join and the
+    # coatoms no meet; the first failing pair in index order is reported,
+    # its meet before its join
+    with pytest.raises(NotALattice, match="^a and b have no join$"):
         FiniteLattice.from_cover(
             ("0", "a", "b", "c", "d", "1"),
             [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
         )
-    with pytest.raises(TooLarge):
+    with pytest.raises(NotALattice, match="^c and d have no meet$"):
+        FiniteLattice.from_cover(
+            ("0", "c", "d", "a", "b", "1"),
+            [(0, 3), (0, 4), (3, 1), (3, 2), (4, 1), (4, 2), (1, 5), (2, 5)],
+        )
+    with pytest.raises(TooLarge, match="^65 elements exceeds the size guard of 64$"):
         chain(65)
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice, match="^empty carrier$"):
         FiniteLattice((), ())
 
 

@@ -447,6 +447,17 @@ def _bend_neg_or_meet(monkeypatch):
     return catalog.entry("sasaki-M4")
 
 
+def test_sasaki_table_is_built_once_per_call(monkeypatch):
+    built = []
+    real = ops._neg_or_meet
+    monkeypatch.setattr(ops, "_neg_or_meet", lambda neg: built.append(neg) or real(neg))
+    for name, neg in SASAKI_CASES.items():
+        for call in (sasaki_hook, is_orthomodular):
+            built.clear()
+            call(neg)
+            assert built == [neg], (name, call.__name__)
+
+
 def test_sasaki_forms_disagreeing_raise(monkeypatch):
     e = _bend_neg_or_meet(monkeypatch)
     with pytest.raises(InternalInconsistency, match=r"Sasaki forms disagree at \(1,a\)"):
@@ -469,8 +480,8 @@ def test_sasaki_label_off_the_formula_raises(monkeypatch):
 
 def test_orthocomplement_failing_a_derived_law_raises(monkeypatch):
     real = ops.orthocomplement_report
-    monkeypatch.setattr(ops, "orthocomplement_report", lambda neg: dataclasses.replace(
-        real(neg), excluded_middle=(False, (neg.lattice.bottom,))))
+    monkeypatch.setattr(ops, "orthocomplement_report", lambda neg, hook=None: (
+        dataclasses.replace(real(neg, hook), excluded_middle=(False, (neg.lattice.bottom,)))))
     with pytest.raises(InternalInconsistency, match="failed a derived one"):
         require_orthocomplement(catalog.entry("sasaki-M4").unary)
 

@@ -9,6 +9,8 @@ from condlat.errors import ConditioningOnNull, InternalInconsistency, TooLarge, 
 from condlat.ops import Axiom
 from condlat.probabilistic import (
     NORM_WITNESS,
+    TABLE_BLOCK_CELLS,
+    TABLE_LIMIT,
     ConfidenceSpace,
     arrow_table,
     confidence_space,
@@ -117,6 +119,21 @@ def test_table_route_matches_scalar_route(space):
         assert int(table[A, B]) == space.arrow(A, B)
 
 
+def test_table_block_edges_match_scalar_route():
+    # the largest table: the first and last antecedent row of every block
+    sp = confidence_space(world_count=TABLE_LIMIT)
+    N = 1 << TABLE_LIMIT
+    table = arrow_table(sp)
+    assert table.shape == (N, N) and table.dtype == np.uint16
+    step = max(1, TABLE_BLOCK_CELLS // N)
+    assert N // step > 1
+    cols = np.random.default_rng(12).integers(0, N, size=8).tolist() + [0, N - 1]
+    for lo in range(0, N, step):
+        for A in (lo, min(lo + step, N) - 1):
+            for B in cols:
+                assert int(table[A, B]) == sp.arrow(A, B), (A, B)
+
+
 def test_table_guard():
     with pytest.raises(TooLarge):
         arrow_table(confidence_space(world_count=13, self_mass=F(9, 10)))
@@ -137,6 +154,35 @@ def test_verify_axioms_report(space):
     for ax in (Axiom.P4, Axiom.P5):
         assert rep[ax].holds and rep[ax].mode == "exhaustive"
     assert rep.crosschecked > 0
+
+
+CROSSCHECK_SPACES = [confidence_space()] + [
+    confidence_space(k, 1 if k == 1 else F(3, 4), F(3, 4)) for k in range(1, 7)]
+# crosschecked for seeds 0-9, one row per space above
+CROSSCHECKED = [
+    [517] * 10, [4] * 10, [16] * 10, [64] * 10,
+    [224, 226, 226, 220, 218, 222, 213, 232, 216, 219],
+    [414, 402, 413, 402, 415, 420, 404, 417, 409, 410],
+    [488, 490, 493, 481, 496, 486, 485, 491, 485, 481],
+]
+
+
+def test_crosscheck_reads_the_seeded_cells(monkeypatch):
+    cells = []
+    arrow = ConfidenceSpace.arrow
+    monkeypatch.setattr(ConfidenceSpace, "arrow",
+                        lambda self, a, b: cells.append((a, b)) or arrow(self, a, b))
+    for sp, counts in zip(CROSSCHECK_SPACES, CROSSCHECKED):
+        N = 1 << sp.world_count
+        for seed, count in enumerate(counts):
+            cells.clear()
+            rep = verify_axioms(sp, seed=seed)
+            want = {tuple(c) for c in np.random.default_rng(seed).integers(0, N, size=(512, 2))}
+            want |= {(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0),
+                     (NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))}
+            # the cross-check runs first, one scalar call per distinct cell
+            assert rep.crosschecked == count == len(want), (sp, seed)
+            assert set(cells[:count]) == want
 
 
 def test_norm_fails_exactly_at_the_pinned_witness(space):
