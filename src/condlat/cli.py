@@ -2,7 +2,8 @@
 
 Subcommands: check, classify, frame, represent, selection, search,
 prob, demo.  Exit codes: 0 all expectations met, 1 a check failed,
-2 malformed input (with a line-numbered diagnostic on stderr).
+2 malformed input (with a line-numbered diagnostic on stderr) or a
+usage error.
 
 Reports are printed for people; ``--report FILE`` additionally writes
 one `key=value ...` record per check for regression diffing.
@@ -15,6 +16,7 @@ import sys
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
+from typing import NoReturn
 
 from . import catalog
 from .errors import (
@@ -99,13 +101,18 @@ class Run:
         return 1 if self.failures else 0
 
 
+def _usage(msg) -> NoReturn:
+    """Usage errors and unreadable input files exit with 2."""
+    print(f"error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage(exc)
 
 
 def _axiom_list(text: str):
@@ -113,17 +120,15 @@ def _axiom_list(text: str):
     for tok in text.split(","):
         tok = tok.strip()
         if tok not in _AXIOM_BY_NAME:
-            print(f"error: unknown axiom {tok!r}; choose from the axioms of "
-                  f"binary tables {', '.join(_AXIOM_BY_NAME)}", file=sys.stderr)
-            raise SystemExit(2)
+            _usage(f"unknown axiom {tok!r}; choose from the axioms of "
+                   f"binary tables {', '.join(_AXIOM_BY_NAME)}")
         out.append(_AXIOM_BY_NAME[tok])
     return tuple(out)
 
 
 def _need_conditional(doc: LatticeDocument):
     if doc.conditional is None:
-        print("error: the lattice file carries no `op ->` table", file=sys.stderr)
-        raise SystemExit(2)
+        _usage("the lattice file carries no `op ->` table")
     return doc.conditional
 
 
@@ -135,11 +140,10 @@ def _dot(args, text: str):
 
 # -- plain commands -------------------------------------------------------
 
-def cmd_check(args) -> int:
+def cmd_check(args, run: Run) -> None:
     doc = parse_lattice(_read(args.file))
     op = _need_conditional(doc)
     axioms = _axiom_list(args.axioms) if args.axioms else BINARY_AXIOMS
-    run = Run()
     rep = check_axioms(op, axioms)
     for ax in axioms:
         c = rep[ax]
@@ -148,14 +152,11 @@ def cmd_check(args) -> int:
                 witness=",".join(map(str, c.witness)) if c.witness else "-",
                 mode=c.mode)
     _dot(args, lattice_dot(doc.lattice, doc.name))
-    run.write(args.report)
-    return run.exit_code()
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, run: Run) -> None:
     doc = parse_lattice(_read(args.file))
     op = _need_conditional(doc)
-    run = Run()
     c = classify(op)
     print(f"{doc.name}: {c.label}")
     for ax, holds in c.profile.items():
@@ -166,13 +167,10 @@ def cmd_classify(args) -> int:
         print(f"  unary op is a precomplementation: {pre.ok}")
         run.rec(True, file=args.file, check="precomplementation", ok2=pre.ok)
     _dot(args, lattice_dot(doc.lattice, doc.name))
-    run.write(args.report)
-    return run.exit_code()
 
 
-def cmd_frame(args) -> int:
+def cmd_frame(args, run: Run) -> None:
     doc = parse_frame(_read(args.file))
-    run = Run()
     fl = fixpoints(doc.frame)
     labels = [set_label(doc.frame, s) for s in fl.sets]
     print(f"{doc.name}: {len(fl.sets)} fixpoints")
@@ -186,21 +184,17 @@ def cmd_frame(args) -> int:
               + "".join(labels[v].ljust(width) for v in row))
     run.rec(True, file=args.file, check="fixpoints", count=len(fl.sets))
     _dot(args, lattice_dot(fl.lattice, doc.name))
-    run.write(args.report)
-    return run.exit_code()
 
 
-def cmd_represent(args) -> int:
+def cmd_represent(args, run: Run) -> None:
     doc = parse_lattice(_read(args.file))
     op = _need_conditional(doc)
-    run = Run()
     try:
         pf = build_pair_frame(doc.lattice, op)
-    except (NotAPreconditional, PreconditionFailed) as exc:
+    except NotAPreconditional as exc:
         print(f"not a preconditional: {exc}")
         run.rec(False, file=args.file, check="preconditional")
-        run.write(args.report)
-        return run.exit_code()
+        return
 
     print(f"pair frame: {pf.frame.m} points")
     try:
@@ -231,13 +225,10 @@ def cmd_represent(args) -> int:
     run.rec(cond.ok, file=args.file, check="space-conditions")
     if args.dot:
         _dot(args, lattice_dot(fixpoints(space.frame).lattice, doc.name))
-    run.write(args.report)
-    return run.exit_code()
 
 
-def cmd_selection(args) -> int:
+def cmd_selection(args, run: Run) -> None:
     doc = parse_selection(_read(args.file))
-    run = Run()
     if doc.defaulted:
         toks = [set_label(doc.frame, A) for A in doc.defaulted]
         print(f"defaulted to bare centering: {' '.join(toks)}")
@@ -255,51 +246,38 @@ def cmd_selection(args) -> int:
     for ax in (Axiom.ID, Axiom.NORM, Axiom.FLAT):
         print(f"  {ax.value}: {'holds' if extra[ax].holds else 'fails'}")
     run.rec(True, file=args.file, check="induced-label", label=str(c.label))
-    run.write(args.report)
-    return run.exit_code()
 
 
-def cmd_search(args) -> int:
+def cmd_search(args, run: Run) -> None:
     require = _axiom_list(args.require) if args.require else ()
     forbid = _axiom_list(args.forbid) if args.forbid else ()
     if args.minimal:
-        return _search_inventory(args, require, forbid)
+        _search_inventory(args, run, require, forbid)
+        return
     doc = parse_lattice(_read(args.lattice))
     lattice, name = doc.lattice, doc.name
-    run = Run()
     try:
         spec = SearchSpec(lattice, require=require, forbid=forbid,
                           node_budget=args.budget, find_all=args.all)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        res = find_witness(spec)
-    except BudgetExhausted as exc:
-        return _budget_exhausted(args, run, exc)
+        _usage(exc)
+    res = find_witness(spec)
     print(f"nodes={res.nodes} exhausted={res.exhausted} "
           f"witnesses={len(res.witnesses)}")
     for op in res.witnesses:
         print(serialize_lattice(LatticeDocument(name, lattice, op)), end="")
     run.rec(res.found, check="search", nodes=res.nodes,
             witnesses=len(res.witnesses), exhausted=res.exhausted)
-    run.write(args.report)
-    return run.exit_code()
 
 
-def _search_inventory(args, require, forbid) -> int:
+def _search_inventory(args, run, require, forbid) -> None:
     """``search --minimal``: the first witness over the lattice inventory."""
     if args.all:
-        print("error: --all needs --lattice", file=sys.stderr)
-        raise SystemExit(2)
-    run = Run()
+        _usage("--all needs --lattice")
     try:
         mw = minimal_witness(require, forbid, node_budget=args.budget)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    except BudgetExhausted as exc:
-        return _budget_exhausted(args, run, exc)
+        _usage(exc)
     for label, nodes, exhausted in mw.trail:
         print(f"{label}: nodes={nodes} exhausted={exhausted}")
     if mw.found:
@@ -310,15 +288,6 @@ def _search_inventory(args, require, forbid) -> int:
         print(f"no witness on any of the {len(INVENTORY)} inventory lattices")
     run.rec(mw.found, check="search-minimal", lattice=mw.label or "-",
             lattices=len(mw.trail))
-    run.write(args.report)
-    return run.exit_code()
-
-
-def _budget_exhausted(args, run, exc) -> int:
-    print(f"budget exhausted: {exc}")
-    run.rec(False, check="search", detail="budget-exhausted")
-    run.write(args.report)
-    return run.exit_code()
 
 
 def _subset_arg(text: str, worlds: int) -> int:
@@ -326,20 +295,16 @@ def _subset_arg(text: str, worlds: int) -> int:
         return 0
     toks = text.split(",")
     if not all(tok.strip().isdecimal() and int(tok) < worlds for tok in toks):
-        print(f"error: subsets are comma-separated world indices 0..{worlds - 1},"
-              f" got {text!r}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage(f"subsets are comma-separated world indices 0..{worlds - 1},"
+               f" got {text!r}")
     return sum(1 << w for w in {int(tok) for tok in toks})
 
 
-def cmd_prob(args) -> int:
+def cmd_prob(args, run: Run) -> None:
     space = confidence_space()
-    run = Run()
     if args.action == "arrow":
         if args.a is None or args.b is None:
-            print("error: prob arrow needs two subsets (comma lists or -)",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            _usage("prob arrow needs two subsets (comma lists or -)")
         A, B = (_subset_arg(args.a, space.world_count),
                 _subset_arg(args.b, space.world_count))
         out = space.arrow(A, B)
@@ -348,6 +313,8 @@ def cmd_prob(args) -> int:
         run.rec(True, check="arrow", a=args.a, b=args.b,
                 result=",".join(worlds) or "-")
     else:
+        if args.a is not None:
+            _usage("prob verify takes no subsets")
         rep = verify_axioms(space, seed=args.seed)
         for ax in (Axiom.P1, Axiom.P2, Axiom.P3, Axiom.P4, Axiom.P5,
                    Axiom.MP, Axiom.NORM):
@@ -358,8 +325,6 @@ def cmd_prob(args) -> int:
                     instances=c.instances)
         print(f"table cross-checked against exact rationals on "
               f"{rep.crosschecked} cells")
-    run.write(args.report)
-    return run.exit_code()
 
 
 # -- demo: the whole expectation suite, one check per anchor -------------
@@ -605,8 +570,7 @@ def _random_frame_laws(seed):
     return closure_ok, precond_ok
 
 
-def cmd_demo(args) -> int:
-    run = Run()
+def cmd_demo(args, run: Run) -> None:
     for anchor, check in _demo_checks(args.seed):
         if args.filter and args.filter not in anchor:
             continue
@@ -623,8 +587,6 @@ def cmd_demo(args) -> int:
         print(f"{'PASS' if result else 'FAIL'} {anchor}"
               + (f" ({detail})" if detail != "" else ""))
     print(f"{len(run.records)} checks, {run.failures} failures")
-    run.write(args.report)
-    return run.exit_code()
 
 
 # -- wiring ---------------------------------------------------------------
@@ -698,17 +660,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = Run()
     try:
-        return args.func(args)
+        args.func(args, run)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a search ran out of nodes: a failed check, not malformed input
+        print(f"budget exhausted: {exc}")
+        run.rec(False, check="search", detail="budget-exhausted")
     except CondlatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    run.write(args.report)
+    return run.exit_code()
 
 
 if __name__ == "__main__":

@@ -68,82 +68,101 @@ def _check_name(tok: str, lineno: int, what: str) -> str:
     return tok
 
 
+def _header(lines):
+    """The first directive of a document, split: (lineno, parts)."""
+    for lineno, line in lines:
+        return lineno, line.split()
+    raise ParseError("empty document", 0)
+
+
+class _Reader:
+    """What the three formats share: the `<kind> <name>` header, the one
+    names line `names_key` and the lookup of the names it lists (`what`
+    says what they name, as in "unknown element").  Raises every error
+    that is not about a format's own directives."""
+
+    def __init__(self, kind: str, names_key: str, what: str):
+        self.kind, self.names_key, self.what = kind, names_key, what
+        self.name = None
+        self.names = None
+        self.index = {}
+
+    def directives(self, text: str, needs_names: dict):
+        """Yield (lineno, key, args) for each of the format's own
+        directives.  needs_names maps each of them to what the names line
+        must come before, or to None where it may come first."""
+        lines = _lines(text)
+        lineno, parts = _header(lines)
+        if parts[0] != self.kind or len(parts) != 2:
+            raise ParseError(f"expected `{self.kind} <name>` first", lineno)
+        self.name = parts[1]
+        for lineno, line in lines:
+            key, *args = line.split()
+            if key == self.names_key:
+                self._read_names(args, lineno)
+            elif key not in needs_names:
+                raise ParseError(f"unknown directive {key!r}", lineno)
+            elif needs_names[key] and self.names is None:
+                raise ParseError(
+                    f"{self.names_key} line must come before {needs_names[key]}", lineno)
+            else:
+                yield lineno, key, args
+        if self.names is None:
+            raise ParseError(f"missing {self.names_key} line", 0)
+
+    def _read_names(self, args, lineno):
+        if self.names is not None:
+            raise ParseError(f"duplicate {self.names_key} line", lineno)
+        names = tuple(_check_name(p, lineno, self.what) for p in args)
+        if len(set(names)) != len(names) or not names:
+            raise ParseError(f"{self.what} names must be nonempty and distinct", lineno)
+        self.names = names
+        self.index = {nm: i for i, nm in enumerate(names)}
+
+    def look_up(self, tok: str, lineno: int) -> int:
+        if tok not in self.index:
+            raise ParseError(f"unknown {self.what} {tok!r}", lineno)
+        return self.index[tok]
+
+
 def parse_lattice(text: str) -> LatticeDocument:
-    name = None
-    elements = None
+    r = _Reader("lattice", "elements", "element")
     rel_pairs = []          # (a, b) with a <= b; covers get closed anyway
     op_rows = None
     neg_row = None
-    idx = {}
-
-    def element(tok, lineno):
-        if tok not in idx:
-            raise ParseError(f"unknown element {tok!r}", lineno)
-        return idx[tok]
-
-    for lineno, line in _lines(text):
-        parts = line.split()
-        key = parts[0]
-        if name is None:
-            if key != "lattice" or len(parts) != 2:
-                raise ParseError("expected `lattice <name>` first", lineno)
-            name = parts[1]
-        elif key == "elements":
-            if elements is not None:
-                raise ParseError("duplicate elements line", lineno)
-            elements = tuple(_check_name(p, lineno, "element") for p in parts[1:])
-            if len(set(elements)) != len(elements) or not elements:
-                raise ParseError("element names must be nonempty and distinct", lineno)
-            idx = {e: i for i, e in enumerate(elements)}
-        elif key in ("cover", "leq"):
-            if elements is None:
-                raise ParseError("elements line must come before the order", lineno)
-            if len(parts) != 3:
+    own = {"cover": "the order", "leq": "the order", "op": "any op"}
+    for lineno, key, args in r.directives(text, own):
+        n = len(r.names)
+        if key in ("cover", "leq"):
+            if len(args) != 2:
                 raise ParseError(f"expected `{key} <a> <b>`", lineno)
-            rel_pairs.append((element(parts[1], lineno), element(parts[2], lineno)))
-        elif key == "op":
-            if elements is None:
-                raise ParseError("elements line must come before any op", lineno)
-            if len(parts) >= 2 and parts[1] == "->":
-                if op_rows is not None:
-                    raise ParseError("duplicate conditional op", lineno)
-                rows = " ".join(parts[2:]).split(";")
-                op_rows = []
-                for row in rows:
-                    toks = row.split()
-                    if len(toks) != len(elements):
-                        raise ParseError(
-                            f"row needs {len(elements)} entries, got {len(toks)}", lineno
-                        )
-                    op_rows.append(tuple(element(tk, lineno) for tk in toks))
-                if len(op_rows) != len(elements):
-                    raise ParseError(
-                        f"need {len(elements)} rows, got {len(op_rows)}", lineno
-                    )
-            elif len(parts) >= 2 and parts[1] == "neg":
-                if neg_row is not None:
-                    raise ParseError("duplicate unary op", lineno)
-                toks = parts[2:]
-                if len(toks) != len(elements):
-                    raise ParseError(
-                        f"neg needs {len(elements)} entries, got {len(toks)}", lineno
-                    )
-                neg_row = tuple(element(tk, lineno) for tk in toks)
-            else:
-                raise ParseError("op must be `op -> ...` or `op neg ...`", lineno)
+            rel_pairs.append(tuple(r.look_up(tk, lineno) for tk in args))
+        elif args[:1] == ["->"]:
+            if op_rows is not None:
+                raise ParseError("duplicate conditional op", lineno)
+            op_rows = []
+            for row in " ".join(args[1:]).split(";"):
+                toks = row.split()
+                if len(toks) != n:
+                    raise ParseError(f"row needs {n} entries, got {len(toks)}", lineno)
+                op_rows.append(tuple(r.look_up(tk, lineno) for tk in toks))
+            if len(op_rows) != n:
+                raise ParseError(f"need {n} rows, got {len(op_rows)}", lineno)
+        elif args[:1] == ["neg"]:
+            if neg_row is not None:
+                raise ParseError("duplicate unary op", lineno)
+            if len(args) - 1 != n:
+                raise ParseError(f"neg needs {n} entries, got {len(args) - 1}", lineno)
+            neg_row = tuple(r.look_up(tk, lineno) for tk in args[1:])
         else:
-            raise ParseError(f"unknown directive {key!r}", lineno)
-    if name is None:
-        raise ParseError("empty document", 0)
-    if elements is None:
-        raise ParseError("missing elements line", 0)
+            raise ParseError("op must be `op -> ...` or `op neg ...`", lineno)
     try:
-        lattice = FiniteLattice.from_leq(elements, rel_pairs)
+        lattice = FiniteLattice.from_leq(r.names, rel_pairs)
     except (NotAPartialOrder, MissingBound, NotALattice, TooLarge) as exc:
         raise ParseError(f"not a bounded lattice: {exc}", 0) from exc
     cond = ConditionalOp(lattice, tuple(op_rows)) if op_rows is not None else None
     neg = UnaryOp(lattice, neg_row) if neg_row is not None else None
-    return LatticeDocument(name, lattice, cond, neg)
+    return LatticeDocument(r.name, lattice, cond, neg)
 
 
 def serialize_lattice(doc: LatticeDocument) -> str:
@@ -162,42 +181,20 @@ def serialize_lattice(doc: LatticeDocument) -> str:
 
 
 def parse_frame(text: str) -> FrameDocument:
-    name = None
-    points = None
+    r = _Reader("frame", "points", "point")
     reflexive = False
     edges = []
-    for lineno, line in _lines(text):
-        parts = line.split()
-        key = parts[0]
-        if name is None:
-            if key != "frame" or len(parts) != 2:
-                raise ParseError("expected `frame <name>` first", lineno)
-            name = parts[1]
-        elif key == "points":
-            if points is not None:
-                raise ParseError("duplicate points line", lineno)
-            points = tuple(_check_name(p, lineno, "point") for p in parts[1:])
-            if len(set(points)) != len(points) or not points:
-                raise ParseError("point names must be nonempty and distinct", lineno)
-        elif key == "reflexive":
+    for lineno, key, args in r.directives(text, {"reflexive": None, "edge": "edges"}):
+        if key == "reflexive":
             reflexive = True
-        elif key == "edge":
-            if points is None:
-                raise ParseError("points line must come before edges", lineno)
-            if len(parts) != 3:
-                raise ParseError("expected `edge <y> <x>`", lineno)
-            for p in parts[1:]:
-                if p not in points:
-                    raise ParseError(f"unknown point {p!r}", lineno)
-            edges.append((parts[1], parts[2]))
         else:
-            raise ParseError(f"unknown directive {key!r}", lineno)
-    if name is None:
-        raise ParseError("empty document", 0)
-    if points is None:
-        raise ParseError("missing points line", 0)
+            if len(args) != 2:
+                raise ParseError("expected `edge <y> <x>`", lineno)
+            for p in args:
+                r.look_up(p, lineno)
+            edges.append(tuple(args))
     return FrameDocument(
-        name, RelationalFrame.from_edges(points, edges, reflexive=reflexive)
+        r.name, RelationalFrame.from_edges(r.names, edges, reflexive=reflexive)
     )
 
 
@@ -216,60 +213,31 @@ def _subset_token(names, mask: int) -> str:
 
 
 def parse_selection(text: str) -> SelectionDocument:
-    name = None
-    worlds = None
+    r = _Reader("selframe", "worlds", "world")
     rows = {}
-    idx = {}
-
-    def world(tok, lineno):
-        if tok not in idx:
-            raise ParseError(f"unknown world {tok!r}", lineno)
-        return idx[tok]
-
-    for lineno, line in _lines(text):
-        parts = line.split()
-        key = parts[0]
-        if name is None:
-            if key != "selframe" or len(parts) != 2:
-                raise ParseError("expected `selframe <name>` first", lineno)
-            name = parts[1]
-        elif key == "worlds":
-            if worlds is not None:
-                raise ParseError("duplicate worlds line", lineno)
-            worlds = tuple(_check_name(p, lineno, "world") for p in parts[1:])
-            if len(set(worlds)) != len(worlds) or not worlds:
-                raise ParseError("world names must be nonempty and distinct", lineno)
-            idx = {w: i for i, w in enumerate(worlds)}
-        elif key == "rel":
-            if worlds is None:
-                raise ParseError("worlds line must come before rel lines", lineno)
-            if len(parts) < 3 or parts[2] != ":":
-                raise ParseError("expected `rel <subset> : <w>,<v> ...`", lineno)
-            tok = parts[1]
-            if tok == "*":
-                A = (1 << len(worlds)) - 1
-            elif tok == ",":
-                A = 0
-            else:
-                A = 0
-                for w in tok.split(","):
-                    A |= 1 << world(w, lineno)
-            if A in rows:
-                raise ParseError(f"duplicate rel line for subset {tok!r}", lineno)
-            sel = [0] * len(worlds)
-            for pair in parts[3:]:
-                wv = pair.split(",")
-                if len(wv) != 2:
-                    raise ParseError(f"expected `<w>,<v>`, got {pair!r}", lineno)
-                sel[world(wv[0], lineno)] |= 1 << world(wv[1], lineno)
-            rows[A] = tuple(sel)
+    for lineno, _, args in r.directives(text, {"rel": "rel lines"}):
+        k = len(r.names)
+        if len(args) < 2 or args[1] != ":":
+            raise ParseError("expected `rel <subset> : <w>,<v> ...`", lineno)
+        tok = args[0]
+        if tok == "*":
+            A = (1 << k) - 1
+        elif tok == ",":
+            A = 0
         else:
-            raise ParseError(f"unknown directive {key!r}", lineno)
-    if name is None:
-        raise ParseError("empty document", 0)
-    if worlds is None:
-        raise ParseError("missing worlds line", 0)
-    k = len(worlds)
+            A = 0
+            for w in tok.split(","):
+                A |= 1 << r.look_up(w, lineno)
+        if A in rows:
+            raise ParseError(f"duplicate rel line for subset {tok!r}", lineno)
+        sel = [0] * k
+        for pair in args[2:]:
+            wv = pair.split(",")
+            if len(wv) != 2:
+                raise ParseError(f"expected `<w>,<v>`, got {pair!r}", lineno)
+            sel[r.look_up(wv[0], lineno)] |= 1 << r.look_up(wv[1], lineno)
+        rows[A] = tuple(sel)
+    k = len(r.names)
     defaulted = []
     rel = []
     for A in range(1 << k):
@@ -279,7 +247,7 @@ def parse_selection(text: str) -> SelectionDocument:
             # bare centering: members select themselves, the rest nothing
             rel.append(tuple((1 << w) & A and (1 << w) or 0 for w in range(k)))
             defaulted.append(A)
-    return SelectionDocument(name, SelectionFrame(worlds, tuple(rel)), tuple(defaulted))
+    return SelectionDocument(r.name, SelectionFrame(r.names, tuple(rel)), tuple(defaulted))
 
 
 def serialize_selection(doc: SelectionDocument) -> str:
@@ -296,18 +264,15 @@ def serialize_selection(doc: SelectionDocument) -> str:
     return "\n".join(out) + "\n"
 
 
+_PARSERS = {"lattice": parse_lattice, "frame": parse_frame, "selframe": parse_selection}
+
+
 def load_document(text: str):
     """Dispatch on the first directive."""
-    for lineno, line in _lines(text):
-        key = line.split()[0]
-        if key == "lattice":
-            return parse_lattice(text)
-        if key == "frame":
-            return parse_frame(text)
-        if key == "selframe":
-            return parse_selection(text)
-        raise ParseError(f"unrecognized document kind {key!r}", lineno)
-    raise ParseError("empty document", 0)
+    lineno, parts = _header(_lines(text))
+    if parts[0] not in _PARSERS:
+        raise ParseError(f"unrecognized document kind {parts[0]!r}", lineno)
+    return _PARSERS[parts[0]](text)
 
 
 # -- DOT ------------------------------------------------------------------

@@ -126,13 +126,13 @@ def first_violation(n: int, arity: int, violates, block=None):
 class FiniteLattice:
     """A bounded lattice with precomputed order masks and meet/join tables."""
 
-    def __init__(self, names, up_rows, *, max_size: int = MAX_ELEMENTS):
+    def __init__(self, names, up_rows):
         names = tuple(str(x) for x in names)
         n = len(names)
         if n == 0:
             raise NotALattice("empty carrier")
-        if n > max_size:
-            raise TooLarge(f"{n} elements exceeds the size guard of {max_size}")
+        if n > MAX_ELEMENTS:
+            raise TooLarge(f"{n} elements exceeds the size guard of {MAX_ELEMENTS}")
         if len(set(names)) != n:
             raise NotAPartialOrder("duplicate element names")
 

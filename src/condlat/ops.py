@@ -285,6 +285,7 @@ def check_axiom(op: ConditionalOp, axiom: Axiom) -> AxiomCheck:
     if L.n ** d.arity >= GRID_MIN_INSTANCES:
         return _grid_check(op, axiom, d)
     # the scalar route: every instance in lexicographic order
+    # (inline, not first_violation: its call overhead cost the census 35-50%)
     for v in product(range(L.n), repeat=d.arity):
         lhs, rhs = d.eval(L, M, T, v)
         if _fails(M, lhs, rhs, d.relation):

@@ -325,9 +325,9 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
     return SelectionModel(frame, atoms, element_mask)
 
 
-def random_centered_frame(rng: Random, k: int, hit: float = 0.7) -> SelectionFrame:
+def random_centered_frame(rng: Random, k: int) -> SelectionFrame:
     """A random frame with success and centering; worlds outside the
-    antecedent select one random member with probability hit, else
+    antecedent select one random member with probability 0.7, else
     nothing.  Not strongly dense in general; callers filter."""
     _guard_worlds(k)
     rel = []
@@ -337,7 +337,7 @@ def random_centered_frame(rng: Random, k: int, hit: float = 0.7) -> SelectionFra
         for w in range(k):
             if A >> w & 1:
                 row.append(1 << w)
-            elif members and rng.random() < hit:
+            elif members and rng.random() < 0.7:
                 row.append(1 << rng.choice(members))
             else:
                 row.append(0)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,9 @@ from condlat.io import (
     serialize_lattice,
     serialize_selection,
 )
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def write_entry(tmp_path, name):
@@ -194,6 +199,16 @@ def test_prob_arrow_rejects_indices_outside_the_space(capsys, subset):
         main(["prob", "arrow", subset, "1"])
     assert info.value.code == 2
     assert "world indices 0..10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subsets", [["1,2", "3"], ["-"]])
+def test_prob_verify_refuses_stray_subsets(capsys, subsets):
+    with pytest.raises(SystemExit) as info:
+        main(["prob", "verify"] + subsets)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: prob verify takes no subsets\n"
+    assert captured.out == ""
 
 
 def test_prob_verify_small_sample(capsys):
@@ -383,3 +398,47 @@ def test_demo_failure_stays_at_its_anchor(monkeypatch, tmp_path, capsys):
     text = report.read_text()
     assert "section:" not in text and len(text.splitlines()) == len(lines) - 1
     assert ("ok=false anchor=pair:meet-2chain detail=planted failure\n") in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "antitone-step-3chain.lat"],
+    ["check", "antitone-step-3chain.lat", "--axioms", "P1,P2,P3,P5"],
+    ["classify", "sasaki-M4.lat"],
+    ["frame", "quad-two-way.frame"],
+    ["represent", "residual-3chain.lat"],
+    ["represent", "const-top-2chain.lat"],
+    ["selection", "density-gap-3.self"],
+    ["search", "--lattice", "meet-2chain.lat", "--require", "MP", "--forbid", "WM"],
+    ["search", "--lattice", "meet-2chain.lat", "--require", "MP,WM", "--forbid", "P1"],
+    ["search", "--minimal", "--require", "P1,P2,P3,P5", "--forbid", "P4"],
+    ["search", "--lattice", "material-B4.lat", "--require", "P1", "--forbid", "P4",
+     "--budget", "1"],
+    ["search", "--minimal", "--require", "P1", "--forbid", "P4", "--budget", "1"],
+    ["prob", "verify"],
+    ["prob", "arrow", "1,2,3", "2,3"],
+    ["demo", "--filter", "pinned:"],
+], ids=" ".join)
+def test_every_command_writes_its_report_and_exits_by_it(tmp_path, capsys, argv):
+    argv = [str(FIXTURES / a) if a.endswith((".lat", ".frame", ".self")) else a
+            for a in argv]
+    report = tmp_path / "report.txt"
+    code = main(argv + ["--report", str(report)])
+    records = report.read_text().splitlines()
+    assert records and all(r.startswith(("ok=true ", "ok=false ")) for r in records)
+    assert code == (1 if any(r.startswith("ok=false") for r in records) else 0)
+
+
+def test_budget_exhausted_search_records_one_failure(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    assert main(["search", "--lattice", str(FIXTURES / "material-B4.lat"),
+                 "--require", "P1", "--forbid", "P4", "--budget", "1",
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().out == "budget exhausted: node budget 1 exhausted\n"
+    assert report.read_text() == "ok=false check=search detail=budget-exhausted\n"
+
+
+def test_demo_stdout_is_pinned(capsys):
+    assert main(["demo"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("126 checks, 0 failures\n")
+    assert hashlib.md5(out.encode()).hexdigest() == "c5007766be65bb884fe394862b5a7ede"

@@ -125,8 +125,12 @@ def test_frame_edge_direction():
 
 
 def test_frame_reflexive_directive():
-    doc = parse_frame("frame f\npoints a b\nreflexive\nedge a b\n")
-    assert doc.frame.related(0, 0) and doc.frame.related(1, 1)
+    # reflexive needs no names, so it may also come before the points line
+    for text in ("frame f\npoints a b\nreflexive\nedge a b\n",
+                 "frame f\nreflexive\npoints a b\nedge a b\n"):
+        doc = parse_frame(text)
+        assert doc.frame.related(0, 0) and doc.frame.related(1, 1)
+        assert doc.frame.related(0, 1) and not doc.frame.related(1, 0)
 
 
 @pytest.mark.parametrize("entry", catalog.SELECTION_ENTRIES, ids=lambda e: e.name)
@@ -176,3 +180,42 @@ def test_load_document_dispatch(quad_frame):
     sel = catalog.selection_entry("well-order-3")
     sel_text = serialize_selection(SelectionDocument("w", sel.frame, ()))
     assert isinstance(load_document(sel_text), SelectionDocument)
+
+
+# (parser, header kind, names line, a directive that needs the names line,
+#  the same directive naming an unknown name)
+FORMATS = [
+    (parse_lattice, "lattice", "elements", "cover a b", "cover a c"),
+    (parse_frame, "frame", "points", "edge a b", "edge a c"),
+    (parse_selection, "selframe", "worlds", "rel a : a,a", "rel a : a,c"),
+]
+
+# failure kind -> (document template, line of the error); {kind}, {names},
+# {directive} and {unknown} are filled in per format
+READER_FAILURES = {
+    "wrong-header": ("widget x\n{names} a b\n", 1),
+    "missing-header": ("{names} a b\n", 1),
+    "header-without-name": ("{kind}\n{names} a b\n", 1),
+    "header-with-extra-token": ("{kind} x y\n{names} a b\n", 1),
+    "duplicate-names-line": ("{kind} x\n{names} a b\n{names} a b\n", 3),
+    "reserved-character": ("{kind} x\n{names} a;b\n", 2),
+    "repeated-name": ("# a comment\n{kind} x\n\n{names} a a\n", 4),
+    "directive-before-names": ("{kind} x\n{directive}\n{names} a b\n", 2),
+    "unknown-directive": ("{kind} x\n{names} a b\nwidget a\n", 3),
+    "unknown-name": ("{kind} x\n{names} a b\n{unknown}\n", 3),
+    "empty-document": ("# only comments\n\n   \n", 0),
+    "missing-names-line": ("{kind} x\n", 0),
+}
+
+
+@pytest.mark.parametrize("kind", READER_FAILURES)
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f[1])
+def test_reader_failures_are_parse_errors_at_their_line(fmt, kind):
+    parse, header, names, directive, unknown = fmt
+    template, line = READER_FAILURES[kind]
+    text = template.format(kind=header, names=names, directive=directive,
+                           unknown=unknown)
+    for read in (parse, load_document):
+        with pytest.raises(ParseError) as info:
+            read(text)
+        assert info.value.line == line
