@@ -6,12 +6,14 @@ prob, demo.  Exit codes: 0 all expectations met, 1 a check failed,
 usage error.
 
 Reports are printed for people; ``--report FILE`` additionally writes
-one `key=value ...` record per check for regression diffing.
+one `key=value ...` record per check for regression diffing, each run
+of whitespace in a value written as `-`.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
@@ -94,7 +96,7 @@ class Run:
             return
         with open(path, "w") as fh:
             for ok, kv in self.records:
-                fields = " ".join(f"{k}={v}" for k, v in kv.items())
+                fields = " ".join(k + "=" + re.sub(r"\s+", "-", str(v)) for k, v in kv.items())
                 fh.write(f"ok={str(ok).lower()} {fields}\n")
 
     def exit_code(self):
@@ -204,7 +206,7 @@ def cmd_represent(args, run: Run) -> None:
     except EmbeddingNotVerified as exc:
         ok, detail = False, str(exc)
     print(f"  lattice isomorphic to its fixpoints: {ok} ({detail})")
-    run.rec(ok, file=args.file, check="pair-embedding", detail=detail.replace(" ", "-"))
+    run.rec(ok, file=args.file, check="pair-embedding", detail=detail)
 
     space = build_fi_space(doc.lattice, op)
     print(f"filter-ideal space: {space.frame.m} points")
@@ -216,7 +218,7 @@ def cmd_represent(args, run: Run) -> None:
     except EmbeddingNotVerified as exc:
         ok2, d2 = False, str(exc)
     print(f"  embedding onto open fixpoints: {ok2}")
-    run.rec(ok2, file=args.file, check="space-embedding", detail=d2.replace(" ", "-"))
+    run.rec(ok2, file=args.file, check="space-embedding", detail=d2)
 
     cond = check_space_conditions(space.frame, space.basis)
     print(f"  space conditions: separated={cond.separated[0]} "
@@ -305,6 +307,8 @@ def cmd_prob(args, run: Run) -> None:
     if args.action == "arrow":
         if args.a is None or args.b is None:
             _usage("prob arrow needs two subsets (comma lists or -)")
+        if args.seed is not None:
+            _usage("prob arrow takes no --seed")
         A, B = (_subset_arg(args.a, space.world_count),
                 _subset_arg(args.b, space.world_count))
         out = space.arrow(A, B)
@@ -315,7 +319,7 @@ def cmd_prob(args, run: Run) -> None:
     else:
         if args.a is not None:
             _usage("prob verify takes no subsets")
-        rep = verify_axioms(space, seed=args.seed)
+        rep = verify_axioms(space, seed=args.seed or 0)
         for ax in (Axiom.P1, Axiom.P2, Axiom.P3, Axiom.P4, Axiom.P5,
                    Axiom.MP, Axiom.NORM):
             c = rep[ax]
@@ -646,8 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("action", choices=("verify", "arrow"))
     s.add_argument("a", nargs="?", help="antecedent worlds, comma list or -")
     s.add_argument("b", nargs="?", help="consequent worlds, comma list or -")
-    s.add_argument("--seed", type=int, default=0,
-                   help="picks the table cells cross-checked on exact rationals")
+    s.add_argument("--seed", type=int,
+                   help="prob verify: picks the cells cross-checked on exact rationals")
     s.set_defaults(func=cmd_prob)
 
     s = _common(subs.add_parser("demo", help="run the whole expectation suite"))

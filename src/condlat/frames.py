@@ -27,14 +27,16 @@ passes of 8 points each.  ``arrow_grid`` confirms every kernel grid with
 the scalar ``arrow`` at one fixed cell per row and raises
 InternalInconsistency on a mismatch.
 
-``set_algebra`` is the algebra of any family of frame sets: the family
-ordered by inclusion, its conditional table, and the first cell where
-meet is not intersection, join is not the closure of the union or the
-conditional leaves the family.  ``fixpoints`` reads it for the closure
+``first_law_failure`` is the one check of the three set laws: that point
+masks carry a lattice's meet to intersection, its join to the closure of
+the union and a conditional table to the arrow.  It names the first cell
+in row-major order where one fails, tried meet, join, conditional.
+``set_algebra`` reads it for a family of frame sets under inclusion with
+the family's own conditional table (``fixpoints`` for the closure
 fixpoints, ``representation.check_space_conditions`` for the compact
-opens.  Grids of fewer than GRID_MIN_INSTANCES cells are computed cell by
-cell with ``arrow``, which costs less than the numpy calls there; a
-failure is reported at its first cell in row-major order either way.
+opens), and both embedding routes of ``representation`` for the image of
+a lattice.  Grids of fewer than GRID_MIN_INSTANCES cells are computed
+cell by cell with ``arrow``, which costs less than the numpy calls there.
 """
 
 from __future__ import annotations
@@ -283,53 +285,71 @@ def closed_sets(m: int, close, limit: int | None) -> list:
     return out
 
 
+def _set_grids(frame: RelationalFrame, H):
+    """(S, C, A) for the point masks H: C[a][b] = closure(H[a] | H[b]) and
+    A[a][b] = H[a] -> H[b].  Below GRID_MIN_INSTANCES cells S is H and C, A
+    are int lists made cell by cell; else all three are kernel word arrays."""
+    if len(H) ** 2 < GRID_MIN_INSTANCES:
+        return (H, [[frame.closure(s | t) for t in H] for s in H],
+                [[frame.arrow(s, t) for t in H] for s in H])
+    S = frame.to_words(H)
+    return (S, frame.closure_grid(S[:, None] | S[None, :]),
+            frame.arrow_grid(S[:, None], S[None, :]))
+
+
+def first_law_failure(frame: RelationalFrame, H, lattice: FiniteLattice, T, grids=None):
+    """(law, a, b) at the first cell in row-major order where the point
+    masks H fail to carry lattice's meet to intersection ("meet"), its join
+    to the closure of the union ("join") or the index table T to the arrow
+    ("conditional"; T holds -1 where the arrow is outside H, a failure),
+    tried in that order; or None.  grids are _set_grids(frame, H), made
+    here when not given; a cell flagged on kernel grids is confirmed with
+    the scalar closure and arrow."""
+    S, C, A = grids or _set_grids(frame, H)
+    small, M, J = len(H) ** 2 < GRID_MIN_INSTANCES, lattice.meet_table, lattice.join_table
+
+    def law(v):
+        a, b = v
+        s, t = H[a], H[b]
+        if H[M[a][b]] != s & t:
+            return "meet"
+        if H[J[a][b]] != (C[a][b] if small else frame.closure(s | t)):
+            return "join"
+        r, k = A[a][b] if small else frame.arrow(s, t), T[a][b]
+        # a -1 that the kernel put in T is confirmed by the arrow leaving H
+        if r not in H if k < 0 else H[k] != r:
+            return "conditional"
+        return None
+
+    def block(a, b):
+        # a -1 in T reads S[-1], which is not the arrow: that is outside H
+        return ((S[lattice.meet_array[a, b]] != S[a] & S[b])
+                | (S[lattice.join_array[a, b]] != C[a, b])
+                | (S[np.asarray(T)[a, b]] != A[a, b])).any(-1)
+
+    bad = first_violation(len(H), 2, law, block)
+    return bad and (law(bad), *bad)
+
+
 def set_algebra(frame: RelationalFrame, sets):
     """The algebra of a family of frame sets: (lattice, table, failure).
 
     The lattice is sets (ascending masks) ordered by inclusion, each
     named by set_label; table[i][j] is the index of sets[i] -> sets[j] in
-    sets, or -1 where it is not there; failure is (law, i, j) at the
-    first cell in row-major order where meet is not intersection ("meet"),
-    join is not the closure of the union ("join") or the conditional
-    leaves the family ("conditional"), tried in that order, or None.
-    Grids of GRID_MIN_INSTANCES cells or more run on the kernel, the
-    table confirmed at one cell per row and a failure at its cell by the
-    scalar law; smaller ones cell by cell with the scalar arrow.
+    sets, or -1 where it is not there; failure is first_law_failure of
+    the two, so a -1 in the table is the conditional leaving the family.
     """
-    n = len(sets)
-    index = {s: i for i, s in enumerate(sets)}
     lat = FiniteLattice([set_label(frame, s) for s in sets],
                         [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets])
-    M, J = lat.meet_table, lat.join_table
-    scalar = n * n < GRID_MIN_INSTANCES
-    if scalar:
-        table = [[index.get(frame.arrow(s, t), -1) for t in sets] for s in sets]
+    S, _, A = grids = _set_grids(frame, sets)
+    if isinstance(A, list):
+        index = {s: i for i, s in enumerate(sets)}
+        table = T = [[index.get(r, -1) for r in row] for row in A]
     else:
-        S = frame.to_words(sets)
-        idx, found = positions(S, frame.arrow_grid(S[:, None], S[None, :]))
+        idx, found = positions(S, A)
         T = np.where(found, idx, -1)
         table = T.tolist()
-
-    def law(v):
-        i, j = v
-        s, t = sets[i], sets[j]
-        if sets[M[i][j]] != s & t:
-            return "meet"
-        if sets[J[i][j]] != frame.closure(s | t):
-            return "join"
-        # the scalar table is the scalar route; a kernel cell is recomputed
-        if (table[i][j] if scalar else index.get(frame.arrow(s, t), -1)) < 0:
-            return "conditional"
-        return None
-
-    def block(a, b):
-        Sa, Sb = S[a], S[b]
-        return ((S[lat.meet_array[a, b]] != Sa & Sb).any(-1)
-                | (S[lat.join_array[a, b]] != frame.closure_grid(Sa | Sb)).any(-1)
-                | (T[a, b] < 0))
-
-    bad = first_violation(n, 2, law, block)
-    return lat, table, bad and (law(bad), *bad)
+    return lat, table, first_law_failure(frame, sets, lat, T, grids)
 
 
 def fixpoints(frame: RelationalFrame) -> FixpointLattice:

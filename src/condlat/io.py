@@ -186,6 +186,8 @@ def parse_frame(text: str) -> FrameDocument:
     edges = []
     for lineno, key, args in r.directives(text, {"reflexive": None, "edge": "edges"}):
         if key == "reflexive":
+            if args:
+                raise ParseError("expected `reflexive` alone", lineno)
             reflexive = True
         else:
             if len(args) != 2:
@@ -277,22 +279,21 @@ def load_document(text: str):
 
 # -- DOT ------------------------------------------------------------------
 
+def _digraph(name: str, head, labels, edges) -> str:
+    """Nodes n0, n1, ... labelled by labels, edges (a, b) as n<a> -> n<b>;
+    the graph name and every label quoted with \\ and " escaped."""
+    def quote(text):
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    out = [f"digraph {quote(name)} {{", *head]
+    out += [f"  n{i} [label={quote(nm)}];" for i, nm in enumerate(labels)]
+    out += [f"  n{a} -> n{b};" for a, b in edges]
+    return "\n".join(out + ["}"]) + "\n"
+
+
 def lattice_dot(L: FiniteLattice, name: str = "lattice") -> str:
     """Hasse diagram, bottom at the bottom."""
-    out = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=plaintext];"]
-    for i, nm in enumerate(L.names):
-        out.append(f'  n{i} [label="{nm}"];')
-    for a, b in L.covers():
-        out.append(f"  n{a} -> n{b};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return _digraph(name, ["  rankdir=BT;", "  node [shape=plaintext];"], L.names, L.covers())
 
 
 def frame_dot(f: RelationalFrame, name: str = "frame") -> str:
-    out = [f'digraph "{name}" {{', "  node [shape=circle];"]
-    for i, nm in enumerate(f.names):
-        out.append(f'  n{i} [label="{nm}"];')
-    for y, x in f.edges():
-        out.append(f"  n{y} -> n{x};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return _digraph(name, ["  node [shape=circle];"], f.names, f.edges())

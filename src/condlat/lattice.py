@@ -310,13 +310,13 @@ class FiniteLattice:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_leq(cls, names, leq_pairs, **kw):
+    def from_leq(cls, names, leq_pairs):
         """Build from arbitrary (a, b) pairs meaning a <= b; closure is taken."""
         names = tuple(names)
         rows = [0] * len(names)
         for a, b in leq_pairs:
             rows[a] |= 1 << b
-        return cls(names, rows, **kw)
+        return cls(names, rows)
 
     # covering pairs (a, b), a covered by b, are leq pairs whose closure is the order
     from_cover = from_leq

@@ -27,16 +27,13 @@ intersection of the basis sets holding x, for each of its points x, so
 the open fixpoints are the closed sets of the frame closure alternated
 with the up-hull X |-> union of N(x), x in X.
 
-The n^2 cells of the embedding check (both routes) run on the frame
-kernel (``RelationalFrame.arrow_grid``, confirmed by the scalar
-``arrow`` at one cell per row); grids of fewer than GRID_MIN_INSTANCES
-cells are checked cell by cell.  Either way the failure reported is the
-first in row-major order, its laws tried in the order meet, join,
-conditional.  The structure condition of ``check_space_conditions`` is
-``frames.set_algebra`` on the compact opens, the same check ``fixpoints``
-makes on all fixpoints, and its lattice and table give the consonant
-pairs that the pairs-realized condition looks up; ``build_fi_space``
-lists its points with the same ``_consonant_pairs``.
+The embedding check of both routes and the structure condition of
+``check_space_conditions`` are the one set-law check of ``frames``,
+``first_law_failure``: the first on hat and the lattice's own tables,
+the second through ``frames.set_algebra`` on the compact opens, as
+``fixpoints`` makes it on all fixpoints.  That lattice and table give
+the consonant pairs the pairs-realized condition looks up;
+``build_fi_space`` lists its points with the same ``_consonant_pairs``.
 """
 
 from __future__ import annotations
@@ -48,7 +45,8 @@ from operator import or_
 import numpy as np
 
 from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
-from .frames import RelationalFrame, closed_sets, fixpoints, set_algebra, set_label
+from .frames import (RelationalFrame, closed_sets, first_law_failure, fixpoints,
+                     set_algebra, set_label)
 from .lattice import MAX_ELEMENTS, FiniteLattice, find_isomorphism, first_violation
 from .ops import ConditionalOp, require_preconditional
 
@@ -68,29 +66,11 @@ def _embedding_failures(L, T, frame, hat, *, image, map_name, verb):
         failures.append(f"{map_name} is not injective")
     if failures:
         return failures
-    M, J = L.meet_table, L.join_table
-
-    def law(v):
-        a, b = v
-        if hat[M[a][b]] != hat[a] & hat[b]:
-            return "meet"
-        if hat[J[a][b]] != frame.closure(hat[a] | hat[b]):
-            return "join"
-        if hat[T[a][b]] != frame.arrow(hat[a], hat[b]):
-            return "conditional"
-        return None
-
-    def block(a, b):
-        H = frame.to_words(hat)
-        Ha, Hb = H[a], H[b]
-        return ((H[L.meet_array[a, b]] != Ha & Hb)
-                | (H[L.join_array[a, b]] != frame.closure_grid(Ha | Hb))
-                | (H[np.asarray(T)[a, b]] != frame.arrow_grid(Ha, Hb))).any(-1)
-
-    v = first_violation(L.n, 2, law, block)
-    if v is None:
+    bad = first_law_failure(frame, hat, L, T)
+    if bad is None:
         return []
-    return [f"{law(v)} not {verb} at ({L.names[v[0]]},{L.names[v[1]]})"]
+    law, a, b = bad
+    return [f"{law} not {verb} at ({L.names[a]},{L.names[b]})"]
 
 
 # -- pair frame --------------------------------------------------------
@@ -126,7 +106,6 @@ def build_pair_frame(lattice: FiniteLattice, op: ConditionalOp) -> PairFrame:
 @dataclass(frozen=True)
 class PairEmbeddingReport:
     ok: bool
-    candidate_ok: bool
     fallback_used: bool
     failures: tuple
     fixpoint_count: int
@@ -152,19 +131,15 @@ def verify_pair_embedding(pf: PairFrame) -> PairEmbeddingReport:
 
     if not failures:
         mapping = tuple(fl.sets.index(hat[a]) for a in range(L.n))
-        return PairEmbeddingReport(True, True, False, (), len(fl.sets), mapping)
+        return PairEmbeddingReport(True, False, (), len(fl.sets), mapping)
 
     iso = find_isomorphism(L, fl.lattice, pf.op.table, fl.op.table)
     if iso is not None:
-        return PairEmbeddingReport(
-            True, False, True, tuple(failures), len(fl.sets), iso
-        )
+        return PairEmbeddingReport(True, True, tuple(failures), len(fl.sets), iso)
     raise EmbeddingNotVerified(
         "no isomorphism between the algebra and the pair frame fixpoints: "
         + "; ".join(failures),
-        report=PairEmbeddingReport(
-            False, False, True, tuple(failures), len(fl.sets), None
-        ),
+        report=PairEmbeddingReport(False, True, tuple(failures), len(fl.sets), None),
     )
 
 

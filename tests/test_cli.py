@@ -211,6 +211,15 @@ def test_prob_verify_refuses_stray_subsets(capsys, subsets):
     assert captured.out == ""
 
 
+def test_prob_arrow_refuses_a_seed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["prob", "arrow", "1", "1", "--seed", "9"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: prob arrow takes no --seed\n"
+    assert captured.out == ""
+
+
 def test_prob_verify_small_sample(capsys):
     assert main(["prob", "verify"]) == 0
     assert capsys.readouterr().out == (
@@ -240,6 +249,16 @@ def test_dot_flag_writes_hasse(tmp_path):
     dot = tmp_path / "m4.dot"
     main(["classify", path, "--dot", str(dot)])
     assert dot.read_text().startswith("digraph")
+
+
+def test_dot_escapes_the_document_name_and_element_names(tmp_path):
+    path = tmp_path / "q.lat"
+    path.write_text('lattice x"y\nelements 0 a"b 1\ncover 0 a"b\ncover a"b 1\n'
+                    'op -> 1 1 1 ; 0 1 1 ; 0 a"b 1\n')
+    dot = tmp_path / "q.dot"
+    assert main(["classify", str(path), "--dot", str(dot)]) == 0
+    lines = dot.read_text().splitlines()
+    assert lines[0] == r'digraph "x\"y" {' and r'  n1 [label="a\"b"];' in lines
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,7 +416,7 @@ def test_demo_failure_stays_at_its_anchor(monkeypatch, tmp_path, capsys):
     assert lines[-2] == "PASS search:2chain-vs-bruteforce (2187-specs)"
     text = report.read_text()
     assert "section:" not in text and len(text.splitlines()) == len(lines) - 1
-    assert ("ok=false anchor=pair:meet-2chain detail=planted failure\n") in text
+    assert ("ok=false anchor=pair:meet-2chain detail=planted-failure\n") in text
 
 
 @pytest.mark.parametrize("argv", [
@@ -417,6 +436,7 @@ def test_demo_failure_stays_at_its_anchor(monkeypatch, tmp_path, capsys):
     ["prob", "verify"],
     ["prob", "arrow", "1,2,3", "2,3"],
     ["demo", "--filter", "pinned:"],
+    ["demo", "--filter", "density-gap"],
 ], ids=" ".join)
 def test_every_command_writes_its_report_and_exits_by_it(tmp_path, capsys, argv):
     argv = [str(FIXTURES / a) if a.endswith((".lat", ".frame", ".self")) else a
@@ -425,6 +445,10 @@ def test_every_command_writes_its_report_and_exits_by_it(tmp_path, capsys, argv)
     code = main(argv + ["--report", str(report)])
     records = report.read_text().splitlines()
     assert records and all(r.startswith(("ok=true ", "ok=false ")) for r in records)
+    # every record is key=value tokens, ok= first: no value holds whitespace
+    for r in records:
+        tokens = [t.split("=", 1) for t in r.split(" ")]
+        assert tokens[0][0] == "ok" and all(len(t) == 2 and t[0] and t[1] for t in tokens), r
     assert code == (1 if any(r.startswith("ok=false") for r in records) else 0)
 
 

@@ -384,3 +384,11 @@ def test_kernel_and_scalar_disagreeing_raise_internal_inconsistency():
     with pytest.raises(InternalInconsistency,
                        match=rf"^grid flags \({first[0]}, {first[1]}\) but the definition holds"):
         fixpoints(closure_cell)
+    # the kernel arrow bottom -> bottom (row 0 is confirmed at its last
+    # column) leaves the family while the scalar one stays in it: the table
+    # holds -1 there, which the scalar arrow does not confirm
+    bottom = sets[0]
+    out = next(1 << p for p in range(fr.m) if fr.arrow(bottom, bottom) ^ 1 << p not in sets)
+    arrow_cell = TamperedFrame(fr, {(bottom, bottom): out}, scalar=False)
+    with pytest.raises(InternalInconsistency, match=r"^grid flags \(0, 0\) but the definition holds"):
+        fixpoints(arrow_cell)

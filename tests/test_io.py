@@ -171,6 +171,17 @@ def test_dot_outputs(quad_frame):
     assert fdot.count("->") == len(quad_frame.edges())
 
 
+def test_dot_escapes_quotes_and_backslashes_in_names_and_labels():
+    doc = parse_lattice('lattice x"y\\z\nelements 0 a"b 1\ncover 0 a"b\ncover a"b 1\n')
+    dot = lattice_dot(doc.lattice, doc.name).splitlines()
+    assert dot[0] == r'digraph "x\"y\\z" {'
+    assert r'  n1 [label="a\"b"];' in dot
+    fdot = frame_dot(parse_frame('frame q"\npoints p\\ "\nedge p\\ "\n').frame, 'q"')
+    assert fdot.splitlines() == [r'digraph "q\"" {', "  node [shape=circle];",
+                                 r'  n0 [label="p\\"];', r'  n1 [label="\""];',
+                                 "  n0 -> n1;", "}"]
+
+
 def test_load_document_dispatch(quad_frame):
     e = catalog.entry("meet-2chain")
     lat_text = serialize_lattice(LatticeDocument("x", e.lattice, e.conditional, None))
@@ -183,11 +194,11 @@ def test_load_document_dispatch(quad_frame):
 
 
 # (parser, header kind, names line, a directive that needs the names line,
-#  the same directive naming an unknown name)
+#  the same directive naming an unknown name, a directive with stray tokens)
 FORMATS = [
-    (parse_lattice, "lattice", "elements", "cover a b", "cover a c"),
-    (parse_frame, "frame", "points", "edge a b", "edge a c"),
-    (parse_selection, "selframe", "worlds", "rel a : a,a", "rel a : a,c"),
+    (parse_lattice, "lattice", "elements", "cover a b", "cover a c", "leq a b a"),
+    (parse_frame, "frame", "points", "edge a b", "edge a c", "reflexive now please"),
+    (parse_selection, "selframe", "worlds", "rel a : a,a", "rel a : a,c", "rel a : a,b,a"),
 ]
 
 # failure kind -> (document template, line of the error); {kind}, {names},
@@ -203,6 +214,7 @@ READER_FAILURES = {
     "directive-before-names": ("{kind} x\n{directive}\n{names} a b\n", 2),
     "unknown-directive": ("{kind} x\n{names} a b\nwidget a\n", 3),
     "unknown-name": ("{kind} x\n{names} a b\n{unknown}\n", 3),
+    "stray-tokens": ("{kind} x\n{names} a b\n{stray}\n", 3),
     "empty-document": ("# only comments\n\n   \n", 0),
     "missing-names-line": ("{kind} x\n", 0),
 }
@@ -211,10 +223,10 @@ READER_FAILURES = {
 @pytest.mark.parametrize("kind", READER_FAILURES)
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f[1])
 def test_reader_failures_are_parse_errors_at_their_line(fmt, kind):
-    parse, header, names, directive, unknown = fmt
+    parse, header, names, directive, unknown, stray = fmt
     template, line = READER_FAILURES[kind]
     text = template.format(kind=header, names=names, directive=directive,
-                           unknown=unknown)
+                           unknown=unknown, stray=stray)
     for read in (parse, load_document):
         with pytest.raises(ParseError) as info:
             read(text)

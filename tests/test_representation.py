@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -271,10 +274,62 @@ def test_pair_route_decides_the_42_element_algebra_on_its_198_point_frame(monkey
     assert pf.frame.m == 198 and pf.frame.words == 4
     grids = _kernel_grids(monkeypatch)
     rep = verify_pair_embedding(pf)
-    assert rep.ok and rep.candidate_ok and not rep.fallback_used
+    assert rep.ok and not rep.fallback_used
     assert rep.fixpoint_count == 42
     # fixpoints: join check and table; the embedding check: join and conditional
     assert grids == [(42, 42)] * 4
+
+
+def _tampered_pair_frame(pf, kind, rng):
+    """pf with two images of hat swapped, one table cell changed, one
+    frame edge flipped, or one bit of one image flipped."""
+    L, fr, hat = pf.lattice, pf.frame, list(pf.hat)
+    if kind == "swap":
+        a, b = rng.sample(range(L.n), 2)
+        hat[a], hat[b] = hat[b], hat[a]
+        return dataclasses.replace(pf, hat=tuple(hat))
+    if kind == "cell":
+        T = [list(row) for row in pf.op.table]
+        a, b = rng.randrange(L.n), rng.randrange(L.n)
+        T[a][b] = (T[a][b] + 1 + rng.randrange(L.n - 1)) % L.n
+        return dataclasses.replace(pf, op=ConditionalOp(L, tuple(map(tuple, T))))
+    if kind == "edge":
+        pred = [fr.predecessors(x) for x in range(fr.m)]
+        pred[rng.randrange(fr.m)] ^= 1 << rng.randrange(fr.m)
+        return dataclasses.replace(pf, frame=RelationalFrame(fr.names, pred))
+    hat[rng.randrange(L.n)] ^= 1 << rng.randrange(fr.m)
+    return dataclasses.replace(pf, hat=tuple(hat))
+
+
+def _pair_outcome(pf):
+    try:
+        rep = verify_pair_embedding(pf)
+    except EmbeddingNotVerified as exc:
+        return type(exc).__name__, str(exc), exc.report.failures
+    return rep.ok, rep.fallback_used, rep.failures, rep.fixpoint_count, rep.mapping
+
+
+def test_pair_route_outcomes_on_tampered_pair_frames_are_pinned():
+    # the 14 catalog preconditionals, then the fixpoint algebras of twelve
+    # seeded 6-point frames (9 to 16 elements: the kernel route)
+    algebras = [(e.name, e.lattice, e.conditional) for e in PRECONDITIONALS]
+    for s in range(12):
+        fl = fixpoints(random_frame(Random(s), 6))
+        algebras.append((f"frame-seed{s}", fl.lattice, fl.op))
+    outcomes = []
+    for name, L, op in algebras:
+        pf, rng = build_pair_frame(L, op), Random(name)
+        for kind in ("swap", "cell", "edge", "bit") * 3:
+            outcomes.append(_pair_outcome(_tampered_pair_frame(pf, kind, rng)))
+    routes = Counter(o[0] if isinstance(o[0], str) else "fallback" if o[1] else "candidate"
+                     for o in outcomes)
+    assert routes == {"fallback": 157, "EmbeddingNotVerified": 154, "candidate": 1}
+    failures = [f for o in outcomes for f in o[2]]
+    for part in (" is not a fixpoint", "candidate map is not injective", "meet not preserved",
+                 "join not preserved", "conditional not preserved", "candidate image has "):
+        assert any(part in f for f in failures), part
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
+    assert digest == "1d8c5f3236479d07"
 
 
 def _first_failing_law(L, T, frame, hat):
