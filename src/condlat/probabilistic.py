@@ -12,13 +12,16 @@ while their intersection drops below it.
 
 Two evaluation routes are kept deliberately separate: a scalar route,
 world by world, in exact integer weights over a common denominator
-(``Fraction`` only at the ``measure`` and ``cond_prob`` API), and an
-integer numpy route that builds the full 2^n x 2^n table in closed form
-from threshold cut points, one block of antecedent rows at a time with
-set sizes read by popcount.  ``verify_axioms`` reads every law from its
-definition in ``ops.AXIOM_DEFS`` on the powerset, decides every axiom
-except NORM exactly on the table (P4 and P5 by reductions that cover
-all 2^3n triples), cross-checks the table against the scalar route on
+(``Fraction`` only at the ``measure`` and ``cond_prob`` API), written
+once on arrays as ``ConfidenceSpace.arrows`` and read one cell at a time
+by ``arrow``, and an integer numpy route that builds the full 2^n x 2^n
+table in closed form from threshold cut points, one block of antecedent
+rows at a time with set sizes read by popcount.  ``verify_axioms`` reads
+every law from its definition in ``ops.AXIOM_DEFS`` on the powerset and
+decides every axiom except NORM exactly on the table, over the same row
+blocks, so no temporary the size of the table is made: P4 and P5 by
+reductions that cover all 2^3n triples, and P3, once P4 holds, on the
+3^n pairs with B ⊇ ~A.  It cross-checks the table against ``arrows`` on
 seeded cells and the ternary sweeps against the interval family; a
 disagreement is a bug, not a finding.
 """
@@ -114,23 +117,32 @@ class ConfidenceSpace:
         return self.measure(w, A & B) / base
 
     def arrow(self, A: int, B: int) -> int:
-        """Worlds where the confidence in B given A clears the threshold:
-        td * D*mu_w(A&B) >= tn * D*mu_w(A) with tn/td the threshold, one
-        world at a time on integer weights; |A| and |A&B| are counted
-        once per call."""
+        """Worlds where the confidence in B given A clears the threshold,
+        as a mask: ``arrows`` on one cell."""
         self._guard(A), self._guard(B)
+        return int(self.arrows(A, B))
+
+    def arrows(self, A, B) -> np.ndarray:
+        """The arrow on broadcast arrays of subsets, as int64 masks: w is
+        in A -> B when td * D*mu_w(A&B) >= tn * D*mu_w(A), with tn/td the
+        threshold, compared world by world on integer weights with no cut
+        points.  D*mu_w(S) is |S|*o, plus s - o when w lies in S.  Every
+        product is at most td*D, so the weights are int64 while that
+        stays below 2^62 and Python ints otherwise."""
         tn, td = self.threshold.as_integer_ratio()
-        AB = A & B
-        weight_a, weight_ab = self._weights(A.bit_count()), self._weights(AB.bit_count())
-        out = 0
-        for w in range(self.world_count):
-            base = weight_a[A >> w & 1]
-            if base == 0:
-                hit = self.empty_antecedent_total
-            else:
-                hit = td * weight_ab[AB >> w & 1] >= tn * base
-            out |= hit << w
-        return out
+        D, s, o = self._scale
+        exact = np.int64 if td * D < 1 << 62 else object
+        worlds = np.arange(self.world_count)
+        A = np.asarray(A, dtype=np.int64)[..., None]
+        AB = A & np.asarray(B, dtype=np.int64)[..., None]
+
+        def weight(S):
+            return (np.bitwise_count(S).astype(exact) * o
+                    + (S >> worlds & 1).astype(exact) * (s - o))
+
+        base = weight(A)
+        hit = np.where(base == 0, self.empty_antecedent_total, td * weight(AB) >= tn * base)
+        return hit.astype(np.int64) @ (1 << worlds)
 
 
 def confidence_space(
@@ -167,6 +179,13 @@ def _cuts(n: int, test) -> np.ndarray:
                      for a in range(n + 1)], dtype=np.uint8)
 
 
+def _row_blocks(N: int) -> list:
+    """Slices of consecutive rows of a (N, N) table, about
+    TABLE_BLOCK_CELLS cells each."""
+    step = max(1, TABLE_BLOCK_CELLS // N)
+    return [slice(lo, lo + step) for lo in range(0, N, step)]
+
+
 def arrow_table(space: ConfidenceSpace) -> np.ndarray:
     """Dense (2^n, 2^n) uint16 table of arrow masks, pure integer
     arithmetic.  With the space's integer scale (D, s, o), D*mu_w(S) is
@@ -197,13 +216,12 @@ def arrow_table(space: ConfidenceSpace) -> np.ndarray:
     N = 1 << n
     masks = np.arange(N, dtype=np.uint16)
     table = np.empty((N, N), dtype=np.uint16)
-    step = max(1, TABLE_BLOCK_CELLS // N)
-    for lo in range(0, N, step):
-        A = masks[lo:lo + step, None]
+    for rows in _row_blocks(N):
+        A = masks[rows, None]
         a = np.bitwise_count(A)
         AB = A & masks
         k = np.bitwise_count(AB)
-        out = table[lo:lo + step]
+        out = table[rows]
         np.multiply(AB, k >= both[a], out=out)
         out |= (A ^ AB) * (k >= only_a[a])
         out |= (A ^ (N - 1)) * (k >= neither[a])
@@ -263,9 +281,11 @@ def interval_sets(n: int) -> tuple:
 
 
 # -- the laws, read from ops.AXIOM_DEFS ----------------------------------
-# Each sweep below flags every antecedent A whose (B, C) block holds a
-# violation, by a reduction that never visits the block, and then scans
-# the first flagged block from the axiom's definition.
+# Every pass below walks the table in the row blocks of ``_row_blocks``,
+# so no temporary the size of the table is made.  A reduction flags every
+# antecedent A whose row (P3) or (B, C) block (P4, P5) holds a violation
+# without visiting it, and then the first flagged one is scanned from the
+# axiom's definition.
 
 class _Powerset:
     """The powerset as an axiom's lattice and, through ``Rows``, its meet a & b."""
@@ -279,16 +299,16 @@ class _Powerset:
 
 class _Arrow:
     """The arrow as a table for ``Rows``: X[a, b] = read(a, b), from the
-    uint16 table or the scalar ``space.arrow``.  The (A, B) grid it was
-    built with is answered with ``table`` itself, where a gather would
-    copy the whole table (8 MB at 11 worlds) for each law that reads it."""
+    uint16 table or the scalar ``space.arrow``.  The (A, B) grid of one
+    row block it was built with is answered with that block of the table
+    itself, where a gather would copy it for each law that reads it."""
 
-    def __init__(self, read, grid=(None, None), table=None):
-        self.read, self.grid, self.table = read, grid, table
+    def __init__(self, read, grid=(None, None), block=None):
+        self.read, self.grid, self.block = read, grid, block
 
     def __getitem__(self, ab):
         if ab[0] is self.grid[0] and ab[1] is self.grid[1]:
-            return self.table
+            return self.block
         return self.read(*ab)
 
 
@@ -300,56 +320,114 @@ def _excess(ax: Axiom, N: int, T, v):
     return lhs & ~rhs
 
 
+def _first_in_blocks(T: np.ndarray, ax: Axiom, blocks, *fixed):
+    """First violation (*fixed, X, Y, w) of ax in lexicographic order,
+    with the leading sets fixed, X over the rows of the blocks in turn
+    and Y over every set, or None."""
+    N = len(T)
+    masks = np.arange(N, dtype=np.uint16)
+    for rows in blocks:
+        X = masks[rows, None]
+        read = Rows(_Arrow(lambda a, b: T[a, b], (X, masks), T[rows]))
+        found = _first_violation(_excess(ax, N, read, (*fixed, X, masks)), X[:, 0], masks)
+        if found is not None:
+            return fixed + found
+    return None
+
+
 def _first_block_witness(T: np.ndarray, flagged: np.ndarray, ax: Axiom):
-    """(A, B, C, w) for the first flagged A, its (B, C) block scanned in
-    lexicographic order from the definition of ax, or None if nothing is
-    flagged."""
+    """The first violation of ax at the first flagged A, its row (binary
+    ax) or its (B, C) block (ternary ax) scanned from the definition, or
+    None if nothing is flagged."""
     hits = np.flatnonzero(flagged)
     if hits.size == 0:
         return None
     A = int(hits[0])
+    if AXIOM_DEFS[ax].arity == 2:
+        found = _first_in_blocks(T, ax, [slice(A, A + 1)])
+    else:
+        found = _first_in_blocks(T, ax, _row_blocks(len(T)), A)
+    if found is None:
+        raise InternalInconsistency(f"sweep flagged antecedent {A:#x} but its block holds")
+    return found
+
+
+def _p3_rows(T: np.ndarray) -> np.ndarray:
+    """Flags every A whose row holds a P3 violation, for a table whose
+    rows are monotone (P4 holds).  Then a violation at (A, B) is one at
+    (A, B | ~A) too: the left side T[A, B] can only grow, and the right
+    side T[A, A & B] stays.  So the definition is read on the 3^n cells
+    with B ⊇ ~A only, one for each S ⊆ A, in chunks of TABLE_BLOCK_CELLS."""
     N = len(T)
-    cols = np.arange(N, dtype=np.uint16)
-    step = max(1, (1 << 20) // N)   # rows of B per slice: ~2^20 cells at a time
-    for lo in range(0, N, step):
-        B = cols[lo:lo + step]
-        found = _first_violation(_excess(ax, N, Rows(T), (A, B[:, None], cols)), B, cols)
-        if found is not None:
-            return (A,) + found
-    raise InternalInconsistency(f"sweep flagged antecedent {A:#x} but its block holds")
+    A = S = np.zeros(1, dtype=np.uint16)
+    for i in range(N.bit_length() - 1):
+        A, S = np.concatenate([A, A | 1 << i, A | 1 << i]), np.concatenate([S, S, S | 1 << i])
+    flagged = np.zeros(N, dtype=bool)
+    read = Rows(_Arrow(lambda a, b: T[a, b]))
+    for lo in range(0, len(A), TABLE_BLOCK_CELLS):
+        a, b = A[lo:lo + TABLE_BLOCK_CELLS], S[lo:lo + TABLE_BLOCK_CELLS]
+        flagged[a[_excess(Axiom.P3, N, read, (a, b | (a ^ (N - 1)))) != 0]] = True
+    return flagged
 
 
 def p4_witness(T: np.ndarray):
     """First P4 violation (A, B, C, w) of a (2^n, 2^n) uint16 table, or
     None.  P4 holds iff every row B -> T[A, B] is monotone, and a row is
-    monotone iff it grows along every cover B < B | 1<<i: for world bit
-    i the view (A, high bits, bit i, low bits) pairs each B without i
-    with B | 1<<i."""
+    monotone iff it grows along every cover B < B | 1<<i.  A block of
+    rows is read as words of four cells (of N cells below four): world
+    bits 0 and 1 pair 16-bit lanes inside a word, compared by shifting
+    the word, and higher bits pair whole words."""
     N = len(T)
+    lanes = min(4, N)
+    inner = lanes.bit_length() - 1          # the world bits inside a word
+    word = np.dtype(f"u{2 * lanes}")
     flagged = np.zeros(N, dtype=bool)
-    for i in range(N.bit_length() - 1):
-        pairs = T.reshape(N, -1, 2, 1 << i)
-        flagged |= (pairs[:, :, 0] & ~pairs[:, :, 1]).any(axis=(1, 2))
+    for rows in _row_blocks(N):
+        x = T[rows].view(word)
+        r, W = x.shape
+        in_word = np.zeros_like(x)
+        for i in range(inner):
+            keep = sum(0xFFFF << 16 * lane for lane in range(lanes) if not lane >> i & 1)
+            in_word |= x & ~(x >> (16 << i)) & keep
+        # the t lowest bits of the word index are paired on a copy of the
+        # block with those bits outermost, so no pairing reads short runs
+        t = min(4, W.bit_length() - 1)
+        y = x.reshape(r, -1, 1 << t).transpose(0, 2, 1).copy()
+        paired = np.zeros((r, W // 2), dtype=word)
+        for j in range(W.bit_length() - 1):
+            pairs = y.reshape(r, -1, 2, (W >> t) << j) if j < t else x.reshape(r, -1, 2, 1 << j)
+            low = paired.reshape(pairs[:, :, 0].shape)
+            low |= pairs[:, :, 0] & ~pairs[:, :, 1]
+        flagged[rows] = in_word.any(axis=1) | paired.any(axis=1)
     return _first_block_witness(T, flagged, Axiom.P4)
 
 
 def p5_witness(T: np.ndarray):
     """First P5 violation (A, B, C, w) of a (2^n, 2^n) uint16 table, or
     None.  With d = A & B and u = T[d, C], P5 fails at A iff some u in
-    the range of a row d ⊆ A lies in Bad[A] = {u : T[A, u] ⊄ u}.  Row d's
-    range is a packed bit row; a subset-sum (zeta) transform over the
-    Boolean lattice ORs it into the row of every superset of d, which
-    then meets Bad row by row."""
+    the range of a row d ⊆ A lies in Bad[A] = {u : T[A, u] ⊄ u}.  Row
+    d's range is a bit row, scattered block by block into one reused
+    buffer and packed; a subset-sum (zeta) transform over the Boolean
+    lattice ORs it into the row of every superset of d, which then
+    meets Bad row by row."""
     N = len(T)
     cols = np.arange(N, dtype=np.uint16)
-    reach = np.zeros((N, N), dtype=bool)
-    reach[cols[:, None], T] = True
-    reach = np.packbits(reach, axis=1)
+    blocks = _row_blocks(N)
+    seen = np.empty(T[blocks[0]].shape, dtype=bool)   # every block has its shape
+    offsets = np.arange(0, seen.size, N)[:, None]
+    reach = np.empty((N, (N + 7) // 8), dtype=np.uint8)
+    bad = np.empty_like(reach)
+    for rows in blocks:
+        t = T[rows]
+        seen.fill(False)
+        seen.reshape(-1)[t + offsets] = True
+        reach[rows] = np.packbits(seen, axis=1)
+        bad[rows] = np.packbits((t & ~cols) != 0, axis=1)
     for i in range(N.bit_length() - 1):
         halves = reach.reshape(-1, 2, 1 << i, reach.shape[1])
         halves[:, 1] |= halves[:, 0]
-    bad = np.packbits((T & ~cols) != 0, axis=1)
-    return _first_block_witness(T, (reach & bad).any(axis=1), Axiom.P5)
+    reach &= bad
+    return _first_block_witness(T, reach.any(axis=1), Axiom.P5)
 
 
 def verify_axioms(
@@ -361,55 +439,66 @@ def verify_axioms(
 ) -> ProbReport:
     """Check P1-P5, MP and NORM, each read from ``ops.AXIOM_DEFS``.
 
-    P1 is exhaustive in A; P2, P3 and MP are exhaustive over all pairs.
-    P4 and P5 are exact over all 2^3n triples by the sweeps
-    ``p4_witness`` and ``p5_witness``, and a failing one reports the
-    lexicographically first (A, B, C) with its lowest world.  The
-    interval family is evaluated as a second route: a violation there
-    that a sweep missed raises InternalInconsistency.  NORM evaluates
-    the pinned reference witness on both routes and only searches the
-    interval family when that instance unexpectedly passes.  Before any
-    axiom runs, ``crosscheck`` cells of the table picked by ``seed`` are
-    recomputed on the scalar route ``space.arrow``, which compares
-    integer weights world by world and never reads the table's cut
-    points; a mismatch raises InternalInconsistency.  ``samples`` and
-    ``exhaustive`` are ignored; they keep the positional form
-    ``verify_axioms(space, samples, seed, exhaustive)`` working.
+    Every law but NORM is decided exactly on the table, in its blocks of
+    antecedent rows, and a failing one reports its lexicographically
+    first instance with the lowest world: P1 over every A, P2 and MP
+    over every pair, block by block, and P4 and P5 over all 2^3n triples
+    by the sweeps ``p4_witness`` and ``p5_witness``.  P3 is read over
+    every pair when P4 fails; when P4 holds, the rows are monotone and
+    the 3^n pairs with B ⊇ ~A decide it (``_p3_rows``).  The interval
+    family is evaluated as a second route for P4 and P5: a violation
+    there that a sweep missed raises InternalInconsistency.  NORM
+    evaluates the pinned reference witness on both routes and only
+    searches the interval family when that instance unexpectedly passes.
+    Before any axiom runs, ``crosscheck`` cells of the table picked by
+    ``seed`` are recomputed by ``space.arrows``, which compares integer
+    weights world by world and never reads the table's cut points; a
+    mismatch raises InternalInconsistency at the first such cell.
+    ``samples`` and ``exhaustive`` are ignored; they keep the positional
+    form ``verify_axioms(space, samples, seed, exhaustive)`` working.
     """
     n = space.world_count
     N = 1 << n
     T = arrow_table(space)
 
+    crosschecked = 0
     if crosscheck:
-        rng = np.random.default_rng(seed)
-        picks = set(map(tuple, rng.integers(0, N, size=(crosscheck, 2)).tolist()))
-        picks |= {(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0)}
-        picks |= {(NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))}
-        for a, b in picks:
-            if space.arrow(a, b) != int(T[a, b]):
-                raise InternalInconsistency(
-                    f"table and scalar routes disagree at ({a:#x},{b:#x})"
-                )
+        picks = np.vstack([np.random.default_rng(seed).integers(0, N, size=(crosscheck, 2)),
+                           [(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0),
+                            (NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))]])
+        # the distinct cells, in row-major order
+        a, b = np.divmod(np.unique(picks @ (N, 1)), N)
+        off = np.flatnonzero(space.arrows(a, b) != T[a, b])
+        if off.size:
+            raise InternalInconsistency(
+                f"table and scalar routes disagree at ({a[off[0]]:#x},{b[off[0]]:#x})"
+            )
+        crosschecked = len(a)
 
-    checks = {}
     masks = np.arange(N, dtype=np.uint16)
-    grid = (masks[:, None], masks[None, :])
-    arrow = Rows(_Arrow(lambda a, b: T[a, b], grid, T))
-
-    # exhaustive over A, then over the (A, B) grid.  No name holds a
-    # violation grid, so each N x N grid is freed before the next one.
-    for ax, v in ((Axiom.P1, (masks,)), (Axiom.P2, grid), (Axiom.MP, grid), (Axiom.P3, grid)):
-        wit = _first_violation(_excess(ax, N, arrow, v), *(masks,) * len(v))
-        checks[ax] = ProbCheck(ax, wit is None, "exhaustive", N ** len(v), wit)
-
-    # ternary: exact sweeps, with the interval family as the second route
+    arrow = Rows(_Arrow(lambda a, b: T[a, b]))
     fam = np.array(interval_sets(n), dtype=np.uint16)
     fam3 = (fam[:, None, None], fam[None, :, None], fam[None, None, :])
-    for ax, sweep in ((Axiom.P4, p4_witness), (Axiom.P5, p5_witness)):
-        wit = sweep(T)
-        if wit is None and _excess(ax, N, arrow, fam3).any():
+    blocks = _row_blocks(N)
+
+    def swept(ax, witness):
+        # the interval family as the second route of a sweep that holds
+        if witness is None and _excess(ax, N, arrow, fam3).any():
             raise InternalInconsistency(f"{ax} sweep holds but the interval family fails")
-        checks[ax] = ProbCheck(ax, wit is None, "exhaustive", N ** 3, wit)
+        return witness
+
+    found = {
+        Axiom.P1: _first_violation(_excess(Axiom.P1, N, arrow, (masks,)), masks),
+        Axiom.P2: _first_in_blocks(T, Axiom.P2, blocks),
+        Axiom.MP: _first_in_blocks(T, Axiom.MP, blocks),
+        Axiom.P4: swept(Axiom.P4, p4_witness(T)),
+    }
+    found[Axiom.P3] = (_first_block_witness(T, _p3_rows(T), Axiom.P3)
+                       if found[Axiom.P4] is None else _first_in_blocks(T, Axiom.P3, blocks))
+    found[Axiom.P5] = swept(Axiom.P5, p5_witness(T))
+    checks = {ax: ProbCheck(ax, found[ax] is None, "exhaustive",
+                            N ** AXIOM_DEFS[ax].arity, found[ax])
+              for ax in (Axiom.P1, Axiom.P2, Axiom.MP, Axiom.P3, Axiom.P4, Axiom.P5)}
 
     # NORM: evaluate the pinned witness on both routes; fall back to a
     # family scan only if it unexpectedly holds (a different space)
@@ -427,4 +516,4 @@ def verify_axioms(
         1 if wn == NORM_WITNESS else len(fam) ** 3, wn,
     )
 
-    return ProbReport(checks, crosschecked=len(picks) if crosscheck else 0)
+    return ProbReport(checks, crosschecked=crosschecked)

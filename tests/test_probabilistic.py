@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -169,9 +171,13 @@ CROSSCHECKED = [
 
 def test_crosscheck_reads_the_seeded_cells(monkeypatch):
     cells = []
-    arrow = ConfidenceSpace.arrow
-    monkeypatch.setattr(ConfidenceSpace, "arrow",
-                        lambda self, a, b: cells.append((a, b)) or arrow(self, a, b))
+    arrows = ConfidenceSpace.arrows
+
+    def recording(self, a, b):
+        cells.extend(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
+        return arrows(self, a, b)
+
+    monkeypatch.setattr(ConfidenceSpace, "arrows", recording)
     for sp, counts in zip(CROSSCHECK_SPACES, CROSSCHECKED):
         N = 1 << sp.world_count
         for seed, count in enumerate(counts):
@@ -180,7 +186,7 @@ def test_crosscheck_reads_the_seeded_cells(monkeypatch):
             want = {tuple(c) for c in np.random.default_rng(seed).integers(0, N, size=(512, 2))}
             want |= {(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0),
                      (NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))}
-            # the cross-check runs first, one scalar call per distinct cell
+            # the cross-check runs first, one array call over the distinct cells
             assert rep.crosschecked == count == len(want), (sp, seed)
             assert set(cells[:count]) == want
 
@@ -279,20 +285,40 @@ def fraction_arrow(space, A, B):
     return out
 
 
-def test_scalar_and_table_routes_match_the_fraction_definition():
+def overflowing_spaces():
+    """Spaces whose threshold denominator times the masses' common
+    denominator passes 2^62, so the array route runs on Python ints:
+    masses and thresholds with denominators near 10^30, the second one's
+    threshold at its self mass, where some confidences land exactly on
+    it."""
+    q = 10 ** 30 + 7
+    for k, threshold, total in ((4, F(q // 2 + 1, q), True), (5, F(q - 5, q), False)):
+        sp = confidence_space(k, F(q - k, q), threshold, total)
+        assert threshold.denominator * lcm(sp.self_mass.denominator,
+                                           sp.other_mass.denominator) >= 1 << 62
+        yield sp
+
+
+def test_scalar_array_and_table_routes_match_the_fraction_definition():
+    """The scalar arrow, the array route on the whole (A, B) grid and the
+    table, against the per-world Fraction definition on every cell."""
     spaces = list(seeded_spaces(17, 12, 6))
     spaces += [confidence_space(k, 1 if k == 1 else F(3, 4), F(3, 4), total)
                for k in range(1, 7) for total in (True, False)]
     # self mass 1: every world outside A has a null antecedent
     spaces += [ConfidenceSpace(4, F(1), F(0), t, total)
                for t in (F(1, 2), F(1)) for total in (True, False)]
+    spaces += list(overflowing_spaces())
     for sp in spaces:
         N = 1 << sp.world_count
         T = arrow_table(sp)
+        m = np.arange(N)
+        grid = sp.arrows(m[:, None], m[None, :])
+        assert grid.shape == (N, N) and grid.dtype == np.int64
         for A in range(N):
             for B in range(N):
                 want = fraction_arrow(sp, A, B)
-                assert sp.arrow(A, B) == want == int(T[A, B]), (sp, A, B)
+                assert sp.arrow(A, B) == want == int(grid[A, B]) == int(T[A, B]), (sp, A, B)
 
 
 def test_closed_form_table_matches_per_world_loop():
@@ -373,6 +399,29 @@ def test_ternary_sweeps_match_brute_force():
     assert seen == {"P4": {True, False}, "P5": {True, False}}
 
 
+def test_p4_sweep_catches_a_single_broken_cover_at_every_bit():
+    """6-8 worlds, where the sweep pairs the low bits of the word index on
+    a transposed copy.  Rows are monotone, and row A is full exactly on
+    the supersets of S; emptying the cell S | 1<<i breaks one cover only,
+    (S, S | 1<<i), so every world bit must be paired on its own."""
+    rng = np.random.default_rng(23)
+    for k in (6, 7, 8):
+        N = 1 << k
+        m = np.arange(N, dtype=np.uint16)
+        T = rng.integers(0, N, size=(N, N), dtype=np.uint16)
+        for b in range(k):
+            halves = T.reshape(N, -1, 2, 1 << b)
+            halves[:, :, 1] |= halves[:, :, 0]
+        assert p4_witness(T) is None
+        for i in range(k):
+            A, S = (int(x) for x in rng.integers(0, N, size=2))
+            S &= ~(1 << i)
+            broken = T.copy()
+            broken[A] = np.where(m & S == S, N - 1, 0)
+            broken[A, S | 1 << i] = 0
+            assert p4_witness(broken) == (A, S | 1 << i, S, 0), (k, i)
+
+
 def test_verify_axioms_ternary_witnesses_match_brute_force(monkeypatch):
     """Every law's verdict and witness, on seeded spaces and, through the
     table route alone, on random tables, where P3 and P4 fail too."""
@@ -398,6 +447,76 @@ def test_verify_axioms_ternary_witnesses_match_brute_force(monkeypatch):
     assert seen == {ax: {True, False} for ax in sizes}
 
 
+def planted_p3_tables(seed, count):
+    """Tables with monotone rows on which P3 holds by construction (row A
+    reads only A & B), each with one violating cell (A, B), B ⊄ A,
+    planted twice: once with the new world added to every superset of B
+    in row A, which keeps the rows monotone (P4 holds), and once in that
+    cell alone, which usually breaks monotonicity."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = 1 + i % 5
+        N = 1 << k
+        m = np.arange(N, dtype=np.uint16)
+        R = rng.integers(0, N, size=(N, N), dtype=np.uint16)
+        R &= rng.integers(0, N, size=(N, N), dtype=np.uint16)
+        T = R[m[:, None], m[:, None] & m]
+        for b in range(k):
+            halves = T.reshape(N, -1, 2, 1 << b)
+            halves[:, :, 1] |= halves[:, :, 0]
+        A, B = (int(x) for x in rng.integers(0, N, size=2))
+        free = ~int(T[A, A & B]) & (N - 1)
+        if not B & ~A or not free:
+            continue
+        w = free & -free
+        kept = T.copy()
+        kept[A, m & B == B] |= w
+        alone = T.copy()
+        alone[A, B] |= w
+        yield kept
+        yield alone
+
+
+def test_p3_reduction_finds_the_planted_violation(monkeypatch):
+    """With P4 holding, P3 is decided on the cells with B ⊇ ~A and the
+    flagged row is scanned from the definition; with P4 failing, on every
+    pair.  Both must give the lexicographically first witness."""
+    seen = {True: 0, False: 0}
+    for T in planted_p3_tables(21, 120):
+        n = len(T).bit_length() - 1
+        monkeypatch.setattr(probabilistic, "arrow_table", lambda sp, T=T: T)
+        rep = verify_axioms(confidence_space(n, F(1, 2) if n > 1 else 1, F(1, 2)), crosscheck=0)
+        brute = brute_first_witnesses(T)
+        assert brute[Axiom.P3] is not None
+        assert rep[Axiom.P3].witness == brute[Axiom.P3], T
+        assert rep[Axiom.P4].witness == brute[Axiom.P4], T
+        seen[rep[Axiom.P4].holds] += 1
+    # both paths run: P4 holds and P3 fails, and both fail
+    assert seen == {True: 69, False: 45}
+
+
+def test_p3_reduction_reads_all_3_to_the_11_cells(space, monkeypatch):
+    # (A, S) = (all but world 0, all but worlds 0 and 1) lies in the last
+    # of the chunks the reduction reads; plant world 1 at B = S | ~A,
+    # whose one proper superset, the full set, maps to every world
+    T = arrow_table(space)
+    A, B = 0b11111111110, 0b11111111101
+    assert not T[A, A & B] & 0b10 and T[A, 2047] == 2047
+    T[A, B] |= 0b10
+    monkeypatch.setattr(probabilistic, "arrow_table", lambda sp: T)
+    rep = verify_axioms(space, crosscheck=0)
+    assert rep[Axiom.P4].holds
+    assert rep[Axiom.P3].witness == (A, B, 1)
+
+
+def test_p3_reduction_flagging_a_holding_row_raises(monkeypatch):
+    sp = confidence_space(world_count=4, self_mass=F(3, 4), threshold=F(3, 4))
+    assert verify_axioms(sp)[Axiom.P3].holds
+    monkeypatch.setattr(probabilistic, "_p3_rows", lambda T: np.arange(len(T)) == 5)
+    with pytest.raises(InternalInconsistency, match="flagged antecedent 0x5 but its block holds"):
+        verify_axioms(sp, crosscheck=0)
+
+
 def test_sweep_missing_a_family_violation_raises(monkeypatch):
     failing = [sp for sp in seeded_spaces(9, 40, 6)
                if brute_first_witnesses(arrow_table(sp))[Axiom.P5] is not None]
@@ -411,12 +530,17 @@ def test_sweep_missing_a_family_violation_raises(monkeypatch):
 def test_flipped_table_bit_trips_the_crosscheck(monkeypatch):
     sp = confidence_space(world_count=4, self_mass=F(3, 4), threshold=F(3, 4))
     table = arrow_table(sp)
-    for a, b in ((0, 0), (0, 15), (15, 0), (15, 15)):
+    corners = ((0, 0), (0, 15), (15, 0), (15, 15))
+    for i, (a, b) in enumerate(corners):
         for w in range(4):
             T = table.copy()
             T[a, b] ^= 1 << w
+            for c, d in corners[i + 1:]:   # later cells disagree too
+                T[c, d] ^= 1 << w
             monkeypatch.setattr(probabilistic, "arrow_table", lambda sp, T=T: T)
-            with pytest.raises(InternalInconsistency, match="table and scalar routes disagree"):
+            # the message names the first disagreeing cell in row-major order
+            with pytest.raises(InternalInconsistency, match=re.escape(
+                    f"table and scalar routes disagree at ({a:#x},{b:#x})")):
                 verify_axioms(sp, crosscheck=1)
 
 
@@ -436,3 +560,16 @@ def test_positional_call_forms_give_the_same_report():
     for sp in seeded_spaces(13, 6, 6):
         assert verify_axioms(sp, 10 ** 6, 4) == verify_axioms(sp, seed=4)
         assert verify_axioms(sp, 10 ** 6, 0, True) == verify_axioms(sp)
+
+
+def test_verify_peak_memory_stays_near_the_table(space):
+    # the 2048 x 2048 uint16 table is 8 MiB; every pass after it works
+    # in row blocks, so the whole verify stays within 12 MiB
+    tracemalloc.start()
+    try:
+        rep = verify_axioms(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak <= 12 << 20, peak / 2 ** 20
