@@ -289,7 +289,7 @@ def _search_inventory(args, run, require, forbid) -> None:
     else:
         print(f"no witness on any of the {len(INVENTORY)} inventory lattices")
     run.rec(mw.found, check="search-minimal", lattice=mw.label or "-",
-            lattices=len(mw.trail))
+            lattices=len(mw.trail), nodes=sum(nodes for _, nodes, _ in mw.trail))
 
 
 def _subset_arg(text: str, worlds: int) -> int:

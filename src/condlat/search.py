@@ -15,13 +15,20 @@ Every instance is decided by the axiom's one definition in
 the table as it stands: n row lists with None for an unassigned cell.
 An instance that reads an unassigned cell (None used as an index, or
 returned as a side) is re-read by a partial-table adapter, which lists
-the unassigned cells it reads in reading order.  On the empty table
-that list gives each instance's trigger, the last cell it reads at
-fixed indices; during the search a blocked instance waits on the first
-cell of the list (the nested sends of P5 and FLAT, the double negation
-of INV, the negations inside NEGIMP) and is re-examined when that cell
-is assigned.  Required instances prune on violation; forbidden axioms
-prune once all their instances are decided without a single violation.
+the unassigned cells it reads in reading order.  During the search a
+blocked instance waits on the first cell of the list (the nested sends
+of P5 and FLAT, the double negation of INV, the negations inside
+NEGIMP) and is re-examined when that cell is assigned.  Required
+instances prune on violation; forbidden axioms prune once all their
+instances are decided without a single violation.
+
+What the root reads depends on the lattice and the axiom alone, so it
+is worked out once per lattice object and axiom, as a plan, and kept
+for as long as that lattice object lives.  A plan holds the instances
+in product order, each one's trigger (the last cell it reads at fixed
+indices, from the adapter on the empty table), and for a single-cell
+axiom the values each cell may take under it.  A spec's instances are
+its plans concatenated in ``require + forbid`` order.
 
 Every witness that comes back is re-verified against the exhaustive
 checkers before it is returned; the incremental bookkeeping is never
@@ -34,6 +41,7 @@ returns the first lattice carrying a witness.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -141,25 +149,85 @@ def _adapter(L: FiniteLattice, t):
     return reads
 
 
-def _instances(spec: SearchSpec, reads):
-    """All axiom instances, bucketed by their static trigger.
+# per lattice, per axiom: the spec-independent part of the root (module
+# docstring); weak keys, so a plan goes when its lattice does
+_PLANS = weakref.WeakKeyDictionary()
 
-    ``reads`` is the adapter over the still empty table.  Returns (inst,
-    bucket) where inst[i] = (axiom, definition, required, forbid_index,
-    args) and bucket[c] lists the instances whose last cell read at
-    fixed indices is c.
+
+@dataclass(frozen=True)
+class _Plan:
+    args: tuple            # instance tuples in product order
+    triggers: tuple        # each instance's trigger cell on the empty table
+    allowed: tuple | None  # _SINGLE_CELL: per cell, the values every instance
+                           # triggered there holds at; None otherwise
+
+
+def _plan(L: FiniteLattice, ax) -> _Plan:
+    plans = _PLANS.setdefault(L, {})
+    if ax not in plans:
+        plans[ax] = _build_plan(L, ax)
+    return plans[ax]
+
+
+def _build_plan(L: FiniteLattice, ax) -> _Plan:
+    n = L.n
+    d = AXIOM_DEFS[ax]
+    t = [[None] * n for _ in range(n)]
+    reads = _adapter(L, t)
+    args = tuple(product(range(n), repeat=d.arity))
+    triggers = tuple(max(reads(d, v)) for v in args)
+    if ax not in _SINGLE_CELL:
+        return _Plan(args, triggers, None)
+    M = L.meet_table
+    allowed = [set(range(n)) for _ in range(n * n)]
+    for v, cell in zip(args, triggers):
+        a, b = divmod(cell, n)
+        for x in range(n):
+            t[a][b] = x
+            if reads(d, v):
+                raise InternalInconsistency(f"{ax} at {v} is undecided with its "
+                                            f"one cell {(a, b)} assigned")
+            if _fails(M, *d.eval(L, M, t, v), d.relation):
+                allowed[cell].discard(x)
+        t[a][b] = None
+    return _Plan(args, triggers, tuple(map(frozenset, allowed)))
+
+
+def _root(spec: SearchSpec):
+    """The root pass (module docstring), read off the lattice's plans.
+
+    Returns None when the root settles the spec, else (inst, bucket,
+    domains): inst[i] = (axiom, definition, required, forbid_index,
+    args), bucket[c] lists the instances whose trigger is c, in
+    ``require + forbid`` order, and domains[c] the values cell c may
+    take.
     """
-    n = spec.lattice.n
+    L = spec.lattice
+    n = L.n
+    domains = [tuple(range(n))] * (n * n)
+    for a, b, v in spec.fixed_entries:
+        domains[a * n + b] = (v,)
     inst = []
-    bucket = [[] for _ in range(n * n)]
+    bucket = [[] for _ in domains]
     for ax in spec.require + spec.forbid:
-        d = AXIOM_DEFS[ax]
+        plan = _plan(L, ax)
         required = ax in spec.require
+        if plan.allowed is not None:
+            if required:
+                domains = [tuple(x for x in dom if x in ok)
+                           for dom, ok in zip(domains, plan.allowed)]
+                if not all(domains):
+                    return None
+                continue
+            # every require comes first, so the domains are final here
+            if all(x in ok for dom, ok in zip(domains, plan.allowed) for x in dom):
+                return None
+        d = AXIOM_DEFS[ax]
         fidx = -1 if required else spec.forbid.index(ax)
-        for v in product(range(n), repeat=d.arity):
-            bucket[max(reads(d, v))].append(len(inst))
+        for v, c in zip(plan.args, plan.triggers):
+            bucket[c].append(len(inst))
             inst.append((ax, d, required, fidx, v))
-    return inst, bucket
+    return inst, bucket, domains
 
 
 def find_witness(spec: SearchSpec) -> SearchResult:
@@ -168,17 +236,16 @@ def find_witness(spec: SearchSpec) -> SearchResult:
     Raises BudgetExhausted with the partial result attached when the
     node budget runs out before the space is settled.
     """
+    root = _root(spec)
+    if root is None:
+        return SearchResult((), 0, True)
+    inst, bucket, domains = root
     L = spec.lattice
     n = L.n
     ncells = n * n
     M = L.meet_table
     t = [[None] * n for _ in range(n)]
     reads = _adapter(L, t)
-
-    inst, bucket = _instances(spec, reads)
-    domains = [tuple(range(n))] * ncells
-    for a, b, v in spec.fixed_entries:
-        domains[a * n + b] = (v,)
 
     def decide(i):
         """True holds, False violated, -(c+1) waits on cell c, the first
@@ -195,32 +262,6 @@ def find_witness(spec: SearchSpec) -> SearchResult:
                                             "but its definition is undecided")
             return -cells[0] - 1
         return not _fails(M, lhs, rhs, d.relation)
-
-    # root pass (module docstring); a single-cell instance is decided
-    # with its own cell alone assigned
-    def holds(i, cell, v):
-        a, b = divmod(cell, n)
-        t[a][b] = v
-        r = decide(i)
-        t[a][b] = None
-        return r
-
-    for cell in range(ncells):
-        filters = {i for i in bucket[cell] if inst[i][2] and inst[i][0] in _SINGLE_CELL}
-        if filters:
-            domains[cell] = tuple(v for v in domains[cell]
-                                  if all(holds(i, cell, v) for i in filters))
-            if not domains[cell]:
-                return SearchResult((), 0, True)
-            bucket[cell] = [i for i in bucket[cell] if i not in filters]
-    violable = {
-        inst[i][0]
-        for cell in range(ncells) for i in bucket[cell]
-        if inst[i][0] in _SINGLE_CELL
-        and any(not holds(i, cell, v) for v in domains[cell])
-    }
-    if any(ax in _SINGLE_CELL and ax not in violable for ax in spec.forbid):
-        return SearchResult((), 0, True)
 
     pending = [[] for _ in range(ncells)]
     nforbid = len(spec.forbid)

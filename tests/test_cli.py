@@ -178,6 +178,21 @@ def test_search_minimal_prints_first_witness(capsys):
     assert doc.conditional.table == ((1, 1, 1), (2, 1, 1), (0, 1, 2))
 
 
+def test_search_minimal_report_records_nodes_over_the_trail(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    assert main(["search", "--minimal", "--require", "P1,P2,P3,P5", "--forbid", "P4",
+                 "--report", str(report)]) == 0
+    trail = [line for line in capsys.readouterr().out.splitlines() if "nodes=" in line]
+    nodes = sum(int(line.split("nodes=")[1].split()[0]) for line in trail)
+    assert nodes > 0
+    assert report.read_text() == (f"ok=true check=search-minimal lattice=chain3 "
+                                  f"lattices=3 nodes={nodes}\n")
+    assert main(["search", "--minimal", "--require", "MP,WM", "--forbid", "P1",
+                 "--report", str(report)]) == 1
+    assert report.read_text() == ("ok=false check=search-minimal lattice=- "
+                                  "lattices=10 nodes=0\n")
+
+
 def test_prob_arrow_round_trip(capsys):
     assert main(["prob", "arrow", "1,2,3", "2,3"]) == 0
     assert capsys.readouterr().out.strip() == "2,3"

@@ -1,15 +1,19 @@
+import gc
+import weakref
 from itertools import permutations, product
+from random import Random
 
 import pytest
 
 from condlat import search
-from condlat.errors import BudgetExhausted, TooLarge
+from condlat.errors import BudgetExhausted, InternalInconsistency, TooLarge
 from condlat.lattice import boolean_algebra, chain, find_isomorphism
 from condlat.ops import (
     AXIOM_DEFS,
     Axiom,
     BINARY_AXIOMS,
     PRECONDITIONAL_AXIOMS,
+    _fails,
     check_axioms,
 )
 from condlat.search import (
@@ -242,18 +246,198 @@ def test_single_cell_axioms_are_those_the_adapter_finds():
     assert found == search._SINGLE_CELL
 
 
+def _oracle_instances(spec, reads):
+    """Every instance of every requested axiom, read through the adapter
+    ``reads`` on the empty table for its trigger: (inst, bucket) as
+    ``search._root`` gives them before the root filter."""
+    n = spec.lattice.n
+    inst = []
+    bucket = [[] for _ in range(n * n)]
+    for ax in spec.require + spec.forbid:
+        d = AXIOM_DEFS[ax]
+        required = ax in spec.require
+        fidx = -1 if required else spec.forbid.index(ax)
+        for v in product(range(n), repeat=d.arity):
+            bucket[max(reads(d, v))].append(len(inst))
+            inst.append((ax, d, required, fidx, v))
+    return inst, bucket
+
+
+def _oracle_root(spec):
+    """The root pass worked out for one spec alone, as the search did before
+    its per-lattice plans: ``_oracle_instances``, then every single-cell
+    instance decided at every value of its cell.  Same return as
+    ``search._root``."""
+    L = spec.lattice
+    n = L.n
+    M = L.meet_table
+    ncells = n * n
+    t = [[None] * n for _ in range(n)]
+    inst, bucket = _oracle_instances(spec, search._adapter(L, t))
+    domains = [tuple(range(n))] * ncells
+    for a, b, x in spec.fixed_entries:
+        domains[a * n + b] = (x,)
+
+    def holds(i, cell, x):
+        _ax, d, _req, _f, v = inst[i]
+        a, b = divmod(cell, n)
+        t[a][b] = x
+        ok = not _fails(M, *d.eval(L, M, t, v), d.relation)
+        t[a][b] = None
+        return ok
+
+    single = search._SINGLE_CELL
+    for cell in range(ncells):
+        filters = {i for i in bucket[cell] if inst[i][2] and inst[i][0] in single}
+        if filters:
+            domains[cell] = tuple(x for x in domains[cell]
+                                  if all(holds(i, cell, x) for i in filters))
+            if not domains[cell]:
+                return None
+            bucket[cell] = [i for i in bucket[cell] if i not in filters]
+    violable = {inst[i][0] for cell in range(ncells) for i in bucket[cell]
+                if inst[i][0] in single
+                and any(not holds(i, cell, x) for x in domains[cell])}
+    if any(ax in single and ax not in violable for ax in spec.forbid):
+        return None
+    return inst, bucket, domains
+
+
+def _root_view(root):
+    """A root with the instance numbering taken out: per cell, the
+    (axiom, required, args) it triggers, in bucket order, and the domains."""
+    if root is None:
+        return None
+    inst, bucket, domains = root
+    return ([[(inst[i][0], inst[i][2], inst[i][4]) for i in b] for b in bucket],
+            domains)
+
+
+def _assert_plan_matches_oracle(L, ax):
+    plan = search._plan(L, ax)
+    spec = SearchSpec(L, require=(ax,))
+    n = L.n
+    inst, bucket = _oracle_instances(spec, search._adapter(L, [[None] * n for _ in range(n)]))
+    trigger = {i: c for c, b in enumerate(bucket) for i in b}
+    if ax in search._SINGLE_CELL:
+        # required alone, the axiom's root filter leaves each cell the
+        # values at which all its instances there hold
+        _inst, _bucket, domains = _oracle_root(spec)
+        assert plan.allowed == tuple(map(frozenset, domains)), ax
+    else:
+        assert plan.allowed is None
+    assert plan.args == tuple(e[4] for e in inst), ax
+    assert plan.triggers == tuple(trigger[i] for i in range(len(inst))), ax
+
+
+@pytest.mark.parametrize("label,lattice", INVENTORY, ids=[lab for lab, _L in INVENTORY])
+def test_plans_match_the_per_spec_root_pass(label, lattice):
+    for ax in BINARY_AXIOMS:
+        _assert_plan_matches_oracle(lattice, ax)
+
+
+def test_plan_refuses_a_single_cell_axiom_that_reads_a_second_cell(monkeypatch):
+    # P5 reads T[a][T[a ∧ b][c]]: with the inner cell assigned it still
+    # waits on the outer one, so it cannot filter a domain at the root
+    monkeypatch.setattr(search, "_PLANS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(search, "_SINGLE_CELL", search._SINGLE_CELL | {Axiom.P5})
+    with pytest.raises(InternalInconsistency, match="P5 at .* is undecided"):
+        search._plan(chain(2), Axiom.P5)
+
+
+def _outcome(spec):
+    """(witness tables, nodes, exhausted) of a search, or of its partial
+    when the budget runs out."""
+    try:
+        res = find_witness(spec)
+    except BudgetExhausted as exc:
+        res = exc.partial
+    return tuple(op.table for op in res.witnesses), res.nodes, res.exhausted
+
+
+def _fixed_entry_specs():
+    rng = Random("fixed-entry-specs")
+    c2 = chain(2)
+    yield SearchSpec(c2, require=(Axiom.WM,), forbid=(Axiom.ID,), find_all=True,
+                     fixed_entries=((0, 0, 0),))
+    yield SearchSpec(c2, require=(Axiom.WM,), forbid=(Axiom.ID,), find_all=True,
+                     fixed_entries=((0, 0, 1),))
+    for _label, L in INVENTORY[:5]:
+        n = L.n
+        for ax in BINARY_AXIOMS:
+            others = rng.choice(((), (Axiom.P1,), (Axiom.P2,), (Axiom.WM,)))
+            others = tuple(o for o in others if o is not ax)
+            fixed = tuple((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                          for _ in range(rng.randrange(1, 3)))
+            fixed = tuple({(a, b): (a, b, v) for a, b, v in fixed}.values())
+            yield SearchSpec(L, require=(ax,) + others, fixed_entries=fixed,
+                             node_budget=300)
+            yield SearchSpec(L, require=others, forbid=(ax,), fixed_entries=fixed,
+                             node_budget=300)
+
+
+def test_root_and_results_match_the_per_spec_root_pass_with_fixed_entries(monkeypatch):
+    specs = list(_fixed_entry_specs())
+    for spec in specs:
+        assert _root_view(search._root(spec)) == _root_view(_oracle_root(spec)), spec
+    planned = [_outcome(spec) for spec in specs]
+    monkeypatch.setattr(search, "_root", _oracle_root)
+    assert [_outcome(spec) for spec in specs] == planned
+    # the root settles some of these specs and not others
+    assert {nodes == 0 for _tables, nodes, _exhausted in planned} == {True, False}
+
+
+def test_plan_store_holds_no_lattice_alive(monkeypatch):
+    store = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(search, "_PLANS", store)
+    L = chain(3)
+    res = find_witness(SearchSpec(L, require=(Axiom.P1, Axiom.P5), forbid=(Axiom.WM,)))
+    assert res.found and list(store) == [L]
+    assert set(store[L]) == {Axiom.P1, Axiom.P5, Axiom.WM}
+    gone = weakref.ref(L)
+    del L, res
+    gc.collect()
+    assert gone() is None
+    assert len(store) == 0
+
+
+def test_equal_lattices_each_get_their_own_plans(monkeypatch):
+    store = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(search, "_PLANS", store)
+    first, second = chain(3), chain(3)
+    spec = dict(require=(Axiom.P1, Axiom.P4), forbid=(Axiom.MP,))
+    a = _outcome(SearchSpec(first, **spec))
+    assert _outcome(SearchSpec(second, **spec)) == a
+    assert len(store) == 2
+    for L in (first, second):
+        for ax in (Axiom.P1, Axiom.P4, Axiom.MP):
+            assert store[L][ax] is search._plan(L, ax)
+            _assert_plan_matches_oracle(L, ax)
+    # a lattice of the same size but another order gets other plans
+    diamond = INVENTORY[4][1]
+    assert search._plan(diamond, Axiom.MP) != search._plan(chain(4), Axiom.MP)
+
+
 def test_first_witness_is_lexicographically_first_on_3chain():
     c3 = chain(3)
     axes = P + (Axiom.MP, Axiom.WM)
     first = {}
     for rows, m in profiles(c3, axes):
         first.setdefault(m, rows)
+    nodes = settled = exhausted = witnesses = 0
     for require, forbid, req, forb in splits(axes):
         want = min((rows for m, rows in first.items()
                     if m & req == req and not m & forb), default=None)
         res = find_witness(SearchSpec(c3, require=require, forbid=forbid))
         assert (res.witnesses[0].table if res.found else None) == want, (require, forbid)
         assert res.exhausted is (want is None)
+        nodes += res.nodes
+        settled += res.nodes == 0
+        exhausted += res.exhausted
+        witnesses += res.found
+    # the search's trajectory over the 2187 splits, pinned as its cost gate:
+    # nodes in total, specs settled at the root, exhausted, with a witness
+    assert (nodes, settled, exhausted, witnesses) == (72_836, 459, 475, 1712)
 
 
 def test_witnesses_are_reverified():
