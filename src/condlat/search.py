@@ -10,25 +10,30 @@ SEM and McCune's Mace4 filter domains the same way).  It then assigns
 table entries in row-major order with ascending values, so the first
 witness is the lexicographically first table with the profile.
 
-Every instance is decided by the axiom's one definition in
-``ops.AXIOM_DEFS`` and the relation test ``ops._fails``, evaluated on
-the table as it stands: n row lists with None for an unassigned cell.
-An instance that reads an unassigned cell (None used as an index, or
-returned as a side) is re-read by a partial-table adapter, which lists
-the unassigned cells it reads in reading order.  During the search a
-blocked instance waits on the first cell of the list (the nested sends
-of P5 and FLAT, the double negation of INV, the negations inside
-NEGIMP) and is re-examined when that cell is assigned.  Required
-instances prune on violation; forbidden axioms prune once all their
-instances are decided without a single violation.
+Every instance is decided by one evaluation of the axiom's one
+definition in ``ops.AXIOM_DEFS``, with the relation test ``ops._fails``,
+on the table as it stands.  The meet table and the live table are
+padded to the indices range(n + n*n): 0..n-1 are the elements, and
+n + c is the code of the unassigned cell c = a * n + b, which that cell
+holds until it is assigned.  A read indexed by a code gives the larger
+of its two indices, so a code read anywhere (the nested sends of P5 and
+FLAT, the double negation of INV, the negations inside NEGIMP) carries
+through to a side, and the larger side, when it is a code, is that of
+the largest unassigned cell the instance read.  During the search such
+a blocked instance waits on that cell and is re-examined when it is
+assigned: every cell it read before is assigned by then, as cells are
+assigned in index order.  Required instances prune on violation;
+forbidden axioms prune once all their instances are decided without a
+single violation.
 
 What the root reads depends on the lattice and the axiom alone, so it
 is worked out once per lattice object and axiom, as a plan, and kept
-for as long as that lattice object lives.  A plan holds the instances
-in product order, each one's trigger (the last cell it reads at fixed
-indices, from the adapter on the empty table), and for a single-cell
-axiom the values each cell may take under it.  A spec's instances are
-its plans concatenated in ``require + forbid`` order.
+for as long as that lattice object lives, as are the lattice's padded
+tables.  A plan holds the instances in product order, each one's
+trigger (the last cell it reads at fixed indices: its wait cell on the
+blank table), and for a single-cell axiom the values each cell may take
+under it.  A spec's instances are its plans concatenated in
+``require + forbid`` order.
 
 Every witness that comes back is re-verified against the exhaustive
 checkers before it is returned; the incremental bookkeeping is never
@@ -81,6 +86,8 @@ class SearchSpec:
         clash = set(self.require) & set(self.forbid)
         if clash:
             raise ValueError(f"require and forbid overlap: {sorted(a.value for a in clash)}")
+        if self.node_budget < 0:
+            raise ValueError(f"node budget {self.node_budget} is negative")
         n = self.lattice.n
         if n > SEARCH_SIZE_LIMIT:
             raise TooLarge(f"search over {n}^{n * n} tables is out of range")
@@ -106,47 +113,29 @@ class SearchResult:
         return bool(self.witnesses)
 
 
-class _PartialRow:
-    """Row a of a partial table as the adapter reads it: an unassigned
-    cell is listed in ``cells`` and read as the sentinel n, and so is a
-    read indexed by the sentinel."""
-
-    __slots__ = ("t", "a", "cells")
-
-    def __init__(self, t, a, cells):
-        self.t, self.a, self.cells = t, a, cells
-
-    def __getitem__(self, b):
-        n = len(self.t)
-        if b == n:
-            return n
-        x = self.t[self.a][b]
-        if x is None:
-            self.cells.append(self.a * n + b)
-            return n
-        return x
+# per lattice: the padded meet table and the blank table (module
+# docstring); weak keys, so they go when the lattice does
+_PADDED = weakref.WeakKeyDictionary()
 
 
-def _adapter(L: FiniteLattice, t):
-    """The partial-table adapter over t (n row lists, None where
-    unassigned): reads(d, v) evaluates definition d at instance v and
-    returns the unassigned cells (a * n + b) it read, in reading order.
-
-    The sentinel n indexes an (n+1)-th row and column of n added to the
-    meet table and to t, so it propagates through every read it indexes.
-    """
+def _live(L: FiniteLattice):
+    """(M, t): the padded meet table and a live table with every cell
+    unassigned.  Both are indexed over range(n + n*n); index n + c codes
+    the unassigned cell c = a * n + b, a read indexed by a code gives the
+    larger of its two indices, and t[a][b] holds its cell's code until
+    the cell is assigned.  Only t's n real rows are fresh lists."""
     n = L.n
-    pad = ((n,) * (n + 1),)
-    M = tuple(row + (n,) for row in L.meet_table) + pad
-    cells = []
-    T = tuple(_PartialRow(t, a, cells) for a in range(n)) + pad
+    if L not in _PADDED:
+        wide = range(n + n * n)
 
-    def reads(d, v):
-        cells.clear()
-        d.eval(L, M, T, v)
-        return list(cells)
+        def padded(cell):
+            return tuple(tuple(cell(x, y) if x < n and y < n else max(x, y)
+                               for y in wide) for x in wide)
 
-    return reads
+        _PADDED[L] = (padded(lambda x, y: L.meet_table[x][y]),
+                      padded(lambda x, y: n + x * n + y))
+    M, blank = _PADDED[L]
+    return M, [list(row) for row in blank[:n]] + list(blank[n:])
 
 
 # per lattice, per axiom: the spec-independent part of the root (module
@@ -172,24 +161,23 @@ def _plan(L: FiniteLattice, ax) -> _Plan:
 def _build_plan(L: FiniteLattice, ax) -> _Plan:
     n = L.n
     d = AXIOM_DEFS[ax]
-    t = [[None] * n for _ in range(n)]
-    reads = _adapter(L, t)
+    M, t = _live(L)
     args = tuple(product(range(n), repeat=d.arity))
-    triggers = tuple(max(reads(d, v)) for v in args)
+    triggers = tuple(max(d.eval(L, M, t, v)) - n for v in args)
     if ax not in _SINGLE_CELL:
         return _Plan(args, triggers, None)
-    M = L.meet_table
     allowed = [set(range(n)) for _ in range(n * n)]
     for v, cell in zip(args, triggers):
         a, b = divmod(cell, n)
         for x in range(n):
             t[a][b] = x
-            if reads(d, v):
+            lhs, rhs = d.eval(L, M, t, v)
+            if max(lhs, rhs) >= n:
                 raise InternalInconsistency(f"{ax} at {v} is undecided with its "
                                             f"one cell {(a, b)} assigned")
-            if _fails(M, *d.eval(L, M, t, v), d.relation):
+            if _fails(M, lhs, rhs, d.relation):
                 allowed[cell].discard(x)
-        t[a][b] = None
+        t[a][b] = n + cell
     return _Plan(args, triggers, tuple(map(frozenset, allowed)))
 
 
@@ -243,25 +231,7 @@ def find_witness(spec: SearchSpec) -> SearchResult:
     L = spec.lattice
     n = L.n
     ncells = n * n
-    M = L.meet_table
-    t = [[None] * n for _ in range(n)]
-    reads = _adapter(L, t)
-
-    def decide(i):
-        """True holds, False violated, -(c+1) waits on cell c, the first
-        unassigned cell instance i reads."""
-        ax, d, _req, _f, v = inst[i]
-        try:
-            lhs, rhs = d.eval(L, M, t, v)
-        except TypeError:              # an unassigned cell used as an index
-            lhs = None
-        if lhs is None or rhs is None:
-            cells = reads(d, v)
-            if not cells:
-                raise InternalInconsistency(f"{ax} at {v} reads no unassigned cell "
-                                            "but its definition is undecided")
-            return -cells[0] - 1
-        return not _fails(M, lhs, rhs, d.relation)
+    M, t = _live(L)
 
     pending = [[] for _ in range(ncells)]
     nforbid = len(spec.forbid)
@@ -285,13 +255,17 @@ def find_witness(spec: SearchSpec) -> SearchResult:
                 remaining[x] += 1
 
     def settle(i) -> bool:
-        """Evaluate instance i; False prunes the branch."""
-        r = decide(i)
-        if r < 0:
-            pending[-r - 1].append(i)
-            trail.append((0, -r - 1))
+        """Evaluate instance i once; False prunes the branch.  A blocked
+        instance waits on cell c, the largest unassigned cell it read,
+        whose code n + c is its larger side."""
+        _ax, d, required, f, v = inst[i]
+        lhs, rhs = d.eval(L, M, t, v)
+        if lhs >= n or rhs >= n:
+            c = max(lhs, rhs) - n
+            pending[c].append(i)
+            trail.append((0, c))
             return True
-        _ax, _d, required, f, _v = inst[i]
+        r = not _fails(M, lhs, rhs, d.relation)
         if required:
             return r
         remaining[f] -= 1
@@ -309,7 +283,7 @@ def find_witness(spec: SearchSpec) -> SearchResult:
                 # the decision-time prune must have settled every forbid
                 if remaining[f] or not violated[f]:
                     raise InternalInconsistency("forbid bookkeeping out of sync")
-            found.append(tuple(map(tuple, t)))
+            found.append(tuple(tuple(row[:n]) for row in t[:n]))
             return not spec.find_all
         row, b = t[cell // n], cell % n
         for v in domains[cell]:
@@ -334,7 +308,7 @@ def find_witness(spec: SearchSpec) -> SearchResult:
             if ok and dfs(cell + 1):
                 return True
             undo(mark)
-        row[b] = None
+        row[b] = n + cell
         return False
 
     stopped = dfs(0)
@@ -376,6 +350,8 @@ def enumerate_lattices(n: int, names=None) -> tuple:
         raise TooLarge(f"2^{n * (n - 1) // 2} candidate orders is past the guard")
     if names is None:
         names = tuple(f"e{i}" for i in range(n))
+    elif len(names) != n:
+        raise ValueError(f"{len(names)} names for {n} elements")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen = set()
     out = []

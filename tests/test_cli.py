@@ -161,6 +161,17 @@ def test_search_no_witness_exits_one(tmp_path):
                  "--require", "MP,WM", "--forbid", "P1"]) == 1
 
 
+@pytest.mark.parametrize("where", [["--lattice", "meet-2chain.lat"], ["--minimal"]],
+                         ids=["lattice", "minimal"])
+def test_search_refuses_a_negative_budget(capsys, where):
+    where = [str(FIXTURES / a) if a.endswith(".lat") else a for a in where]
+    with pytest.raises(SystemExit) as info:
+        main(["search", *where, "--require", "MP", "--budget", "-5"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: node budget -5 is negative\n")
+
+
 def test_search_minimal_walks_whole_inventory_without_witness(capsys):
     assert main(["search", "--minimal", "--require", "MP,WM", "--forbid", "P1"]) == 1
     lines = capsys.readouterr().out.splitlines()

@@ -7,7 +7,7 @@ import pytest
 
 from condlat import search
 from condlat.errors import BudgetExhausted, InternalInconsistency, TooLarge
-from condlat.lattice import boolean_algebra, chain, find_isomorphism
+from condlat.lattice import FiniteLattice, boolean_algebra, chain, find_isomorphism
 from condlat.ops import (
     AXIOM_DEFS,
     Axiom,
@@ -152,6 +152,19 @@ def test_budget_exhaustion_carries_partial_result():
         assert len(op.table) == 3
 
 
+def test_negative_budget_is_refused_and_zero_runs_the_root_pass_only():
+    c2 = chain(2)
+    with pytest.raises(ValueError, match="node budget -5 is negative"):
+        SearchSpec(c2, require=(Axiom.MP,), node_budget=-5)
+    # MP and WM force the top row to the identity, so P1 cannot fail
+    res = find_witness(SearchSpec(c2, require=(Axiom.MP, Axiom.WM),
+                                  forbid=(Axiom.P1,), node_budget=0))
+    assert (res.found, res.nodes, res.exhausted) == (False, 0, True)
+    with pytest.raises(BudgetExhausted) as info:
+        find_witness(SearchSpec(c2, require=(Axiom.MP,), node_budget=0))
+    assert (info.value.partial.witnesses, info.value.partial.nodes) == ((), 1)
+
+
 @pytest.mark.parametrize(
     "require,forbid",
     [
@@ -221,12 +234,59 @@ def test_every_require_forbid_pair_matches_brute_force_on_2chain():
         assert res.exhausted
 
 
+# The partial-table adapter: a second reader of partial tables that shares
+# no code with the search's coded one, kept as the oracle for its wait
+# cells, its plan triggers and ``search._SINGLE_CELL``.
+
+class _PartialRow:
+    """Row a of a partial table as the adapter reads it: an unassigned
+    cell is listed in ``cells`` and read as the sentinel n, and so is a
+    read indexed by the sentinel."""
+
+    __slots__ = ("t", "a", "cells")
+
+    def __init__(self, t, a, cells):
+        self.t, self.a, self.cells = t, a, cells
+
+    def __getitem__(self, b):
+        n = len(self.t)
+        if b == n:
+            return n
+        x = self.t[self.a][b]
+        if x is None:
+            self.cells.append(self.a * n + b)
+            return n
+        return x
+
+
+def _adapter(L: FiniteLattice, t):
+    """The partial-table adapter over t (n row lists, None where
+    unassigned): reads(d, v) evaluates definition d at instance v and
+    returns the unassigned cells (a * n + b) it read, in reading order.
+
+    The sentinel n indexes an (n+1)-th row and column of n added to the
+    meet table and to t, so it propagates through every read it indexes.
+    """
+    n = L.n
+    pad = ((n,) * (n + 1),)
+    M = tuple(row + (n,) for row in L.meet_table) + pad
+    cells = []
+    T = tuple(_PartialRow(t, a, cells) for a in range(n)) + pad
+
+    def reads(d, v):
+        cells.clear()
+        d.eval(L, M, T, v)
+        return list(cells)
+
+    return reads
+
+
 def _reads_one_cell_alone(L, d, v):
     """Instance v of definition d reads exactly one cell on the empty table
     and, with that cell alone assigned to any value, waits on nothing."""
     n = L.n
     t = [[None] * n for _ in range(n)]
-    reads = search._adapter(L, t)
+    reads = _adapter(L, t)
     cells = set(reads(d, v))
     if len(cells) != 1:
         return False
@@ -244,6 +304,39 @@ def test_single_cell_axioms_are_those_the_adapter_finds():
                     for _label, L in INVENTORY
                     for v in product(range(L.n), repeat=AXIOM_DEFS[ax].arity))}
     assert found == search._SINGLE_CELL
+
+
+def test_coded_reader_agrees_with_the_adapter_on_partial_tables():
+    # blocked exactly when the adapter lists a cell, waiting on the
+    # largest one; decided alike on the table completed either way
+    rng = Random("coded-reader")
+    blocked = decided = 0
+    for _label, L in INVENTORY:
+        n = L.n
+        M, t = search._live(L)
+        for density in (0.2, 0.4, 0.6, 0.8, 1.0) * 2:
+            partial = [[rng.randrange(n) if rng.random() < density else None
+                        for _b in range(n)] for _a in range(n)]
+            for a, b in product(range(n), repeat=2):
+                x = partial[a][b]
+                t[a][b] = n + a * n + b if x is None else x
+            reads = _adapter(L, partial)
+            completions = [[[fill if x is None else x for x in row] for row in partial]
+                           for fill in (0, n - 1)]
+            for ax in BINARY_AXIOMS:
+                d = AXIOM_DEFS[ax]
+                for v in product(range(n), repeat=d.arity):
+                    lhs, rhs = d.eval(L, M, t, v)
+                    cells = reads(d, v)
+                    if cells:
+                        assert max(lhs, rhs) == n + max(cells), (ax, v, partial)
+                        blocked += 1
+                        continue
+                    assert lhs < n and rhs < n, (ax, v, partial)
+                    for full in completions:
+                        assert d.eval(L, L.meet_table, full, v) == (lhs, rhs)
+                    decided += 1
+    assert blocked and decided
 
 
 def _oracle_instances(spec, reads):
@@ -273,7 +366,7 @@ def _oracle_root(spec):
     M = L.meet_table
     ncells = n * n
     t = [[None] * n for _ in range(n)]
-    inst, bucket = _oracle_instances(spec, search._adapter(L, t))
+    inst, bucket = _oracle_instances(spec, _adapter(L, t))
     domains = [tuple(range(n))] * ncells
     for a, b, x in spec.fixed_entries:
         domains[a * n + b] = (x,)
@@ -317,7 +410,7 @@ def _assert_plan_matches_oracle(L, ax):
     plan = search._plan(L, ax)
     spec = SearchSpec(L, require=(ax,))
     n = L.n
-    inst, bucket = _oracle_instances(spec, search._adapter(L, [[None] * n for _ in range(n)]))
+    inst, bucket = _oracle_instances(spec, _adapter(L, [[None] * n for _ in range(n)]))
     trigger = {i: c for c, b in enumerate(bucket) for i in b}
     if ax in search._SINGLE_CELL:
         # required alone, the axiom's root filter leaves each cell the
@@ -388,17 +481,20 @@ def test_root_and_results_match_the_per_spec_root_pass_with_fixed_entries(monkey
 
 
 def test_plan_store_holds_no_lattice_alive(monkeypatch):
-    store = weakref.WeakKeyDictionary()
+    store, padded = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
     monkeypatch.setattr(search, "_PLANS", store)
+    monkeypatch.setattr(search, "_PADDED", padded)
     L = chain(3)
     res = find_witness(SearchSpec(L, require=(Axiom.P1, Axiom.P5), forbid=(Axiom.WM,)))
-    assert res.found and list(store) == [L]
+    assert res.found and list(store) == [L] and list(padded) == [L]
     assert set(store[L]) == {Axiom.P1, Axiom.P5, Axiom.WM}
+    # the padded meet table and the blank table span n + n*n indices
+    assert [len(table) for table in padded[L]] == [12, 12]
     gone = weakref.ref(L)
     del L, res
     gc.collect()
     assert gone() is None
-    assert len(store) == 0
+    assert len(store) == 0 and len(padded) == 0
 
 
 def test_equal_lattices_each_get_their_own_plans(monkeypatch):
@@ -440,6 +536,19 @@ def test_first_witness_is_lexicographically_first_on_3chain():
     assert (nodes, settled, exhausted, witnesses) == (72_836, 459, 475, 1712)
 
 
+def test_six_element_trajectory_through_nested_reads():
+    # INV reads T[T[a][0]][0] and NORM reads three cells: waits on cells
+    # read through other cells, at a size the 3-chain pin never reaches
+    nodes = exhausted = witnesses = 0
+    lattices = enumerate_lattices(6)
+    for L in lattices:
+        res = find_witness(SearchSpec(L, require=P + (Axiom.INV,), forbid=(Axiom.NORM,)))
+        nodes += res.nodes
+        exhausted += res.exhausted
+        witnesses += res.found
+    assert (len(lattices), nodes, exhausted, witnesses) == (15, 41_852, 15, 0)
+
+
 def test_witnesses_are_reverified():
     # every emitted table must pass the full checker, not just the
     # search's incremental bookkeeping
@@ -450,6 +559,15 @@ def test_witnesses_are_reverified():
 
 def test_enumerate_lattices_counts():
     assert [len(enumerate_lattices(n)) for n in range(1, 6)] == [1, 1, 1, 2, 5]
+
+
+def test_enumerate_lattices_refuses_a_wrong_number_of_names(monkeypatch):
+    def built(names, rows):
+        raise AssertionError("a candidate was built")
+
+    monkeypatch.setattr(search, "FiniteLattice", built)
+    with pytest.raises(ValueError, match="2 names for 3 elements"):
+        enumerate_lattices(3, ("a", "b"))
 
 
 def test_enumerate_lattices_lets_other_errors_through(monkeypatch):
