@@ -19,13 +19,21 @@ family with Ganter's NextClosure: in ascending integer order, with at
 most m closure calls per set (after one per point), and never more sets
 than asked for.
 
+The scalar ``RelationalFrame.arrow`` reads byte tables, after the "Four
+Russians" method: the points seeing into a set X are the union of the
+pred rows over X, and the points with a predecessor in X the union of
+the succ rows over X, so one table per byte position of a mask, holding
+that union for each of the 256 byte values, turns either set into about
+m/8 table reads.  The tables are built on the first call, once per frame.
+
 The grids of n^2 conditionals (the algebra of a family of sets here,
 the embedding checks in ``representation``) run through one kernel,
 ``RelationalFrame.arrows``: the conditional elementwise over arrays of
 masks held as uint64 words, W = ceil(m / 64) words a mask, in bitwise
-passes of 8 points each.  ``arrow_grid`` confirms every kernel grid with
-the scalar ``arrow`` at one fixed cell per row and raises
-InternalInconsistency on a mismatch.
+passes of 8 points each over the rows themselves, not the tables.
+``arrow_grid`` confirms every kernel grid with the scalar ``arrow`` at
+one fixed cell per row, so two independent computations are compared,
+and raises InternalInconsistency on a mismatch.
 
 ``first_law_failure`` is the one check of the three set laws: that point
 masks carry a lattice's meet to intersection, its join to the closure of
@@ -35,8 +43,10 @@ in row-major order where one fails, tried meet, join, conditional.
 the family's own conditional table (``fixpoints`` for the closure
 fixpoints, ``representation.check_space_conditions`` for the compact
 opens), and both embedding routes of ``representation`` for the image of
-a lattice.  Grids of fewer than GRID_MIN_INSTANCES cells are computed
-cell by cell with ``arrow``, which costs less than the numpy calls there.
+a lattice; ``fixpoints_with_grids`` hands the pair route the fixpoints'
+own grids, reordered, when its image is all fixpoints.  Grids of fewer
+than GRID_MIN_INSTANCES cells are computed cell by cell with ``arrow``,
+which costs less than the numpy calls there.
 """
 
 from __future__ import annotations
@@ -88,6 +98,18 @@ def confirm_cells(arrow, A, B, out, masks=np.ndarray.tolist):
             raise InternalInconsistency(
                 f"arrow kernel and scalar arrow differ at ({a:#x},{b:#x})"
             )
+
+
+def _union(tables, X: int) -> int:
+    """The union of the rows over the points of X, read byte by byte from
+    RelationalFrame._byte_tables."""
+    out = 0
+    for t in tables:
+        if not X:
+            break
+        out |= t[X & 255]
+        X >>= 8
+    return out
 
 
 class RelationalFrame:
@@ -157,21 +179,32 @@ class RelationalFrame:
                 f"mask {A:#x} addresses points outside this {self.m}-point frame"
             )
 
+    @cached_property
+    def _byte_tables(self):
+        """For the pred rows and for the succ rows, one table per byte
+        position i of a mask: entry v is the union of the rows 8i + j over
+        the bits j of v.  bytes when m <= 8, else lists of int masks."""
+        def tables(rows):
+            out = []
+            for i in range(0, self.m, 8):
+                t = [0]
+                for r in rows[i:i + 8]:
+                    t += [x | r for x in t]
+                out.append(bytes(t) if self.m <= 8 else t)
+            return tuple(out)
+        return tables(self._pred), tables(self._succ)
+
     def arrow(self, A: int, B: int) -> int:
-        """Points whose A-predecessors all see into A ∩ B."""
-        self._guard(A)
-        self._guard(B)
-        AB = A & B
-        good = 0
-        for y, succ in enumerate(self._succ):
-            if succ & AB:
-                good |= 1 << y
-        blocked = A & ~good
-        out = 0
-        for x, pred in enumerate(self._pred):
-            if pred & blocked == 0:
-                out |= 1 << x
-        return out
+        """Points whose A-predecessors all see into A ∩ B: the points
+        seeing into A ∩ B are the union of the pred rows over A ∩ B, and
+        the points with an A-predecessor outside those are the union of
+        the succ rows over the rest of A."""
+        if (A | B) & ~self.full_mask:   # also true when either is negative
+            self._guard(A)
+            self._guard(B)
+        pred, succ = self._byte_tables
+        good = _union(pred, A & B)
+        return self.full_mask & ~_union(succ, A & ~good)
 
     def closure(self, A: int) -> int:
         return self.arrow(self.full_mask, A)
@@ -332,12 +365,13 @@ def first_law_failure(frame: RelationalFrame, H, lattice: FiniteLattice, T, grid
 
 
 def set_algebra(frame: RelationalFrame, sets):
-    """The algebra of a family of frame sets: (lattice, table, failure).
+    """The algebra of a family of frame sets: (lattice, table, failure, grids).
 
     The lattice is sets (ascending masks) ordered by inclusion, each
     named by set_label; table[i][j] is the index of sets[i] -> sets[j] in
     sets, or -1 where it is not there; failure is first_law_failure of
-    the two, so a -1 in the table is the conditional leaving the family.
+    the two, so a -1 in the table is the conditional leaving the family;
+    grids are the _set_grids(frame, sets) that both read.
     """
     lat = FiniteLattice([set_label(frame, s) for s in sets],
                         [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets])
@@ -349,7 +383,7 @@ def set_algebra(frame: RelationalFrame, sets):
         idx, found = positions(S, A)
         T = np.where(found, idx, -1)
         table = T.tolist()
-    return lat, table, first_law_failure(frame, sets, lat, T, grids)
+    return lat, table, first_law_failure(frame, sets, lat, T, grids), grids
 
 
 def fixpoints(frame: RelationalFrame) -> FixpointLattice:
@@ -358,12 +392,33 @@ def fixpoints(frame: RelationalFrame) -> FixpointLattice:
     Raises TooLarge, after listing at most MAX_ELEMENTS + 1 of them, when
     there are more fixpoints than a lattice may have elements.
     """
+    return _fixpoint_algebra(frame)[0]
+
+
+def fixpoints_with_grids(frame: RelationalFrame, H):
+    """fixpoints(frame) and, when the point masks H list its sets in some
+    order, the _set_grids(frame, H) that first_law_failure reads, taken
+    from the fixpoints' own law check by reordering; else None."""
+    fl, (S, C, A) = _fixpoint_algebra(frame)
+    index = {s: i for i, s in enumerate(fl.sets)}
+    order = [index.get(h, -1) for h in H]
+    if sorted(order) != list(range(len(fl.sets))):
+        return fl, None
+    if isinstance(C, list):
+        return fl, ([S[i] for i in order], [[C[i][j] for j in order] for i in order],
+                    [[A[i][j] for j in order] for i in order])
+    cells = np.ix_(order, order)
+    return fl, (S[order], C[cells], A[cells])
+
+
+def _fixpoint_algebra(frame: RelationalFrame):
+    """(fixpoints(frame), the grids of its law check)."""
     sets = tuple(closed_sets(frame.m, frame.closure, MAX_ELEMENTS))
     if len(sets) > MAX_ELEMENTS:
         raise TooLarge(
             f"the {frame.m}-point frame has more than {MAX_ELEMENTS} fixpoints"
         )
-    lat, table, failure = set_algebra(frame, sets)
+    lat, table, failure, grids = set_algebra(frame, sets)
     if failure:
         law, i, j = failure
         a, b = lat.names[i], lat.names[j]
@@ -372,7 +427,7 @@ def fixpoints(frame: RelationalFrame) -> FixpointLattice:
             "join": f"fixpoint join is not closure of union at ({a},{b})",
             "conditional": f"conditional of fixpoints left the family: {a} -> {b}",
         }[law])
-    return FixpointLattice(frame, sets, lat, ConditionalOp(lat, tuple(map(tuple, table))))
+    return FixpointLattice(frame, sets, lat, ConditionalOp(lat, tuple(map(tuple, table)))), grids
 
 
 def random_frame(rng: Random, m: int, density: float = 0.5) -> RelationalFrame:

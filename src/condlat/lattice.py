@@ -10,7 +10,8 @@ Conventions used by the whole package:
   bitmask of x <= a; both include a itself.
 * A law over an index grid range(n)**arity is decided by
   ``first_violation``: the lexicographic scan for small grids, numpy
-  over blocks of antecedent rows for larger ones, same first witness.
+  over blocks of antecedent rows for larger ones (blocks that grow, so
+  an early violation stays cheap), same first witness.
   A law is written once over tables read ``X[a][b]``: the scan passes
   the tuple tables, the numpy route the arrays wrapped in ``Rows``.
 
@@ -40,9 +41,12 @@ MAX_ELEMENTS = 64  # one machine word of bitmask; raise deliberately if ever nee
 # Index grids of at least this many tuples are searched with numpy; below
 # it the per-call overhead of numpy costs more than the Python scan.
 GRID_MIN_INSTANCES = 64
-# Cells evaluated per numpy block: one antecedent row of a ternary law at
-# n = 64, the whole grid at n <= 16.
+# Cells in the first numpy block: one antecedent row of a ternary law at
+# n = 64, the whole grid at n <= 16.  Later blocks double their rows while
+# they stay within _GROWN_CELLS, so a grid is walked in blocks of about
+# BLOCK_CELLS, then 2, 4, ... times that.
 BLOCK_CELLS = 4096
+_GROWN_CELLS = 65536
 
 
 def _bits(mask: int):
@@ -60,20 +64,25 @@ def grid_first_violation(n: int, arity: int, block):
     shape (k, 1, ..., 1) and the remaining coordinates as broadcastable
     aranges, and returns a boolean array that broadcasts to
     (k, n, ..., n), true where the law fails.  Antecedents are walked in
-    ascending blocks of about BLOCK_CELLS cells, stopping at the first
-    block with a violation, so no n**arity array is built and the first
+    ascending blocks, the first of about BLOCK_CELLS cells and each later
+    one with twice the rows of the last while it stays within _GROWN_CELLS,
+    stopping at the first block with a violation.  So a violation near the
+    start costs one small block, no n**arity array is built, and the first
     nonzero of a C-order block is the first violation overall.
     """
     axes = [np.arange(n).reshape((1,) * i + (n,) + (1,) * (arity - 1 - i))
             for i in range(arity)]
-    rows = max(1, BLOCK_CELLS // n ** (arity - 1))
-    for start in range(0, n, rows):
+    row_cells = n ** (arity - 1)
+    rows, start = max(1, BLOCK_CELLS // row_cells), 0
+    while start < n:
         a = axes[0][start:start + rows]
         bad = np.broadcast_to(block(a, *axes[1:]), (len(a),) + (n,) * (arity - 1))
         hit = np.flatnonzero(bad)
         if hit.size:
             first = np.unravel_index(hit[0], bad.shape)
             return (start + int(first[0]),) + tuple(int(i) for i in first[1:])
+        start += rows
+        rows = max(rows, min(2 * rows, _GROWN_CELLS // row_cells))
     return None
 
 

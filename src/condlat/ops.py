@@ -11,7 +11,8 @@ ternary axiom) and reports the lexicographically first counterexample
 together with both sides of the violated (in)equality.  Each law has
 one definition, two evaluators: fewer than 64 instances are scanned in
 lexicographic order over the tuple tables; larger grids evaluate the
-same definition with numpy over ascending blocks of antecedent rows
+same definition with numpy over ascending blocks of antecedent rows,
+each block twice the rows of the last up to a cell cap
 (``grid_first_violation``, the tables read through ``Rows``), which
 stops at the same first witness, and that witness is confirmed on the
 tuple tables.  ``search`` reads the same definitions on partial tables,

@@ -45,7 +45,7 @@ from operator import or_
 import numpy as np
 
 from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
-from .frames import (RelationalFrame, closed_sets, first_law_failure, fixpoints,
+from .frames import (RelationalFrame, closed_sets, first_law_failure, fixpoints_with_grids,
                      set_algebra, set_label)
 from .lattice import MAX_ELEMENTS, FiniteLattice, find_isomorphism, first_violation
 from .ops import ConditionalOp, require_preconditional
@@ -53,10 +53,11 @@ from .ops import ConditionalOp, require_preconditional
 
 # -- the embedding check both routes share ----------------------------
 
-def _embedding_failures(L, T, frame, hat, *, image, map_name, verb):
+def _embedding_failures(L, T, frame, hat, grids=None, *, image, map_name, verb):
     """Does hat land in fixpoints, stay injective, and carry meet, join and
     the conditional to intersection, closure-of-union and frame.arrow?
-    The three keywords word the failures the way each route does."""
+    grids are first_law_failure's, made there when not given; the three
+    keywords word the failures the way each route does."""
     failures = []
     for a in range(L.n):
         if frame.closure(hat[a]) != hat[a]:
@@ -66,7 +67,7 @@ def _embedding_failures(L, T, frame, hat, *, image, map_name, verb):
         failures.append(f"{map_name} is not injective")
     if failures:
         return failures
-    bad = first_law_failure(frame, hat, L, T)
+    bad = first_law_failure(frame, hat, L, T, grids)
     if bad is None:
         return []
     law, a, b = bad
@@ -120,9 +121,9 @@ def verify_pair_embedding(pf: PairFrame) -> PairEmbeddingReport:
     have elements.
     """
     L, T, fr, hat = pf.lattice, pf.op.table, pf.frame, pf.hat
-    fl = fixpoints(fr)
+    fl, grids = fixpoints_with_grids(fr, hat)
     failures = _embedding_failures(
-        L, T, fr, hat, image="image of {}", map_name="candidate map", verb="preserved"
+        L, T, fr, hat, grids, image="image of {}", map_name="candidate map", verb="preserved"
     )
     if not failures and set(hat) != set(fl.sets):
         failures.append(
@@ -297,7 +298,7 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
         raise TooLarge(f"the space has more than {MAX_ELEMENTS} compact opens")
 
     # condition: compact opens closed under the three operations and a basis
-    clat, table, failure = set_algebra(frame, cofix)
+    clat, table, failure, _ = set_algebra(frame, cofix)
     structure_note = None
     if failure:
         law, i, j = failure

@@ -11,6 +11,12 @@ in B.  Properties checked, each with a witness on failure:
 * strong density: a selection for A ∩ B factors through a selection
   for A.
 
+``check_frame`` decides the first three over the (A, w) array
+``rel_array`` and strong density over the pairs (A, C ⊆ A), A ascending
+and C descending, in blocks through ``first_violation``; each failure
+is the first in that order, and the density witness is confirmed, and
+its worlds read, by the definition at that one pair.
+
 ``from_well_order`` realizes the canonical example: fix a total order
 on worlds and select, for w and A, the first world of A at or after w;
 worlds with nothing of A at or after them select nothing.  These frames
@@ -150,43 +156,71 @@ class SelectionFrameReport:
         )
 
 
+def _first(bad):
+    """The index tuple of the first true cell of bad in C order, or None."""
+    hit = np.flatnonzero(bad)
+    return tuple(map(int, np.unravel_index(hit[0], bad.shape))) if hit.size else None
+
+
+def _low(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _density_failure(rel, k: int, A: int, C: int):
+    """(w, v) for the first world w and the lowest world v selected for C
+    at w that no u selected for A at w selects for C, or None."""
+    for w in range(k):
+        seen = 0
+        for u in range(k):
+            if rel[A][w] >> u & 1:
+                seen |= rel[C][u]
+        if rel[C][w] & ~seen:
+            return w, _low(rel[C][w] & ~seen)
+    return None
+
+
 def check_frame(frame: SelectionFrame) -> SelectionFrameReport:
-    k, rel = frame.k, frame.rel
-    succ_w = cent_w = func_w = dens_w = None
-    for A in range(frame.full_mask + 1):
-        for w in range(k):
-            sel = rel[A][w]
-            if succ_w is None and sel & ~A:
-                v = (sel & ~A) & -(sel & ~A)
-                succ_w = (A, w, v.bit_length() - 1)
-            if cent_w is None and A >> w & 1 and sel != 1 << w:
-                cent_w = (A, w)
-            if func_w is None and bin(sel).count("1") > 1:
-                func_w = (A, w)
-        if succ_w and cent_w and func_w:
-            break
-    for A in range(frame.full_mask + 1):
-        if dens_w:
-            break
-        C = A
-        while True:  # C runs over the submasks of A, including A itself
-            for w in range(k):
-                sel = rel[C][w]
-                for v in range(k):
-                    if not sel >> v & 1:
-                        continue
-                    if not any(
-                        rel[C][u] >> v & 1
-                        for u in range(k)
-                        if rel[A][w] >> u & 1
-                    ):
-                        dens_w = (A, C, w, v)
-                        break
-                if dens_w:
-                    break
-            if dens_w or C == 0:
-                break
-            C = (C - 1) & A
+    """The four properties of the frame, each with its first failure.
+
+    Success, centering and functionality are decided over the (A, w)
+    table rel_array, the first failure in ascending (A, w) order.  Strong
+    density is decided over the grid of pairs (A, C), A ascending and C
+    descending, where only C ⊆ A counts: a pair fails when, at some w, a
+    world selected for C is selected for C by no u selected for A.  That
+    grid runs through first_violation, one block of pairs at a time, and
+    the witness w and v are read at the first failing pair.
+    """
+    k, rel, R = frame.k, frame.rel, frame.rel_array
+    n = 1 << k
+    A, w = np.arange(n)[:, None], np.arange(k)
+    outside = R & ~A
+    succ_w = _first(outside != 0)
+    cent_w = _first((A >> w & 1 == 1) & (R != 1 << w))
+    func_w = _first(R & (R - 1) != 0)
+    if succ_w:
+        succ_w += (_low(int(outside[succ_w])),)
+
+    def fails(v):
+        a, c = v[0], n - 1 - v[1]
+        return c & ~a == 0 and _density_failure(rel, k, a, c) is not None
+
+    def block(a, c):
+        # the pairs with C ⊆ A only: sel is rel[C][w], and seen the union
+        # of rel[C][u] over the u selected for A at w
+        C = n - 1 - c
+        sub = C & ~a == 0
+        S, sel = R[np.broadcast_to(a, sub.shape)[sub]], R[np.broadcast_to(C, sub.shape)[sub]]
+        seen = np.zeros_like(sel)
+        for u in range(k):
+            seen |= (S >> u & 1) * sel[:, u, None]
+        out = np.zeros(sub.shape, bool)
+        out[sub] = (sel & ~seen != 0).any(-1)
+        return out
+
+    dens_w = first_violation(n, 2, fails, block)
+    if dens_w:
+        a, c = dens_w[0], n - 1 - dens_w[1]
+        dens_w = (a, c, *_density_failure(rel, k, a, c))
     return SelectionFrameReport(
         (succ_w is None, succ_w),
         (cent_w is None, cent_w),

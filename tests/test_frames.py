@@ -17,7 +17,7 @@ from condlat.frames import (
 from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS, FiniteLattice
 from condlat.ops import PRECONDITIONAL_AXIOMS, check_axioms
 from condlat.representation import build_pair_frame
-from conftest import TamperedFrame
+from conftest import TamperedFrame, definition_arrow
 
 
 def test_frame_construction_and_relation():
@@ -136,6 +136,64 @@ def test_two_way_traffic_collapses_separation(quad_frame):
     # {x,y} contains y without w; {w,z} contains w without y: the two
     # points are separated by fixpoints in one direction each
     assert fr.closure(0b0011) == 0b0011 and fr.closure(0b1100) == 0b1100
+
+
+# -- the scalar arrow by byte tables -------------------------------------
+
+def _edge_masks(m, rng):
+    """Masks at byte and word edges of an m-point frame, plus random ones."""
+    full = (1 << m) - 1
+    out = {0, full}
+    for i in (0, 7, 8, 15, 16, 63, 64, 65, 127, 128, 129):
+        if i < m:
+            out |= {1 << i, full & ~(1 << i), full & (1 << i + 1) - 1, full >> i << i}
+    out |= {rng.getrandbits(m) for _ in range(6)}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("m", list(range(1, 11)) + [15, 16, 17, 63, 64, 65, 130])
+def test_byte_table_arrow_matches_the_definition_cell_for_cell(m):
+    rng = Random(f"arrow{m}")
+    full = (1 << m) - 1
+    mixed = [(0, full, rng.getrandbits(m))[x % 3] for x in range(m)]  # empty and full rows
+    frames = [random_frame(rng, m, d) for d in (0.1, 0.5, 0.9)] + [
+        RelationalFrame([f"p{i}" for i in range(m)], mixed),
+        RelationalFrame([f"p{i}" for i in range(m)], [0] * m),
+        RelationalFrame([f"p{i}" for i in range(m)], [full] * m),
+    ]
+    masks = _edge_masks(m, rng)
+    for fr in frames:
+        for A in masks:
+            assert fr.closure(A) == definition_arrow(fr, full, A)
+            for B in masks:
+                assert fr.arrow(A, B) == definition_arrow(fr, A, B), (fr, A, B)
+
+
+@pytest.mark.parametrize("m", (1, 8, 9, 64, 65))
+def test_byte_table_arrow_refuses_masks_outside_the_frame(m):
+    fr = random_frame(Random(m), m)
+    full = fr.full_mask
+    for A, B, bad in ((full + 1, 0, full + 1), (0, full + 1, full + 1), (-1, full, -1),
+                      (full, -1, -1), (1 << m + 8, full + 1, 1 << m + 8)):
+        msg = f"mask {bad:#x} addresses points outside this {m}-point frame"
+        with pytest.raises(WidthMismatch) as exc:
+            fr.arrow(A, B)
+        assert str(exc.value) == msg
+    with pytest.raises(WidthMismatch):
+        fr.closure(full + 1)
+
+
+def test_a_tampered_frame_still_tampers_the_scalar_route():
+    fr = random_frame(Random(3), 12)
+    A, B, flip = 0b101100110101, 0b011011001110, 1 << 9
+    cells = {(A, B): flip, (fr.full_mask, B): flip}
+    scalar = TamperedFrame(fr, cells, kernel=False)
+    assert scalar.arrow(A, B) == fr.arrow(A, B) ^ flip
+    assert scalar.closure(B) == fr.closure(B) ^ flip
+    assert scalar.arrow(B, A) == fr.arrow(B, A)
+    kernel = TamperedFrame(fr, cells, scalar=False)
+    assert kernel.arrow(A, B) == fr.arrow(A, B)
+    assert _mask(kernel.arrows(fr.to_words(A), fr.to_words(B))) == fr.arrow(A, B) ^ flip
 
 
 # -- the arrow kernel ----------------------------------------------------

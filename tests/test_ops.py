@@ -2,7 +2,9 @@ import dataclasses
 import tracemalloc
 from itertools import product
 from random import Random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from condlat import catalog, ops
@@ -15,7 +17,14 @@ from condlat.errors import (
     WidthMismatch,
 )
 from condlat.frames import fixpoints, random_frame
-from condlat.lattice import BLOCK_CELLS, FiniteLattice, antichain_bounded, boolean_algebra, chain
+from condlat.lattice import (
+    BLOCK_CELLS,
+    FiniteLattice,
+    antichain_bounded,
+    boolean_algebra,
+    chain,
+    grid_first_violation,
+)
 from condlat.ops import (
     AXIOM_DEFS,
     Axiom,
@@ -199,6 +208,83 @@ def test_late_cell_witnesses_lie_past_the_first_block():
     rows_per_block = BLOCK_CELLS // op.lattice.n ** 2
     for axiom in (Axiom.P4, Axiom.P5, Axiom.NORM, Axiom.FLAT):
         assert check_axiom(op, axiom).witness[0] >= rows_per_block
+
+
+def _block_starts(n, arity):
+    """The first antecedent row of each block the grid route walks."""
+    starts = []
+
+    def record(a, *rest):
+        starts.append(int(a.ravel()[0]))
+        return np.zeros(1, bool)
+
+    assert grid_first_violation(n, arity, record) is None
+    return starts
+
+
+def test_grid_blocks_grow_from_the_first():
+    # ternary at n = 64: 1 row (BLOCK_CELLS cells), then 2, 4, 8 and 16 rows
+    assert _block_starts(64, 3) == [0, 1, 3, 7, 15, 31, 47, 63]
+    assert _block_starts(41, 3) == [0, 2, 6, 14, 30]
+    assert _block_starts(64, 2) == [0]
+
+
+@pytest.mark.parametrize("n, arity", [(64, 3), (41, 3), (64, 2), (9, 3)])
+def test_grid_walk_finds_a_planted_cell_in_every_block(n, arity):
+    # the first cell of each block, and the last cell of every row
+    firsts = [(a,) + (0,) * (arity - 1) for a in _block_starts(n, arity)]
+    for cell in firsts + [(a,) + (n - 1,) * (arity - 1) for a in range(n)]:
+        def block(*v):
+            out = True
+            for x, c in zip(v, cell):
+                out = out & (x == c)
+            return out
+        assert grid_first_violation(n, arity, block) == cell
+
+
+# one changed cell (row, column, value) of the Heyting residual on the
+# 64-element Boolean algebra that makes each ternary law fail first in
+# antecedent row a; row 63 takes its own cell where the first does not fail
+_PLANTS = {
+    Axiom.P4: lambda a: (a, 63, 0),
+    Axiom.P5: lambda a: (a, 63, 0) if a < 63 else (63, 1, 63),
+    Axiom.NORM: lambda a: (a, 0, 0) if a < 63 else (63, 1, 0),
+    Axiom.FLAT: lambda a: (a, 63, 0),
+}
+
+
+@pytest.mark.parametrize("axiom", _PLANTS)
+def test_grown_blocks_name_a_violation_planted_at_each_block_start(axiom):
+    B6 = boolean_algebra("pqrstu")
+    heyting = heyting_residual(B6).table
+    for a in _block_starts(64, 3):
+        rows = [list(row) for row in heyting]
+        r, c, value = _PLANTS[axiom](a)
+        rows[r][c] = value
+        op = ConditionalOp(B6, rows)
+        got = check_axiom(op, axiom)
+        assert not got.holds and got.witness[0] == a, (axiom, a)
+        scan = _product_scan(B6, *_readme_axioms(B6, op.table)[axiom])
+        assert (got.holds, got.witness, got.lhs, got.rhs) == scan, (axiom, a)
+
+
+def test_distributivity_on_grown_blocks_names_a_violation_at_each_block_start():
+    # B6 with one meet cell of row a changed (the table is no longer a
+    # lattice's; the law check only reads it): the first failure is in row a
+    B6 = boolean_algebra("pqrstu")
+    for a in _block_starts(64, 3):
+        M = [list(row) for row in B6.meet_table]
+        if a:
+            M[a][63] = 0
+        else:
+            M[0][1] = 1
+        stub = SimpleNamespace(n=64, meet_table=M, join_table=B6.join_table,
+                               meet_array=np.array(M, np.uint8), join_array=B6.join_array)
+        J = B6.join_table
+        got = FiniteLattice.distributivity_witness(stub)
+        scan = _product_scan(stub, 3, "eq",
+                             lambda x, y, z: (M[x][J[y][z]], J[M[x][y]][M[x][z]]))
+        assert got is not None and got[0] == a and scan[1] == got, a
 
 
 def test_grid_check_of_a_64_element_table_stays_small():

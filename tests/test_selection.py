@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from itertools import permutations
 from random import Random
 
 import numpy as np
@@ -32,6 +33,7 @@ from condlat.selection import (
     induced_conditional,
     random_centered_frame,
 )
+from conftest import definition_check_frame
 
 
 def test_frame_validation():
@@ -158,6 +160,63 @@ def test_round_trip_element_masks():
     model = ba_to_selection(op.lattice, op)
     # boolean_algebra indices are already atom masks
     assert model.element_mask == tuple(range(4))
+
+
+# -- check_frame against its definition ----------------------------------
+
+def test_check_frame_matches_the_definition_on_every_small_well_order():
+    for k in range(1, 6):
+        for order in permutations(range(k)):
+            fr = from_well_order([f"w{i}" for i in range(k)], order)
+            rep = check_frame(fr)
+            assert rep.ok and rep == definition_check_frame(fr), (k, order)
+    rng = Random(6)
+    for _ in range(4):
+        fr = from_well_order([f"w{i}" for i in range(6)], rng.sample(range(6), 6))
+        assert check_frame(fr) == definition_check_frame(fr)
+    # 7 and 9 worlds: the density grid runs in more than one block
+    fr = from_well_order([f"w{i}" for i in range(7)], rng.sample(range(7), 7))
+    assert check_frame(fr) == definition_check_frame(fr)
+    fr = random_centered_frame(rng, 9)
+    assert check_frame(fr) == definition_check_frame(fr)
+
+
+def test_check_frame_matches_the_definition_on_random_centered_frames():
+    rng = Random(12)
+    failing = 0
+    for _ in range(320):
+        fr = random_centered_frame(rng, rng.randint(1, 6))
+        rep = check_frame(fr)
+        assert rep == definition_check_frame(fr), fr.rel
+        failing += not rep.strong_density[0]
+    assert failing >= 100
+
+
+def _well_order_with(changes):
+    """The 4-world well-order frame in index order with rel[A][w] = x for
+    each ((A, w), x) of changes."""
+    base = from_well_order([f"w{i}" for i in range(4)])
+    rel = [list(row) for row in base.rel]
+    for (A, w), x in changes.items():
+        rel[A][w] = x
+    return SelectionFrame(base.names, rel)
+
+
+@pytest.mark.parametrize("changes, prop, witness", [
+    # success: two worlds outside {w2,w3} selected at w1; the lowest is named
+    ({(12, 1): 0b0111, (14, 0): 0b1001}, "success", (12, 1, 0)),
+    ({(14, 3): 0b0100, (15, 1): 0b0100}, "centering", (14, 3)),
+    ({(15, 2): 0b1100, (15, 3): 0b1001}, "functionality", (15, 2)),
+    # the pairs (14, C) fail for C = 12, 10, 6, 4 and 2: C descending names 12
+    ({(14, 0): 0b1000}, "strong_density", (14, 12, 0, 2)),
+    # at (7, 3), w3 selects {w0,w1} for {w0,w1}, and neither is seen: v = 0
+    ({(7, 3): 0b0100, (3, 3): 0b0011}, "strong_density", (7, 3, 3, 0)),
+])
+def test_check_frame_names_late_first_failures_like_the_definition(changes, prop, witness):
+    fr = _well_order_with(changes)
+    rep = check_frame(fr)
+    assert rep == definition_check_frame(fr)
+    assert getattr(rep, prop) == (False, witness)
 
 
 def test_500_random_dense_frames_induce_core_tables():
