@@ -25,14 +25,17 @@ way.
 Opens are never listed: a set is open exactly when it contains N(x), the
 intersection of the basis sets holding x, for each of its points x, so
 the open fixpoints are the closed sets of the frame closure alternated
-with the up-hull X |-> union of N(x), x in X.
+with the up-hull X |-> union of N(x), x in X, which reads byte tables of
+the N(x) the way ``RelationalFrame.arrow`` reads them of the frame rows.
 
 The embedding check of both routes and the structure condition of
 ``check_space_conditions`` are the one set-law check of ``frames``,
 ``first_law_failure``: the first on hat and the lattice's own tables,
 the second through ``frames.set_algebra`` on the compact opens, as
-``fixpoints`` makes it on all fixpoints.  That lattice and table give
-the consonant pairs the pairs-realized condition looks up;
+``fixpoints`` makes it on all fixpoints.  Each builds its closure and
+arrow grids once, with the scalar ``RelationalFrame.arrow``; the pair
+route reads the fixpoints' own grids, reordered.  That lattice and
+table give the consonant pairs the pairs-realized condition looks up;
 ``build_fi_space`` lists its points with the same ``_consonant_pairs``.
 """
 
@@ -45,8 +48,8 @@ from operator import or_
 import numpy as np
 
 from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
-from .frames import (RelationalFrame, closed_sets, first_law_failure, fixpoints_with_grids,
-                     set_algebra, set_label)
+from .frames import (RelationalFrame, _union, byte_tables, closed_sets, first_law_failure,
+                     fixpoints_with_grids, set_algebra, set_label)
 from .lattice import MAX_ELEMENTS, FiniteLattice, find_isomorphism, first_violation
 from .ops import ConditionalOp, require_preconditional
 
@@ -81,8 +84,10 @@ def _pair_space(L: FiniteLattice, pairs, brackets: str):
     x' <= y, and hat(a) = the point mask of the pairs with x <= a, for
     each a in L.  brackets wraps the point names, as in "()" or "[]"."""
     names = [f"{brackets[0]}{L.names[x]},{L.names[y]}{brackets[1]}" for x, y in pairs]
-    pred = [sum(1 << i for i, (_, y) in enumerate(pairs) if not L.leq(x, y))
-            for x, _ in pairs]
+    # a predecessor row depends on the first coordinate alone
+    rows = {x: sum(1 << i for i, (_, y) in enumerate(pairs) if not L.leq(x, y))
+            for x in {x for x, _ in pairs}}
+    pred = [rows[x] for x, _ in pairs]
     hat = tuple(sum(1 << i for i, (x, _) in enumerate(pairs) if L.leq(x, a))
                 for a in range(L.n))
     return RelationalFrame(names, pred), hat
@@ -202,22 +207,14 @@ def _neighbourhoods(frame: RelationalFrame, basis) -> list:
     return nbhd
 
 
-def _up_hull(nbhd, X: int) -> int:
-    """The least open containing X: the union of N(x) over x in X."""
-    out = 0
-    while X:
-        low = X & -X
-        out |= nbhd[low.bit_length() - 1]
-        X ^= low
-    return out
-
-
 def _open_fixpoints(frame: RelationalFrame, nbhd, limit: int) -> list:
     """Open fixpoints in ascending order, at most limit + 1 of them."""
+    hull = byte_tables(nbhd)
+
     def close(X):
         # alternate the two closures until both fix the set
         while True:
-            X = _up_hull(nbhd, X)
+            X = _union(hull, X)
             C = frame.closure(X)
             if C == X:
                 return X
@@ -241,7 +238,7 @@ class FIEmbeddingReport:
         that verify_fi_embedding decides may have too many opens to list.
         """
         nbhd = _neighbourhoods(self.space.frame, self.space.basis)
-        return len(closed_sets(self.space.frame.m, partial(_up_hull, nbhd), None))
+        return len(closed_sets(self.space.frame.m, partial(_union, byte_tables(nbhd)), None))
 
 
 def verify_fi_embedding(space: FilterIdealSpace) -> FIEmbeddingReport:
@@ -342,8 +339,10 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
     # condition: x -> y iff I(x) ∩ F(y) = ∅; the numpy form reads x -> y
     # as bit x of the predecessor row of y
     F, I = np.array(fmask, np.uint64), np.array(imask, np.uint64)
-    P = frame.to_words([frame.predecessors(y) for y in range(frame.m)])
-    R = np.unpackbits(P.view(np.uint8), axis=-1, count=frame.m, bitorder="little").astype(bool)
+    size = -(-frame.m // 8)
+    P = b"".join(frame.predecessors(y).to_bytes(size, "little") for y in range(frame.m))
+    R = np.unpackbits(np.frombuffer(P, np.uint8).reshape(frame.m, size), axis=-1,
+                      count=frame.m, bitorder="little").astype(bool)
 
     def mismatch(v):
         x, y = v

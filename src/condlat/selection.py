@@ -31,8 +31,10 @@ the original table.
 ``SelectionFrame.arrows`` evaluates the conditional over integer arrays
 of subset masks; ``induced_conditional`` and the transport check of
 ``ba_to_selection`` run on it through ``arrow_grid``, which confirms one
-fixed cell per row with the scalar ``arrow`` (a mismatch raises
-InternalInconsistency).  The selection rows of ``ba_to_selection`` are
+fixed cell per row with the scalar ``arrow`` (``confirm_cells``; a
+mismatch raises InternalInconsistency).  It is the package's one array
+route for a frame conditional: relational frames keep only their scalar
+``arrow``.  The selection rows of ``ba_to_selection`` are
 ``leq_array`` gathers reduced with ``np.bitwise_and``.  The
 negation-import scan and the transport check search their grids with
 ``first_violation``, which scans grids of fewer than GRID_MIN_INSTANCES
@@ -55,7 +57,6 @@ from .errors import (
     TooLarge,
     WidthMismatch,
 )
-from .frames import confirm_cells
 from .lattice import FiniteLattice, Rows, boolean_algebra, first_violation
 from .ops import (
     Axiom,
@@ -65,6 +66,21 @@ from .ops import (
 )
 
 MAX_WORLDS = 16
+
+
+def confirm_cells(arrow, A, B, out):
+    """Check the grid out = A -> B, whose first two axes are rows and
+    columns, against the scalar arrow at the cell (i, cols - 1 - i mod
+    cols) of each row i."""
+    rows, cols = out.shape[:2]
+    i = np.arange(rows)
+    j = cols - 1 - i % cols
+    cells = [np.broadcast_to(X, out.shape)[i, j].tolist() for X in (A, B, out)]
+    for a, b, got in zip(*cells):
+        if arrow(a, b) != got:
+            raise InternalInconsistency(
+                f"arrow kernel and scalar arrow differ at ({a:#x},{b:#x})"
+            )
 
 
 def _guard_worlds(k: int):

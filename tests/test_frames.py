@@ -1,7 +1,6 @@
 import hashlib
 from random import Random
 
-import numpy as np
 import pytest
 
 from condlat import catalog
@@ -183,94 +182,95 @@ def test_byte_table_arrow_refuses_masks_outside_the_frame(m):
         fr.closure(full + 1)
 
 
+@pytest.mark.parametrize("m", (1, 7, 8, 9, 17))
+def test_byte_tables_hold_the_union_of_the_rows_over_each_byte(m):
+    rng = Random(f"tables{m}")
+    rows = [rng.getrandbits(m) for _ in range(m)]
+    tables = frames_module.byte_tables(rows)
+    assert len(tables) == -(-m // 8)
+    assert all(isinstance(t, bytes if m <= 8 else list) for t in tables)
+    for i, t in enumerate(tables):
+        width = min(8, m - 8 * i)
+        assert len(t) == 1 << width
+        for v in range(1 << width):
+            want = 0
+            for j in range(width):
+                if v >> j & 1:
+                    want |= rows[8 * i + j]
+            assert t[v] == want, (i, v)
+    for X in [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(20)]:
+        want = 0
+        for p in range(m):
+            if X >> p & 1:
+                want |= rows[p]
+        assert frames_module._union(tables, X) == want
+
+
 def test_a_tampered_frame_still_tampers_the_scalar_route():
     fr = random_frame(Random(3), 12)
     A, B, flip = 0b101100110101, 0b011011001110, 1 << 9
-    cells = {(A, B): flip, (fr.full_mask, B): flip}
-    scalar = TamperedFrame(fr, cells, kernel=False)
-    assert scalar.arrow(A, B) == fr.arrow(A, B) ^ flip
-    assert scalar.closure(B) == fr.closure(B) ^ flip
-    assert scalar.arrow(B, A) == fr.arrow(B, A)
-    kernel = TamperedFrame(fr, cells, scalar=False)
-    assert kernel.arrow(A, B) == fr.arrow(A, B)
-    assert _mask(kernel.arrows(fr.to_words(A), fr.to_words(B))) == fr.arrow(A, B) ^ flip
+    tampered = TamperedFrame(fr, {(A, B): flip, (fr.full_mask, B): flip})
+    assert tampered.arrow(A, B) == fr.arrow(A, B) ^ flip
+    assert tampered.closure(B) == fr.closure(B) ^ flip
+    assert tampered.arrow(B, A) == fr.arrow(B, A)
 
 
-# -- the arrow kernel ----------------------------------------------------
+def test_set_grids_close_each_distinct_union_once(monkeypatch):
+    fr = random_frame(Random(5), 7)
+    H = closed_sets(fr.m, fr.closure, None)
+    closed, closure = [], RelationalFrame.closure
 
-def _mask(words):
-    return int.from_bytes(np.ascontiguousarray(words, "<u8").tobytes(), "little")
+    def counting(self, A):
+        closed.append(A)
+        return closure(self, A)
 
+    monkeypatch.setattr(RelationalFrame, "closure", counting)
+    C, A = frames_module._set_grids(fr, H)
+    unions = {s | t for s in H for t in H}
+    assert len(H) ** 2 > 2 * len(unions)
+    assert sorted(closed) == sorted(unions)
+    assert C == [[definition_arrow(fr, fr.full_mask, s | t) for t in H] for s in H]
+    assert A == [[definition_arrow(fr, s, t) for t in H] for s in H]
+
+
+# -- the grids of n^2 conditionals ------------------------------------------
+# _set_grids builds every such grid now; the two tests below keep the names
+# they had when a uint64 word kernel built them.
 
 @pytest.mark.parametrize("m", list(range(1, 11)) + [63, 64, 65, 130])
 def test_kernel_matches_the_scalar_arrow_cell_for_cell(m):
     rng = Random(m)
     for density in (0.1, 0.5, 0.9):
         fr = random_frame(rng, m, density)
-        As = [rng.randrange(fr.full_mask + 1) for _ in range(6)] + [0, fr.full_mask]
-        Bs = [rng.randrange(fr.full_mask + 1) for _ in range(5)] + [fr.full_mask]
-        if m > 64:  # bits on both sides of the first word boundary
-            As += [1 << 63 | 1 << 64, 1 << 64]
-            Bs += [1 << 63, 1 << 63 | 1 << 64]
-        Aw, Bw = fr.to_words(As), fr.to_words(Bs)
-        assert Aw.shape == (len(As), -(-m // 64))
-        grid = fr.arrows(Aw[:, None], Bw[None, :])
-        assert grid.shape == (len(As), len(Bs), fr.words)
-        for i, A in enumerate(As):
-            for j, B in enumerate(Bs):
-                assert _mask(grid[i, j]) == fr.arrow(A, B)
-        # one mask against a grid, either way round
-        left = fr.arrows(Aw[0], Bw[:, None])
-        right = fr.arrows(Aw[:, None], Bw[-1])
-        for j, B in enumerate(Bs):
-            assert _mask(left[j, 0]) == fr.arrow(As[0], B)
-        for i, A in enumerate(As):
-            assert _mask(right[i, 0]) == fr.arrow(A, Bs[-1])
-        assert _mask(fr.arrows(Aw[1], Bw[1])) == fr.arrow(As[1], Bs[1])
+        # repeats (and, for small m, repeated unions) share closures in the grid
+        H = [rng.randrange(fr.full_mask + 1) for _ in range(6)] + [0, fr.full_mask, 0]
+        if m > 64:  # bits on both sides of bit 64
+            H += [1 << 63 | 1 << 64, 1 << 64, 1 << 63]
+        C, A = frames_module._set_grids(fr, H)
+        assert len(C) == len(A) == len(H)
+        for s, crow, arow in zip(H, C, A):
+            assert len(crow) == len(arow) == len(H)
+            for t, c, a in zip(H, crow, arow):
+                assert c == fr.closure(s | t) == definition_arrow(fr, fr.full_mask, s | t)
+                assert a == fr.arrow(s, t) == definition_arrow(fr, s, t), (s, t)
 
 
 @pytest.mark.parametrize("m", (3, 64, 65))
 def test_kernel_refuses_masks_outside_the_frame(m):
     fr = random_frame(Random(0), m)
-    with pytest.raises(WidthMismatch):
-        fr.to_words([0, fr.full_mask + 1])
-    with pytest.raises(WidthMismatch):
-        fr.to_words(-1)
-    ok = fr.to_words(fr.full_mask)
-    spill = ok.copy()
-    spill[-1] |= np.uint64(1) << np.uint64(63)  # the point past the last
-    if m % 64 == 0:
-        spill = np.append(ok, np.uint64(1))     # one word too many
-    for A, B in ((spill, ok), (ok, spill), (ok.astype(np.int64), ok)):
+    full = fr.full_mask
+    for bad in (full + 1, 1 << m + 1 | 1, -1):
+        msg = f"mask {bad:#x} addresses points outside this {m}-point frame"
+        for H in ([bad], [0, bad]):
+            with pytest.raises(WidthMismatch) as exc:
+                frames_module._set_grids(fr, H)
+            assert str(exc.value) == msg
         with pytest.raises(WidthMismatch):
-            fr.arrows(A, B)
-
-
-def _counting(monkeypatch):
-    calls = []
-    kernel = RelationalFrame.arrows
-
-    def spy(self, A, B):
-        calls.append(np.broadcast_shapes(np.shape(A), np.shape(B))[:-1])
-        return kernel(self, A, B)
-
-    monkeypatch.setattr(RelationalFrame, "arrows", spy)
-    return calls
-
-
-def test_fixpoints_use_the_kernel_exactly_on_grids_of_the_cutoff(monkeypatch):
-    calls = _counting(monkeypatch)
-    rng = Random(7)
-    sizes = set()
-    for _ in range(60):
-        fr = random_frame(rng, rng.randint(2, 6))
-        calls.clear()
-        n = len(fixpoints(fr).sets)
-        sizes.add(n * n >= GRID_MIN_INSTANCES)
-        # the join check and the table: two n x n grids, or none
-        want = [(n, n), (n, n)] if n * n >= GRID_MIN_INSTANCES else []
-        assert calls == want, n
-    assert sizes == {True, False}
+            frames_module._set_grids(fr, [full, 1, bad])
+    # the frame is unharmed: a family inside it still gets its grids
+    C, A = frames_module._set_grids(fr, [0, full])
+    assert C == [[fr.closure(0), full], [full, full]]
+    assert A == [[fr.arrow(s, t) for t in (0, full)] for s in (0, full)]
 
 
 def _lattice_key(fl):
@@ -302,7 +302,7 @@ def test_fixpoints_of_a_frame_of_more_than_64_points():
     # the pair frame of an 18-element algebra: 68 points, two words a mask
     fl = fixpoints(random_frame(Random(4), 8))
     fr = build_pair_frame(fl.lattice, fl.op).frame
-    assert fr.m == 68 and fr.words == 2
+    assert fr.m == 68
     got = fixpoints(fr)
     sets = closed_sets(fr.m, fr.closure, None)
     assert got.sets == tuple(sets) and len(sets) == 18
@@ -357,7 +357,7 @@ def _families(points, removals, rng):
 
 @pytest.mark.parametrize("points", (3, 4))
 def test_lattice_check_reports_the_first_failing_cell(monkeypatch, points):
-    # 3 points: at most 7 sets, the cell-by-cell route; 4 points: the kernel
+    # 3 points: at most 7 sets; 4 points: at least 8, a grid of 64 cells or more
     rng = Random(points)
     fr, families = _families(points, 1 if points == 3 else 3, rng)
     seen = set()
@@ -422,31 +422,3 @@ def test_a_conditional_leaving_the_family_is_named_at_its_first_cell(lo, hi):
         )
         named += 1
     assert named >= 5
-
-
-def test_kernel_and_scalar_disagreeing_raise_internal_inconsistency():
-    fr, sets = _frame_with(Random(1), 9, 20)
-    n = len(sets)
-    # row 0 is confirmed at its last column: bottom -> top
-    confirmed = TamperedFrame(fr, {(sets[0], sets[-1]): 1}, scalar=False)
-    with pytest.raises(InternalInconsistency, match="arrow kernel and scalar arrow differ"):
-        fixpoints(confirmed)
-    # a union outside the family (so no table cell full -> U) that no
-    # confirmed cell (r, n - 1 - r) has: the join grid flags its first cell,
-    # where the scalar definition holds
-    unions = [[s | t for t in sets] for s in sets]
-    confirmed_unions = {unions[r][n - 1 - r] for r in range(n)}
-    U = next(u for row in unions for u in row if u not in confirmed_unions and u not in sets)
-    first = next((r, c) for r in range(n) for c in range(n) if unions[r][c] == U)
-    closure_cell = TamperedFrame(fr, {(fr.full_mask, U): 1}, scalar=False)
-    with pytest.raises(InternalInconsistency,
-                       match=rf"^grid flags \({first[0]}, {first[1]}\) but the definition holds"):
-        fixpoints(closure_cell)
-    # the kernel arrow bottom -> bottom (row 0 is confirmed at its last
-    # column) leaves the family while the scalar one stays in it: the table
-    # holds -1 there, which the scalar arrow does not confirm
-    bottom = sets[0]
-    out = next(1 << p for p in range(fr.m) if fr.arrow(bottom, bottom) ^ 1 << p not in sets)
-    arrow_cell = TamperedFrame(fr, {(bottom, bottom): out}, scalar=False)
-    with pytest.raises(InternalInconsistency, match=r"^grid flags \(0, 0\) but the definition holds"):
-        fixpoints(arrow_cell)

@@ -3,10 +3,10 @@ import hashlib
 from collections import Counter
 from random import Random
 
-import numpy as np
 import pytest
 
 from condlat import catalog
+from condlat import frames as frames_module
 from condlat.errors import EmbeddingNotVerified, NotAPreconditional, TooLarge
 from condlat.frames import RelationalFrame, fixpoints, random_frame
 from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS
@@ -238,17 +238,17 @@ def test_separation_and_relation_match_the_oracle_with_one_edge_flipped(entry):
         assert (rep.separated, rep.relation_matches) == (sep, rel)
 
 
-def _kernel_grids(monkeypatch):
-    """The (rows, cols) of every kernel grid evaluated from now on."""
-    grids = []
-    kernel = RelationalFrame.arrows
+def _set_grids_calls(monkeypatch):
+    """The number of sets of every frames._set_grids call from now on."""
+    calls = []
+    set_grids = frames_module._set_grids
 
-    def spy(self, A, B):
-        grids.append(np.broadcast_shapes(np.shape(A), np.shape(B))[:2])
-        return kernel(self, A, B)
+    def spy(frame, H):
+        calls.append(len(H))
+        return set_grids(frame, H)
 
-    monkeypatch.setattr(RelationalFrame, "arrows", spy)
-    return grids
+    monkeypatch.setattr(frames_module, "_set_grids", spy)
+    return calls
 
 
 @pytest.mark.parametrize("seed", (2, 4, 22))
@@ -257,28 +257,29 @@ def test_fi_route_decides_fixpoint_algebras_of_eight_point_frames(seed, monkeypa
     fl = fixpoints(random_frame(Random(seed), 8))
     n = fl.lattice.n
     space = build_fi_space(fl.lattice, fl.op)
-    grids = _kernel_grids(monkeypatch)
+    calls = _set_grids_calls(monkeypatch)
     rep = verify_fi_embedding(space)
     assert rep.ok and rep.open_fixpoint_count == n
-    # the embedding check: closure of unions and the conditional
-    assert grids == [(n, n), (n, n)]
+    # the embedding check: one set of grids on the image of hat
+    assert calls == [n]
     cond = check_space_conditions(space.frame, space.basis)
     assert cond.ok and len(cond.cofix) == n
-    assert grids[2:] == [(n, n), (n, n)]
+    # the structure check: one set of grids on the compact opens
+    assert calls[1:] == [n]
     assert (seed, n) in ((2, 33), (4, 18), (22, 42))
 
 
 def test_pair_route_decides_the_42_element_algebra_on_its_198_point_frame(monkeypatch):
     fl = fixpoints(random_frame(Random(22), 8))
     pf = build_pair_frame(fl.lattice, fl.op)
-    assert pf.frame.m == 198 and pf.frame.words == 4
-    grids = _kernel_grids(monkeypatch)
+    assert pf.frame.m == 198
+    calls = _set_grids_calls(monkeypatch)
     rep = verify_pair_embedding(pf)
     assert rep.ok and not rep.fallback_used
     assert rep.fixpoint_count == 42
-    # fixpoints: join check and table; the embedding check reads the same
-    # two grids, reordered, since the candidate image is all fixpoints
-    assert grids == [(42, 42)] * 2
+    # the fixpoints' own grids; the embedding check reads them, reordered,
+    # since the candidate image is all fixpoints
+    assert calls == [42]
 
 
 def _tampered_pair_frame(pf, kind, rng):
@@ -312,7 +313,7 @@ def _pair_outcome(pf):
 
 def test_pair_route_outcomes_on_tampered_pair_frames_are_pinned():
     # the 14 catalog preconditionals, then the fixpoint algebras of twelve
-    # seeded 6-point frames (9 to 16 elements: the kernel route)
+    # seeded 6-point frames (9 to 16 elements)
     algebras = [(e.name, e.lattice, e.conditional) for e in PRECONDITIONALS]
     for s in range(12):
         fl = fixpoints(random_frame(Random(s), 6))
