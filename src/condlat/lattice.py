@@ -23,7 +23,7 @@ in the message.  A one-element lattice (bottom == top) is accepted.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -112,17 +112,31 @@ class _Row:
         return self.arr[self.a, b]
 
 
+@cache
+def scan_grid(n: int, arity: int) -> tuple:
+    """range(n)**arity in lexicographic order, built once per shape.
+
+    Only grids of fewer than GRID_MIN_INSTANCES tuples are served: those
+    are scanned tuple by tuple on every check, while larger ones go to
+    numpy or are walked once, so the cache holds at most about 75 shapes.
+    """
+    if n ** arity >= GRID_MIN_INSTANCES:
+        raise ValueError(f"{n}**{arity} tuples is no scan grid (limit {GRID_MIN_INSTANCES})")
+    return tuple(product(range(n), repeat=arity))
+
+
 def first_violation(n: int, arity: int, violates, block=None):
     """Lexicographically first tuple of range(n)**arity where a law fails.
 
     violates(v) decides one tuple; block is its numpy form (see
     ``grid_first_violation``).  Without a block, or on grids of fewer
-    than GRID_MIN_INSTANCES tuples, the grid is scanned with violates;
-    otherwise it is searched with block and the witness is confirmed
-    with violates.
+    than GRID_MIN_INSTANCES tuples, the grid is scanned with violates
+    (a small grid read from ``scan_grid``); otherwise it is searched
+    with block and the witness is confirmed with violates.
     """
-    if block is None or n ** arity < GRID_MIN_INSTANCES:
-        for v in product(range(n), repeat=arity):
+    small = n ** arity < GRID_MIN_INSTANCES
+    if small or block is None:
+        for v in scan_grid(n, arity) if small else product(range(n), repeat=arity):
             if violates(v):
                 return v
         return None

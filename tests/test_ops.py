@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 from itertools import product
 from random import Random
@@ -19,15 +21,19 @@ from condlat.errors import (
 from condlat.frames import fixpoints, random_frame
 from condlat.lattice import (
     BLOCK_CELLS,
+    GRID_MIN_INSTANCES,
     FiniteLattice,
     antichain_bounded,
     boolean_algebra,
     chain,
     grid_first_violation,
+    scan_grid,
 )
 from condlat.ops import (
     AXIOM_DEFS,
     Axiom,
+    AxiomCheck,
+    AxiomReport,
     BINARY_AXIOMS,
     ClassLabel,
     ConditionalOp,
@@ -63,6 +69,42 @@ def test_table_validation():
         ConditionalOp(L, ((0, 2), (0, 1)))
     with pytest.raises(WidthMismatch):
         UnaryOp(L, (0, 1, 0))
+
+
+@pytest.mark.parametrize("table, message", [
+    (((0, 0, 0), (0, 0, 0)), "table has 2 rows for 3 elements"),
+    (((0, 0, 0), (0, 0), (0, 0, 0)), "table row has 2 entries for 3 elements"),
+    (((0, 0, 0), (0, -1, 5), (0, 0, 0)), "table entry -1 out of range"),
+    (((0, 0, 0), (0, 5, -1), (0, 0, 0)), "table entry 5 out of range"),
+    (((0, 0, 0), (0, 0, 0), (0, 3, 0)), "table entry 3 out of range"),
+    (((0, 0, 0), (0, 0, 9), (0, 0)), "table entry 9 out of range"),
+])
+def test_conditional_table_rejections_name_the_first_offence(table, message):
+    # rows are range-checked whole; the message still names the first bad entry
+    with pytest.raises(WidthMismatch) as e:
+        ConditionalOp(chain(3), table)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("table, message", [
+    ((0, 0, 0, 0), "unary table has 4 entries for 3 elements"),
+    ((0, -1, 5), "unary table entry -1 out of range"),
+    ((0, 5, -1), "unary table entry 5 out of range"),
+    ((0, 0, 3), "unary table entry 3 out of range"),
+])
+def test_unary_table_rejections_name_the_first_offence(table, message):
+    with pytest.raises(WidthMismatch) as e:
+        UnaryOp(chain(3), table)
+    assert str(e.value) == message
+
+
+def test_tables_are_stored_as_int_tuples():
+    L = chain(3)
+    op = ConditionalOp(L, np.array([[2, 2, 2], [0, 2, 2], [0, 1, 2]], dtype=np.uint8))
+    assert op.table == ((2, 2, 2), (0, 2, 2), (0, 1, 2))
+    assert all(type(x) is int for row in op.table for x in row)
+    neg = UnaryOp(L, [np.int64(2), 0, 0])
+    assert neg.table == (2, 0, 0) and all(type(x) is int for x in neg.table)
 
 
 def test_from_names_and_derive_negation():
@@ -201,6 +243,88 @@ def test_grid_route_matches_the_scan_for_every_axiom(name):
         assert (grid.holds, grid.witness, grid.lhs, grid.rhs) == scan, axiom
         c = check_axiom(op, axiom)
         assert (c.holds, c.witness, c.lhs, c.rhs) == scan, axiom
+
+
+def _chain_tables(n, count=None, seed=0):
+    """Every table on the n-chain, or a seeded sample of count of them."""
+    L = chain(n)
+    codes = range(n ** (n * n))
+    if count is not None:
+        codes = Random(seed).sample(codes, count)
+    for code in codes:
+        cells = [code // n ** i % n for i in range(n * n)]
+        yield ConditionalOp(L, tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n)))
+
+
+def test_scan_route_matches_the_readme_scan_on_small_chains():
+    # every arity is below the grid cutoff on these chains, so check_axiom
+    # takes its scalar scan over the cached grid for each law
+    tables = list(_chain_tables(2)) + list(_chain_tables(3, 500, seed=24))
+    assert len(tables) == 516
+    for op in tables:
+        readme = _readme_axioms(op.lattice, op.table)
+        for axiom in BINARY_AXIOMS:
+            arity, relation, law = readme[axiom]
+            assert op.lattice.n ** arity < GRID_MIN_INSTANCES
+            c = check_axiom(op, axiom)
+            scan = _product_scan(op.lattice, arity, relation, law)
+            assert (c.holds, c.witness, c.lhs, c.rhs) == scan, (op.table, axiom)
+            holds, witness, lhs, rhs = scan
+            fresh = (AxiomCheck(axiom, True) if holds
+                     else AxiomCheck(axiom, False, witness, lhs, rhs, relation))
+            assert c == fresh and hash(c) == hash(fresh)
+
+
+def test_holding_checks_are_one_frozen_object_per_axiom():
+    heyting = heyting_residual(chain(3))
+    meet = ConditionalOp(chain(3), chain(3).meet_table)
+    assert heyting.table != meet.table
+    c = check_axiom(heyting, Axiom.P2)
+    assert c.holds and check_axiom(meet, Axiom.P2) is c
+    # the grid route hands out the same constant
+    B6 = boolean_algebra("pqrstu")
+    norm = check_axiom(heyting, Axiom.NORM)
+    assert norm.holds and check_axiom(heyting_residual(B6), Axiom.NORM) is norm
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.holds = False
+    assert check_axiom(meet, Axiom.P2) == AxiomCheck(Axiom.P2, True)
+
+
+def test_axiom_members_survive_value_lookup_pickle_and_copy():
+    by_member = {ax: i for i, ax in enumerate(Axiom)}
+    members = set(Axiom)
+    for ax in Axiom:
+        again = Axiom(ax.value)
+        assert again is ax and hash(again) == hash(ax)
+        assert pickle.loads(pickle.dumps(ax)) is ax
+        assert copy.deepcopy(ax) is ax and copy.copy(ax) is ax
+        assert by_member[again] == by_member[ax] and again in members
+    assert AXIOM_DEFS[Axiom("P5")] is AXIOM_DEFS[Axiom.P5]
+    report = check_axioms(heyting_residual(chain(3)), BINARY_AXIOMS)
+    for back in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert isinstance(back, AxiomReport)
+        assert back.profile() == report.profile()
+        assert back[Axiom("MP")] == report[Axiom.MP]
+
+
+def test_scan_grid_is_the_lexicographic_product_for_small_shapes():
+    for k in range(1, 4):
+        for n in range(8):
+            if n ** k < GRID_MIN_INSTANCES:
+                assert scan_grid(n, k) == tuple(product(range(n), repeat=k))
+                assert scan_grid(n, k) is scan_grid(n, k)
+            else:
+                with pytest.raises(ValueError):
+                    scan_grid(n, k)
+
+
+def test_scan_grid_caches_no_grid_shape():
+    scan_grid.cache_clear()
+    B6 = boolean_algebra("pqrstu")
+    check_axioms(ConditionalOp(B6, heyting_residual(B6).table), BINARY_AXIOMS)
+    assert scan_grid.cache_info().currsize == 0
+    check_axioms(heyting_residual(chain(3)), BINARY_AXIOMS)
+    assert scan_grid.cache_info().currsize == 3  # arities 1, 2 and 3
 
 
 def test_late_cell_witnesses_lie_past_the_first_block():
