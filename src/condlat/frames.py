@@ -38,9 +38,8 @@ of the unions, each distinct union closed once.  ``set_algebra`` reads
 it for a family of frame sets under inclusion with the family's own
 conditional table (``fixpoints`` for the closure fixpoints,
 ``representation.check_space_conditions`` for the compact opens), and
-both embedding routes of ``representation`` for the image of a lattice;
-``fixpoints_with_grids`` hands the pair route the fixpoints' own grids,
-reordered, when its image is all fixpoints.
+the filter-ideal embedding check of ``representation`` for the image of
+a lattice.
 """
 
 from __future__ import annotations
@@ -96,11 +95,10 @@ class RelationalFrame:
         for r in pred:
             if r & ~full:
                 raise WidthMismatch("relation row references unknown points")
-        succ = [0] * m
-        for x in range(m):
-            for y in range(m):
-                if pred[x] >> y & 1:
-                    succ[y] |= 1 << x
+        # succ is pred transposed: read the columns of the rows' bit
+        # strings, last row first, so column m-1-y spells succ[y] in binary
+        cols = zip(*(format(r, f"0{m}b") for r in reversed(pred)))
+        succ = [int("".join(c), 2) for c in cols][::-1]
         self.names = names
         self.m = m
         self.full_mask = full
@@ -264,20 +262,19 @@ def first_law_failure(frame: RelationalFrame, H, lattice: FiniteLattice, T, grid
 
 
 def set_algebra(frame: RelationalFrame, sets):
-    """The algebra of a family of frame sets: (lattice, table, failure, grids).
+    """The algebra of a family of frame sets: (lattice, table, failure).
 
     The lattice is sets (ascending masks) ordered by inclusion, each
     named by set_label; table[i][j] is the index of sets[i] -> sets[j] in
     sets, or -1 where it is not there; failure is first_law_failure of
-    the two, so a -1 in the table is the conditional leaving the family;
-    grids are the _set_grids(frame, sets) that both read.
+    the two, so a -1 in the table is the conditional leaving the family.
     """
     lat = FiniteLattice([set_label(frame, s) for s in sets],
                         [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets])
     grids = _set_grids(frame, sets)
     index = {s: i for i, s in enumerate(sets)}
     table = [[index.get(r, -1) for r in row] for row in grids[1]]
-    return lat, table, first_law_failure(frame, sets, lat, table, grids), grids
+    return lat, table, first_law_failure(frame, sets, lat, table, grids)
 
 
 def fixpoints(frame: RelationalFrame) -> FixpointLattice:
@@ -286,29 +283,12 @@ def fixpoints(frame: RelationalFrame) -> FixpointLattice:
     Raises TooLarge, after listing at most MAX_ELEMENTS + 1 of them, when
     there are more fixpoints than a lattice may have elements.
     """
-    return _fixpoint_algebra(frame)[0]
-
-
-def fixpoints_with_grids(frame: RelationalFrame, H):
-    """fixpoints(frame) and, when the point masks H list its sets in some
-    order, the _set_grids(frame, H) that first_law_failure reads, taken
-    from the fixpoints' own law check by reordering; else None."""
-    fl, grids = _fixpoint_algebra(frame)
-    index = {s: i for i, s in enumerate(fl.sets)}
-    order = [index.get(h, -1) for h in H]
-    if sorted(order) != list(range(len(fl.sets))):
-        return fl, None
-    return fl, tuple([[G[i][j] for j in order] for i in order] for G in grids)
-
-
-def _fixpoint_algebra(frame: RelationalFrame):
-    """(fixpoints(frame), the grids of its law check)."""
     sets = tuple(closed_sets(frame.m, frame.closure, MAX_ELEMENTS))
     if len(sets) > MAX_ELEMENTS:
         raise TooLarge(
             f"the {frame.m}-point frame has more than {MAX_ELEMENTS} fixpoints"
         )
-    lat, table, failure, grids = set_algebra(frame, sets)
+    lat, table, failure = set_algebra(frame, sets)
     if failure:
         law, i, j = failure
         a, b = lat.names[i], lat.names[j]
@@ -317,7 +297,7 @@ def _fixpoint_algebra(frame: RelationalFrame):
             "join": f"fixpoint join is not closure of union at ({a},{b})",
             "conditional": f"conditional of fixpoints left the family: {a} -> {b}",
         }[law])
-    return FixpointLattice(frame, sets, lat, ConditionalOp(lat, tuple(map(tuple, table)))), grids
+    return FixpointLattice(frame, sets, lat, ConditionalOp(lat, tuple(map(tuple, table))))
 
 
 def random_frame(rng: Random, m: int, density: float = 0.5) -> RelationalFrame:

@@ -28,15 +28,15 @@ the open fixpoints are the closed sets of the frame closure alternated
 with the up-hull X |-> union of N(x), x in X, which reads byte tables of
 the N(x) the way ``RelationalFrame.arrow`` reads them of the frame rows.
 
-The embedding check of both routes and the structure condition of
+The filter-ideal embedding check and the structure condition of
 ``check_space_conditions`` are the one set-law check of ``frames``,
 ``first_law_failure``: the first on hat and the lattice's own tables,
 the second through ``frames.set_algebra`` on the compact opens, as
-``fixpoints`` makes it on all fixpoints.  Each builds its closure and
-arrow grids once, with the scalar ``RelationalFrame.arrow``; the pair
-route reads the fixpoints' own grids, reordered.  That lattice and
-table give the consonant pairs the pairs-realized condition looks up;
+``fixpoints`` makes it on all fixpoints.  That lattice and table give
+the consonant pairs the pairs-realized condition looks up;
 ``build_fi_space`` lists its points with the same ``_consonant_pairs``.
+The pair route decides its candidate map on index tables, against the
+fixpoint algebra whose set laws ``fixpoints`` has already checked.
 """
 
 from __future__ import annotations
@@ -49,32 +49,9 @@ import numpy as np
 
 from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
 from .frames import (RelationalFrame, _union, byte_tables, closed_sets, first_law_failure,
-                     fixpoints_with_grids, set_algebra, set_label)
+                     fixpoints, set_algebra, set_label)
 from .lattice import MAX_ELEMENTS, FiniteLattice, find_isomorphism, first_violation
 from .ops import ConditionalOp, require_preconditional
-
-
-# -- the embedding check both routes share ----------------------------
-
-def _embedding_failures(L, T, frame, hat, grids=None, *, image, map_name, verb):
-    """Does hat land in fixpoints, stay injective, and carry meet, join and
-    the conditional to intersection, closure-of-union and frame.arrow?
-    grids are first_law_failure's, made there when not given; the three
-    keywords word the failures the way each route does."""
-    failures = []
-    for a in range(L.n):
-        if frame.closure(hat[a]) != hat[a]:
-            failures.append(f"{image.format(L.names[a])} is not a fixpoint")
-            break
-    if len(set(hat)) != L.n:
-        failures.append(f"{map_name} is not injective")
-    if failures:
-        return failures
-    bad = first_law_failure(frame, hat, L, T, grids)
-    if bad is None:
-        return []
-    law, a, b = bad
-    return [f"{law} not {verb} at ({L.names[a]},{L.names[b]})"]
 
 
 # -- pair frame --------------------------------------------------------
@@ -125,19 +102,36 @@ def verify_pair_embedding(pf: PairFrame) -> PairEmbeddingReport:
     and TooLarge when the frame has more fixpoints than a lattice may
     have elements.
     """
-    L, T, fr, hat = pf.lattice, pf.op.table, pf.frame, pf.hat
-    fl, grids = fixpoints_with_grids(fr, hat)
-    failures = _embedding_failures(
-        L, T, fr, hat, grids, image="image of {}", map_name="candidate map", verb="preserved"
-    )
-    if not failures and set(hat) != set(fl.sets):
-        failures.append(
-            f"candidate image has {len(set(hat))} fixpoints, frame has {len(fl.sets)}"
-        )
+    L, hat = pf.lattice, pf.hat
+    fl = fixpoints(pf.frame)
+    # fl.sets lists every fixpoint, so phi[a] is None exactly off them
+    index = {s: i for i, s in enumerate(fl.sets)}
+    phi = [index.get(h) for h in hat]
+    failures = []
+    if None in phi:
+        failures.append(f"image of {L.names[phi.index(None)]} is not a fixpoint")
+    if len(set(hat)) != L.n:
+        failures.append("candidate map is not injective")
+    if not failures:
+        # fixpoints checked that its meet is ∩, its join the closure of ∪
+        # and its table the arrow, so phi carries a law exactly where hat does
+        M, J, T = L.meet_table, L.join_table, pf.op.table
+        FM, FJ, FT = fl.lattice.meet_table, fl.lattice.join_table, fl.op.table
+
+        def law(v):
+            a, b = v
+            i, j = phi[a], phi[b]
+            return ("meet" if phi[M[a][b]] != FM[i][j] else "join" if phi[J[a][b]] != FJ[i][j]
+                    else "conditional" if phi[T[a][b]] != FT[i][j] else None)
+
+        bad = first_violation(L.n, 2, law)
+        if bad:
+            failures.append(f"{law(bad)} not preserved at ({L.names[bad[0]]},{L.names[bad[1]]})")
+        elif L.n != len(fl.sets):
+            failures.append(f"candidate image has {L.n} fixpoints, frame has {len(fl.sets)}")
 
     if not failures:
-        mapping = tuple(fl.sets.index(hat[a]) for a in range(L.n))
-        return PairEmbeddingReport(True, False, (), len(fl.sets), mapping)
+        return PairEmbeddingReport(True, False, (), len(fl.sets), tuple(phi))
 
     iso = find_isomorphism(L, fl.lattice, pf.op.table, fl.op.table)
     if iso is not None:
@@ -241,6 +235,25 @@ class FIEmbeddingReport:
         return len(closed_sets(self.space.frame.m, partial(_union, byte_tables(nbhd)), None))
 
 
+def _embedding_failures(L, T, frame, hat):
+    """Does hat land in fixpoints, stay injective, and carry meet, join and
+    the conditional to intersection, closure-of-union and frame.arrow?"""
+    failures = []
+    for a in range(L.n):
+        if frame.closure(hat[a]) != hat[a]:
+            failures.append(f"hat({L.names[a]}) is not a fixpoint")
+            break
+    if len(set(hat)) != L.n:
+        failures.append("hat is not injective")
+    if failures:
+        return failures
+    bad = first_law_failure(frame, hat, L, T)
+    if bad is None:
+        return []
+    law, a, b = bad
+    return [f"{law} not carried at ({L.names[a]},{L.names[b]})"]
+
+
 def verify_fi_embedding(space: FilterIdealSpace) -> FIEmbeddingReport:
     """hat must be an isomorphism onto exactly the open fixpoints.
 
@@ -252,9 +265,7 @@ def verify_fi_embedding(space: FilterIdealSpace) -> FIEmbeddingReport:
     """
     L, T = space.lattice, space.op.table
     fr, hat = space.frame, space.basis
-    failures = _embedding_failures(
-        L, T, fr, hat, image="hat({})", map_name="hat", verb="carried"
-    )
+    failures = _embedding_failures(L, T, fr, hat)
     cofix = _open_fixpoints(fr, _neighbourhoods(fr, hat), L.n)
     if not failures and len(cofix) > L.n:
         extra = next(u for u in cofix if u not in hat)
@@ -295,7 +306,7 @@ def check_space_conditions(frame: RelationalFrame, basis) -> SpaceConditionsRepo
         raise TooLarge(f"the space has more than {MAX_ELEMENTS} compact opens")
 
     # condition: compact opens closed under the three operations and a basis
-    clat, table, failure, _ = set_algebra(frame, cofix)
+    clat, table, failure = set_algebra(frame, cofix)
     structure_note = None
     if failure:
         law, i, j = failure

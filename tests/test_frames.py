@@ -39,6 +39,16 @@ def test_frame_validation():
         fr.arrow(2, 0)
 
 
+@pytest.mark.parametrize("m", (*range(1, 11), 63, 64, 65, 198))
+def test_successors_are_the_predecessors_transposed(m):
+    full = (1 << m) - 1
+    rng = Random(m)
+    for pred in ([0] * m, [full] * m, [rng.getrandbits(m) for _ in range(m)]):
+        fr = RelationalFrame([f"p{i}" for i in range(m)], pred)
+        for y in range(m):
+            assert fr.successors(y) == sum(1 << x for x in range(m) if pred[x] >> y & 1)
+
+
 def test_arrow_on_an_isolated_point_is_total():
     # no predecessors: the condition over them is vacuous
     fr = RelationalFrame(("a", "b"), (0, 0))

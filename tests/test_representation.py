@@ -8,7 +8,7 @@ import pytest
 from condlat import catalog
 from condlat import frames as frames_module
 from condlat.errors import EmbeddingNotVerified, NotAPreconditional, TooLarge
-from condlat.frames import RelationalFrame, fixpoints, random_frame
+from condlat.frames import RelationalFrame, first_law_failure, fixpoints, random_frame
 from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS
 from condlat.ops import ConditionalOp
 from condlat.representation import (
@@ -277,9 +277,29 @@ def test_pair_route_decides_the_42_element_algebra_on_its_198_point_frame(monkey
     rep = verify_pair_embedding(pf)
     assert rep.ok and not rep.fallback_used
     assert rep.fixpoint_count == 42
-    # the fixpoints' own grids; the embedding check reads them, reordered,
-    # since the candidate image is all fixpoints
+    # the fixpoints' own grids; the embedding check then reads only
+    # index tables, since the candidate image is all fixpoints
     assert calls == [42]
+
+
+def test_pair_route_closes_no_set_beyond_its_fixpoints(monkeypatch):
+    # the embedding check needs no closure of its own: the candidate image
+    # is looked up among the fixpoints, and the laws among their tables
+    fl = fixpoints(random_frame(Random(22), 8))
+    pf = build_pair_frame(fl.lattice, fl.op)
+    calls = []
+    closure = RelationalFrame.closure
+
+    def spy(frame, A):
+        calls.append(A)
+        return closure(frame, A)
+
+    monkeypatch.setattr(RelationalFrame, "closure", spy)
+    fixpoints(pf.frame)
+    alone = len(calls)
+    del calls[:]
+    assert verify_pair_embedding(pf).ok
+    assert len(calls) == alone > 42
 
 
 def _tampered_pair_frame(pf, kind, rng):
@@ -311,15 +331,19 @@ def _pair_outcome(pf):
     return rep.ok, rep.fallback_used, rep.failures, rep.fixpoint_count, rep.mapping
 
 
-def test_pair_route_outcomes_on_tampered_pair_frames_are_pinned():
-    # the 14 catalog preconditionals, then the fixpoint algebras of twelve
-    # seeded 6-point frames (9 to 16 elements)
+def _pair_algebras():
+    """The 14 catalog preconditionals, then the fixpoint algebras of twelve
+    seeded 6-point frames (9 to 16 elements), as (name, lattice, op)."""
     algebras = [(e.name, e.lattice, e.conditional) for e in PRECONDITIONALS]
     for s in range(12):
         fl = fixpoints(random_frame(Random(s), 6))
         algebras.append((f"frame-seed{s}", fl.lattice, fl.op))
+    return algebras
+
+
+def test_pair_route_outcomes_on_tampered_pair_frames_are_pinned():
     outcomes = []
-    for name, L, op in algebras:
+    for name, L, op in _pair_algebras():
         pf, rng = build_pair_frame(L, op), Random(name)
         for kind in ("swap", "cell", "edge", "bit") * 3:
             outcomes.append(_pair_outcome(_tampered_pair_frame(pf, kind, rng)))
@@ -332,6 +356,25 @@ def test_pair_route_outcomes_on_tampered_pair_frames_are_pinned():
         assert any(part in f for f in failures), part
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
     assert digest == "1d8c5f3236479d07"
+
+
+def test_pair_route_names_the_law_failure_the_set_law_check_names():
+    # swapping two images keeps hat injective onto the fixpoints, and a
+    # changed table cell keeps hat: either way the index-table check must
+    # name the cell and law first_law_failure names on the masks
+    seen = set()
+    for name, L, op in _pair_algebras():
+        pf, rng = build_pair_frame(L, op), Random(name)
+        rep = verify_pair_embedding(pf)
+        assert rep.ok and not rep.fallback_used
+        for kind in ("swap", "cell") * 6:
+            bent = _tampered_pair_frame(pf, kind, rng)
+            first = first_law_failure(bent.frame, bent.hat, L, bent.op.table)
+            want = () if first is None else (
+                f"{first[0]} not preserved at ({L.names[first[1]]},{L.names[first[2]]})",)
+            assert _pair_outcome(bent)[2] == want, (name, kind)
+            seen.add(first and first[0])
+    assert {"meet", "join", "conditional"} <= seen
 
 
 def _first_failing_law(L, T, frame, hat):
@@ -399,8 +442,7 @@ def test_embedding_check_names_the_first_failing_law(case):
             cells[cell] = 1 << rng.randrange(frame.m)
         fr = TamperedFrame(frame, cells)
         want = _reference_embedding_failures(L, T2, fr, hat2)
-        got = _embedding_failures(L, T2, fr, hat2, image="hat({})", map_name="hat",
-                                  verb="carried")
+        got = _embedding_failures(L, T2, fr, hat2)
         assert got == want
         seen.update(w.split()[0] for w in want)
     assert {"meet", "join", "conditional"} <= seen
@@ -427,8 +469,7 @@ def test_embedding_check_names_a_meet_failing_alone(case):
             want = _reference_embedding_failures(L, T, fr, hat2)
             if want != [f"meet not carried at ({L.names[x]},{L.names[y]})"]:
                 continue
-            assert _embedding_failures(L, T, fr, hat2, image="hat({})", map_name="hat",
-                                       verb="carried") == want
+            assert _embedding_failures(L, T, fr, hat2) == want
             alone += 1
     assert alone >= 1
 
