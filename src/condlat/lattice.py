@@ -57,6 +57,12 @@ def _bits(mask: int):
         mask ^= low
 
 
+def first_true_cell(bad: np.ndarray):
+    """The index tuple, as ints, of the first nonzero cell of bad in C order, or None."""
+    hit = np.flatnonzero(bad)
+    return tuple(map(int, np.unravel_index(hit[0], bad.shape))) if hit.size else None
+
+
 def grid_first_violation(n: int, arity: int, block):
     """Lexicographically first tuple of range(n)**arity flagged by block.
 
@@ -77,10 +83,9 @@ def grid_first_violation(n: int, arity: int, block):
     while start < n:
         a = axes[0][start:start + rows]
         bad = np.broadcast_to(block(a, *axes[1:]), (len(a),) + (n,) * (arity - 1))
-        hit = np.flatnonzero(bad)
-        if hit.size:
-            first = np.unravel_index(hit[0], bad.shape)
-            return (start + int(first[0]),) + tuple(int(i) for i in first[1:])
+        first = first_true_cell(bad)
+        if first is not None:
+            return (start + first[0],) + first[1:]
         start += rows
         rows = max(rows, min(2 * rows, _GROWN_CELLS // row_cells))
     return None
@@ -385,62 +390,3 @@ def antichain_bounded(middle_names) -> FiniteLattice:
     names = ("0",) + middle_names + ("1",)
     covers = [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
     return FiniteLattice.from_cover(names, covers)
-
-
-def find_isomorphism(L1: FiniteLattice, L2: FiniteLattice, table1=None, table2=None):
-    """A bijection phi with a <= b iff phi(a) <= phi(b), or None.
-
-    When table1/table2 are given (n x n index tables), phi must also carry
-    table1 entrywise onto table2.  Backtracking with degree invariants;
-    meant for the small structures this package works with.
-    """
-    if L1.n != L2.n:
-        return None
-    n = L1.n
-
-    def key(L, a):
-        return (bin(L.down_mask(a)).count("1"), bin(L.up_mask(a)).count("1"))
-
-    cands = []
-    for a in range(n):
-        k1 = key(L1, a)
-        cs = [b for b in range(n) if key(L2, b) == k1]
-        if not cs:
-            return None
-        cands.append(cs)
-
-    phi = [-1] * n
-    used = [False] * n
-
-    def ok(a, b):
-        for x in range(n):
-            if phi[x] < 0:
-                continue
-            if L1.leq(a, x) != L2.leq(b, phi[x]):
-                return False
-            if L1.leq(x, a) != L2.leq(phi[x], b):
-                return False
-        return True
-
-    def rec(a):
-        if a == n:
-            if table1 is not None:
-                for x in range(n):
-                    for y in range(n):
-                        if phi[table1[x][y]] != table2[phi[x]][phi[y]]:
-                            return False
-            return True
-        for b in cands[a]:
-            if used[b] or not ok(a, b):
-                continue
-            phi[a] = b
-            used[b] = True
-            if rec(a + 1):
-                return True
-            phi[a] = -1
-            used[b] = False
-        return False
-
-    if rec(0):
-        return tuple(phi)
-    return None

@@ -36,7 +36,7 @@ from math import lcm
 import numpy as np
 
 from .errors import ConditioningOnNull, InternalInconsistency, TooLarge, WidthMismatch
-from .lattice import Rows
+from .lattice import Rows, first_true_cell
 from .ops import AXIOM_DEFS, Axiom
 
 # full tables are dense: 2^12 x 2^12 at 2 bytes per cell is the ceiling
@@ -262,10 +262,9 @@ class ProbReport:
 def _first_violation(viol: np.ndarray, *index_arrays):
     """Lexicographically first nonzero cell, decoded through the index
     arrays; appends the lowest violating world."""
-    flat = np.flatnonzero(viol)
-    if flat.size == 0:
+    coords = first_true_cell(viol)
+    if coords is None:
         return None
-    coords = np.unravel_index(flat[0], viol.shape)
     sets = tuple(int(arr[c]) for arr, c in zip(index_arrays, coords))
     bits = int(viol[coords])
     return sets + ((bits & -bits).bit_length() - 1,)

@@ -57,7 +57,7 @@ from .errors import (
     TooLarge,
     WidthMismatch,
 )
-from .lattice import FiniteLattice, Rows, boolean_algebra, first_violation
+from .lattice import FiniteLattice, Rows, boolean_algebra, first_true_cell, first_violation
 from .ops import (
     Axiom,
     ConditionalOp,
@@ -172,12 +172,6 @@ class SelectionFrameReport:
         )
 
 
-def _first(bad):
-    """The index tuple of the first true cell of bad in C order, or None."""
-    hit = np.flatnonzero(bad)
-    return tuple(map(int, np.unravel_index(hit[0], bad.shape))) if hit.size else None
-
-
 def _low(x: int) -> int:
     return (x & -x).bit_length() - 1
 
@@ -210,9 +204,9 @@ def check_frame(frame: SelectionFrame) -> SelectionFrameReport:
     n = 1 << k
     A, w = np.arange(n)[:, None], np.arange(k)
     outside = R & ~A
-    succ_w = _first(outside != 0)
-    cent_w = _first((A >> w & 1 == 1) & (R != 1 << w))
-    func_w = _first(R & (R - 1) != 0)
+    succ_w = first_true_cell(outside != 0)
+    cent_w = first_true_cell((A >> w & 1 == 1) & (R != 1 << w))
+    func_w = first_true_cell(R & (R - 1) != 0)
     if succ_w:
         succ_w += (_low(int(outside[succ_w])),)
 

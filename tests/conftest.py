@@ -4,6 +4,7 @@ import pytest
 
 from condlat import catalog
 from condlat.frames import RelationalFrame
+from condlat.lattice import FiniteLattice
 from condlat.ops import Axiom
 from condlat.selection import SelectionFrameReport
 
@@ -128,3 +129,62 @@ class TamperedFrame(RelationalFrame):
 
     def arrow(self, A, B):
         return super().arrow(A, B) ^ self.cells.get((A, B), 0)
+
+
+def find_isomorphism(L1: FiniteLattice, L2: FiniteLattice, table1=None, table2=None):
+    """A bijection phi with a <= b iff phi(a) <= phi(b), or None.
+
+    When table1/table2 are given (n x n index tables), phi must also carry
+    table1 entrywise onto table2.  Backtracking with degree invariants;
+    meant for the small structures this package works with.
+    """
+    if L1.n != L2.n:
+        return None
+    n = L1.n
+
+    def key(L, a):
+        return (bin(L.down_mask(a)).count("1"), bin(L.up_mask(a)).count("1"))
+
+    cands = []
+    for a in range(n):
+        k1 = key(L1, a)
+        cs = [b for b in range(n) if key(L2, b) == k1]
+        if not cs:
+            return None
+        cands.append(cs)
+
+    phi = [-1] * n
+    used = [False] * n
+
+    def ok(a, b):
+        for x in range(n):
+            if phi[x] < 0:
+                continue
+            if L1.leq(a, x) != L2.leq(b, phi[x]):
+                return False
+            if L1.leq(x, a) != L2.leq(phi[x], b):
+                return False
+        return True
+
+    def rec(a):
+        if a == n:
+            if table1 is not None:
+                for x in range(n):
+                    for y in range(n):
+                        if phi[table1[x][y]] != table2[phi[x]][phi[y]]:
+                            return False
+            return True
+        for b in cands[a]:
+            if used[b] or not ok(a, b):
+                continue
+            phi[a] = b
+            used[b] = True
+            if rec(a + 1):
+                return True
+            phi[a] = -1
+            used[b] = False
+        return False
+
+    if rec(0):
+        return tuple(phi)
+    return None

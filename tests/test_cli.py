@@ -110,7 +110,7 @@ def test_represent_command(tmp_path, capsys):
     path = write_entry(tmp_path, "residual-3chain")
     assert main(["represent", path]) == 0
     out = capsys.readouterr().out
-    assert "isomorphic to its fixpoints: True" in out
+    assert "  lattice isomorphic to its fixpoints: True (candidate map)\n" in out
     assert "embedding onto open fixpoints: True" in out
     dot = tmp_path / "residual.dot"
     assert main(["represent", path, "--dot", str(dot)]) == 0
@@ -119,6 +119,23 @@ def test_represent_command(tmp_path, capsys):
     bad = write_entry(tmp_path, "const-top-2chain")
     assert main(["represent", bad]) == 1
     assert "not a preconditional" in capsys.readouterr().out
+
+
+def test_represent_reports_a_candidate_map_with_two_images_swapped(tmp_path, capsys, monkeypatch):
+    build = cli.build_pair_frame
+
+    def swapped(lattice, op):
+        pf = build(lattice, op)
+        hat = list(pf.hat)
+        hat[0], hat[1] = hat[1], hat[0]
+        return dataclasses.replace(pf, hat=tuple(hat))
+
+    monkeypatch.setattr(cli, "build_pair_frame", swapped)
+    assert main(["represent", write_entry(tmp_path, "residual-3chain")]) == 1
+    out = capsys.readouterr().out
+    assert ("  lattice isomorphic to its fixpoints: False "
+            "(pair-frame embedding failed: meet not preserved at (0,h))\n") in out
+    assert "embedding onto open fixpoints: True" in out
 
 
 def test_selection_command_reports_defaults(tmp_path, capsys):

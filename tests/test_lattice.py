@@ -14,10 +14,10 @@ from condlat.lattice import (
     antichain_bounded,
     boolean_algebra,
     chain,
-    find_isomorphism,
 )
 from condlat.frames import fixpoints, random_frame
 from condlat.search import enumerate_lattices
+from conftest import find_isomorphism
 
 
 def test_chain_order_and_tables():

@@ -10,7 +10,13 @@ from condlat import frames as frames_module
 from condlat.errors import EmbeddingNotVerified, NotAPreconditional, TooLarge
 from condlat.frames import RelationalFrame, first_law_failure, fixpoints, random_frame
 from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS
-from condlat.ops import ConditionalOp
+from condlat.ops import (
+    BINARY_AXIOMS,
+    PRECONDITIONAL_AXIOMS,
+    Axiom,
+    ConditionalOp,
+    check_axioms,
+)
 from condlat.representation import (
     FilterIdealSpace,
     _embedding_failures,
@@ -21,7 +27,8 @@ from condlat.representation import (
     verify_fi_embedding,
     verify_pair_embedding,
 )
-from conftest import TamperedFrame
+from condlat.search import SearchSpec, enumerate_lattices, find_witness
+from conftest import TamperedFrame, names_at
 
 PRECONDITIONALS = catalog.preconditional_entries()
 
@@ -275,7 +282,7 @@ def test_pair_route_decides_the_42_element_algebra_on_its_198_point_frame(monkey
     assert pf.frame.m == 198
     calls = _set_grids_calls(monkeypatch)
     rep = verify_pair_embedding(pf)
-    assert rep.ok and not rep.fallback_used
+    assert rep.ok and rep.failures == ()
     assert rep.fixpoint_count == 42
     # the fixpoints' own grids; the embedding check then reads only
     # index tables, since the candidate image is all fixpoints
@@ -327,8 +334,9 @@ def _pair_outcome(pf):
     try:
         rep = verify_pair_embedding(pf)
     except EmbeddingNotVerified as exc:
-        return type(exc).__name__, str(exc), exc.report.failures
-    return rep.ok, rep.fallback_used, rep.failures, rep.fixpoint_count, rep.mapping
+        assert not exc.report.ok and exc.report.failures and exc.report.mapping is None
+        return type(exc).__name__, str(exc), exc.report.failures, exc.report.fixpoint_count
+    return rep.ok, rep.mapping, rep.failures, rep.fixpoint_count
 
 
 def _pair_algebras():
@@ -347,15 +355,16 @@ def test_pair_route_outcomes_on_tampered_pair_frames_are_pinned():
         pf, rng = build_pair_frame(L, op), Random(name)
         for kind in ("swap", "cell", "edge", "bit") * 3:
             outcomes.append(_pair_outcome(_tampered_pair_frame(pf, kind, rng)))
-    routes = Counter(o[0] if isinstance(o[0], str) else "fallback" if o[1] else "candidate"
-                     for o in outcomes)
-    assert routes == {"fallback": 157, "EmbeddingNotVerified": 154, "candidate": 1}
+    # the candidate map alone decides: every tampering but one is caught,
+    # including the swapped images that some other isomorphism would mend
+    routes = Counter(o[0] if isinstance(o[0], str) else "candidate" for o in outcomes)
+    assert routes == {"EmbeddingNotVerified": 311, "candidate": 1}
     failures = [f for o in outcomes for f in o[2]]
     for part in (" is not a fixpoint", "candidate map is not injective", "meet not preserved",
                  "join not preserved", "conditional not preserved", "candidate image has "):
         assert any(part in f for f in failures), part
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
-    assert digest == "1d8c5f3236479d07"
+    assert digest == "4fa1acf9120e1f52"
 
 
 def test_pair_route_names_the_law_failure_the_set_law_check_names():
@@ -366,7 +375,7 @@ def test_pair_route_names_the_law_failure_the_set_law_check_names():
     for name, L, op in _pair_algebras():
         pf, rng = build_pair_frame(L, op), Random(name)
         rep = verify_pair_embedding(pf)
-        assert rep.ok and not rep.fallback_used
+        assert rep.ok and rep.failures == ()
         for kind in ("swap", "cell") * 6:
             bent = _tampered_pair_frame(pf, kind, rng)
             first = first_law_failure(bent.frame, bent.hat, L, bent.op.table)
@@ -375,6 +384,64 @@ def test_pair_route_names_the_law_failure_the_set_law_check_names():
             assert _pair_outcome(bent)[2] == want, (name, kind)
             seen.add(first and first[0])
     assert {"meet", "join", "conditional"} <= seen
+
+
+def test_pair_route_holds_on_every_preconditional_up_to_five_elements():
+    # the evidence that the candidate map needs no rescue: each algebra's
+    # map is a bijection onto all fixpoints of its pair frame
+    counts = Counter()
+    for n in range(1, 6):
+        for L in enumerate_lattices(n):
+            res = find_witness(SearchSpec(L, require=PRECONDITIONAL_AXIOMS, find_all=True))
+            assert res.exhausted
+            for op in res.witnesses:
+                rep = verify_pair_embedding(build_pair_frame(L, op))
+                assert rep.ok and rep.fixpoint_count == L.n, (L.names, op.table)
+                assert sorted(rep.mapping) == list(range(L.n)), (L.names, op.table)
+                counts[n] += 1
+    assert counts == {1: 1, 2: 2, 3: 8, 4: 88, 5: 1659}
+    assert sum(counts.values()) == 1758
+
+
+def test_pair_and_fi_points_and_hats_follow_the_order_definition():
+    # the masks _pair_space ORs together, against one leq call per point
+    algebras = [(L, op) for _, L, op in _pair_algebras()]
+    fl = fixpoints(random_frame(Random(22), 8))
+    algebras.append((fl.lattice, fl.op))
+    for L, op in algebras:
+        pf, space = build_pair_frame(L, op), build_fi_space(L, op)
+        for pairs, frame, hat in ((pf.points, pf.frame, pf.hat),
+                                  (space.pairs, space.frame, space.basis)):
+            for j, (x, _) in enumerate(pairs):
+                assert frame.predecessors(j) == sum(
+                    1 << i for i, (_, y) in enumerate(pairs) if not L.leq(x, y))
+            assert hat == tuple(sum(1 << i for i, (x, _) in enumerate(pairs) if L.leq(x, a))
+                                for a in range(L.n))
+    assert pf.frame.m == 198
+
+
+def test_mp_without_norm_on_b8_from_the_frame_side():
+    fl = fixpoints(RelationalFrame([f"p{i}" for i in range(4)], [9, 3, 5, 0]))
+    assert len(fl.sets) == 8 and fl.lattice.is_boolean()
+    report = check_axioms(fl.op, BINARY_AXIOMS)
+    profile = report.profile()
+    holds = {Axiom.P1, Axiom.P2, Axiom.P3, Axiom.P4, Axiom.P5, Axiom.MP, Axiom.SEMI}
+    assert {ax for ax, h in profile.items() if h} == holds
+    assert {ax for ax, h in profile.items() if not h} == {
+        Axiom.WM, Axiom.INV, Axiom.ID, Axiom.NORM, Axiom.NEGIMP, Axiom.FLAT}
+    assert names_at(fl.lattice, report.checks[Axiom.NORM].witness) == ("{p0,p1,p3}", "{p0,p3}", "{p1,p3}")
+    assert verify_pair_embedding(build_pair_frame(fl.lattice, fl.op)).ok
+    space = build_fi_space(fl.lattice, fl.op)
+    assert verify_fi_embedding(space).ok
+    assert check_space_conditions(space.frame, space.basis).ok
+
+
+def test_fallback_used_is_a_read_only_false():
+    e = catalog.entry("residual-3chain")
+    rep = verify_pair_embedding(build_pair_frame(e.lattice, e.conditional))
+    assert rep.fallback_used is False
+    with pytest.raises(AttributeError):
+        rep.fallback_used = True
 
 
 def _first_failing_law(L, T, frame, hat):

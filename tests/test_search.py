@@ -7,7 +7,7 @@ import pytest
 
 from condlat import search
 from condlat.errors import BudgetExhausted, InternalInconsistency, TooLarge
-from condlat.lattice import FiniteLattice, boolean_algebra, chain, find_isomorphism
+from condlat.lattice import FiniteLattice, boolean_algebra, chain
 from condlat.ops import (
     AXIOM_DEFS,
     Axiom,
@@ -24,7 +24,7 @@ from condlat.search import (
     minimal_witness,
 )
 
-from conftest import _product_scan, _readme_axioms
+from conftest import _product_scan, _readme_axioms, find_isomorphism
 
 P = PRECONDITIONAL_AXIOMS
 
