@@ -13,13 +13,15 @@ one definition, two evaluators: fewer than 64 instances are scanned in
 lexicographic order over the tuple tables; larger grids evaluate the
 same definition with numpy over ascending blocks of antecedent rows,
 each block twice the rows of the last up to a cell cap
-(``grid_first_violation``, the tables read through ``Rows``), which
-stops at the same first witness, and that witness is confirmed on the
-tuple tables.  ``search`` reads the same definitions on partial tables,
-the confidence space (``probabilistic``) on the powerset of its worlds,
-and the negation section on the table ¬a ∨ (a ∧ b): the semicomplement
-and involution laws of an orthocomplementation are SEMI and INV there,
-and the detachment form of orthomodularity is MP.
+(``grid_first_violation``, the tables read through ``Rows``: from 12
+elements through flat offsets a*n + b, widened to intp with b added in
+place, below that as arr[a, b]), which stops at the same first witness,
+and that witness is confirmed on the tuple tables.  ``search`` reads
+the same definitions on partial tables, the confidence space
+(``probabilistic``) on the powerset of its worlds, and the negation
+section on the table ¬a ∨ (a ∧ b): the semicomplement and involution
+laws of an orthocomplementation are SEMI and INV there, and the
+detachment form of orthomodularity is MP.
 """
 
 from __future__ import annotations

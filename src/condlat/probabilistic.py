@@ -338,10 +338,10 @@ def _first_block_witness(T: np.ndarray, flagged: np.ndarray, ax: Axiom):
     """The first violation of ax at the first flagged A, its row (binary
     ax) or its (B, C) block (ternary ax) scanned from the definition, or
     None if nothing is flagged."""
-    hits = np.flatnonzero(flagged)
-    if hits.size == 0:
+    hit = first_true_cell(flagged)
+    if hit is None:
         return None
-    A = int(hits[0])
+    A, = hit
     if AXIOM_DEFS[ax].arity == 2:
         found = _first_in_blocks(T, ax, [slice(A, A + 1)])
     else:
@@ -467,10 +467,11 @@ def verify_axioms(
                             (NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))]])
         # the distinct cells, in row-major order
         a, b = np.divmod(np.unique(picks @ (N, 1)), N)
-        off = np.flatnonzero(space.arrows(a, b) != T[a, b])
-        if off.size:
+        hit = first_true_cell(space.arrows(a, b) != T[a, b])
+        if hit is not None:
+            i, = hit
             raise InternalInconsistency(
-                f"table and scalar routes disagree at ({a[off[0]]:#x},{b[off[0]]:#x})"
+                f"table and scalar routes disagree at ({a[i]:#x},{b[i]:#x})"
             )
         crosschecked = len(a)
 

@@ -1,6 +1,7 @@
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 
 from condlat.errors import (
@@ -10,10 +11,13 @@ from condlat.errors import (
     TooLarge,
 )
 from condlat.lattice import (
+    FLAT_MIN_ELEMENTS,
     FiniteLattice,
+    Rows,
     antichain_bounded,
     boolean_algebra,
     chain,
+    grid_axes,
 )
 from condlat.frames import fixpoints, random_frame
 from condlat.search import enumerate_lattices
@@ -192,3 +196,44 @@ def test_numpy_views_match_the_tables():
         assert L.join_array.tolist() == [list(r) for r in L.join_table]
         assert L.leq_array.tolist() == [[L.leq(a, b) for b in range(L.n)]
                                         for a in range(L.n)]
+
+
+@pytest.mark.parametrize("n", [5, 12, 33, 64])
+def test_rows_reads_like_two_dimensional_indexing(n):
+    # n = 5 is read arr[a, b]; from FLAT_MIN_ELEMENTS on, through flat offsets
+    assert (n >= FLAT_MIN_ELEMENTS) == (n != 5)
+    arr = np.random.default_rng(n).integers(0, n, (n, n)).astype(np.uint8)
+    X, k = Rows(arr), 3
+    a, b, c = grid_axes(n, 3)
+    a = a[n - k:]  # the last k rows: (k, 1, 1)
+    g = arr[a, b]  # gathered uint8 indices: (k, n, 1)
+    h = arr[g, c]  # (k, n, n)
+    if n == 64:
+        # a uint8 offset would wrap: row 63 starts at cell 4032
+        assert int(g.max()) * n > 255 and int(h.max()) * n > 255
+    cases = [
+        (n - 1, 0), (0, n - 1),  # Python ints
+        (a, n - 1), (a, a),  # (k, 1, 1)
+        (a, b), (g, 0), (a, g),  # (k, n, 1)
+        (n - 1, c), (c, c), (0, c),  # (1, 1, n)
+        (g, c), (a, h), (h, h), (h, g), (h, 1), (h, c),  # (k, n, n)
+    ]
+    for i, j in cases:
+        before = [np.copy(x) for x in (i, j)]
+        got, want = X[i][j], arr[i, j]
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (i, j)
+        assert np.asarray(got).dtype == arr.dtype
+        # an in-place offset never writes into the caller's index arrays
+        assert all(np.array_equal(x, y) for x, y in zip(before, (i, j)))
+    assert {np.shape(X[i][j]) for i, j in cases[2:]} == {
+        (k, 1, 1), (k, n, 1), (1, 1, n), (k, n, n)}
+
+
+def test_grid_axes_are_cached_and_read_only():
+    axes = grid_axes(7, 3)
+    assert grid_axes(7, 3) is axes
+    assert [x.shape for x in axes] == [(7, 1, 1), (1, 7, 1), (1, 1, 7)]
+    for x in axes + (axes[0][2:4],):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1

@@ -411,12 +411,16 @@ def test_distributivity_on_grown_blocks_names_a_violation_at_each_block_start():
         assert got is not None and got[0] == a and scan[1] == got, a
 
 
-def test_grid_check_of_a_64_element_table_stays_small():
+@pytest.mark.parametrize("law", ["P4", "P5", "NORM", "FLAT", "residuation"])
+def test_grid_check_of_a_64_element_table_stays_small(law):
     B6 = boolean_algebra("pqrstu")
     op = ConditionalOp(B6, heyting_residual(B6).table)
     tracemalloc.start()
     try:
-        assert check_axiom(op, Axiom.NORM).holds
+        if law == "residuation":
+            assert residuation_witness(op) is None
+        else:
+            assert check_axiom(op, Axiom(law)).holds
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
