@@ -268,11 +268,16 @@ def _entries():
 ENTRIES = _entries()
 
 
-def entry(name: str) -> WitnessEntry:
-    for e in ENTRIES:
+def _named(entries, name: str):
+    """The entry of entries called name; KeyError if there is none."""
+    for e in entries:
         if e.name == name:
             return e
     raise KeyError(name)
+
+
+def entry(name: str) -> WitnessEntry:
+    return _named(ENTRIES, name)
 
 
 def preconditional_entries():
@@ -321,10 +326,7 @@ FRAME_ENTRIES = (
 
 
 def frame_entry(name: str) -> FrameEntry:
-    for e in FRAME_ENTRIES:
-        if e.name == name:
-            return e
-    raise KeyError(name)
+    return _named(FRAME_ENTRIES, name)
 
 
 # -- selection frames -----------------------------------------------------
@@ -381,7 +383,4 @@ SELECTION_ENTRIES = (
 
 
 def selection_entry(name: str) -> SelectionEntry:
-    for e in SELECTION_ENTRIES:
-        if e.name == name:
-            return e
-    raise KeyError(name)
+    return _named(SELECTION_ENTRIES, name)

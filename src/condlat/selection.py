@@ -28,15 +28,13 @@ passes the core axioms together with MP, ID, NORM and negation import
 its atoms, and the frame's conditional is verified to transport back to
 the original table.
 
-``SelectionFrame.arrows`` evaluates the conditional over integer arrays
-of subset masks; ``induced_conditional`` and the transport check of
-``ba_to_selection`` run on it through ``arrow_grid``, which confirms one
-fixed cell per row with the scalar ``arrow`` (``confirm_cells``; a
-mismatch raises InternalInconsistency).  It is the package's one array
-route for a frame conditional: relational frames keep only their scalar
-``arrow``.  The selection rows of ``ba_to_selection`` are
-``leq_array`` gathers reduced with ``np.bitwise_and``.  The
-negation-import scan and the transport check search their grids with
+``SelectionFrame.arrows`` is the package's one selection conditional,
+written on integer arrays of subset masks; the scalar ``arrow`` reads it
+on one cell, and ``induced_conditional`` and the transport check of
+``ba_to_selection`` read it on their whole grid.  Its per-world
+definition loop lives on only as the test oracle.  The selection rows
+of ``ba_to_selection`` are ``leq_array`` gathers reduced with
+``np.bitwise_and``.  The negation-import scan searches its grid with
 ``first_violation``, which scans grids of fewer than GRID_MIN_INSTANCES
 cells (at most two worlds) cell by cell; the negation-import law is
 written once and read on the tuple tables and through ``Rows``.
@@ -66,21 +64,6 @@ from .ops import (
 )
 
 MAX_WORLDS = 16
-
-
-def confirm_cells(arrow, A, B, out):
-    """Check the grid out = A -> B, whose first two axes are rows and
-    columns, against the scalar arrow at the cell (i, cols - 1 - i mod
-    cols) of each row i."""
-    rows, cols = out.shape[:2]
-    i = np.arange(rows)
-    j = cols - 1 - i % cols
-    cells = [np.broadcast_to(X, out.shape)[i, j].tolist() for X in (A, B, out)]
-    for a, b, got in zip(*cells):
-        if arrow(a, b) != got:
-            raise InternalInconsistency(
-                f"arrow kernel and scalar arrow differ at ({a:#x},{b:#x})"
-            )
 
 
 def _guard_worlds(k: int):
@@ -126,14 +109,8 @@ class SelectionFrame:
         return (1 << len(self.names)) - 1
 
     def arrow(self, A: int, B: int) -> int:
-        full = self.full_mask
-        if A & ~full or B & ~full:
-            raise WidthMismatch("subset mask outside this frame's worlds")
-        out = 0
-        for w in range(self.k):
-            if self.rel[A][w] & ~B == 0:
-                out |= 1 << w
-        return out
+        """The worlds of A -> B as a mask: ``arrows`` on one cell."""
+        return int(self.arrows(A, B))
 
     @cached_property
     def rel_array(self):
@@ -141,19 +118,17 @@ class SelectionFrame:
         return np.array(self.rel, dtype=np.int64)
 
     def arrows(self, A, B):
-        """arrow elementwise over integer mask arrays A and B that broadcast."""
+        """A -> B over integer subset-mask arrays A and B that broadcast, as
+        int64 masks: w is in A -> B when every world selected for A at w
+        lies in B, that is rel[A][w] & ~B == 0.  Masks of any integer
+        type are read; one outside 0..full_mask raises WidthMismatch."""
         A, B = np.asarray(A), np.asarray(B)
-        if ((A | B) & ~self.full_mask).any():
+        full = self.full_mask
+        if any((np.less(X, 0) | np.greater(X, full)).any() for X in (A, B)):
             raise WidthMismatch("subset mask outside this frame's worlds")
+        A, B = A.astype(np.int64, copy=False), B.astype(np.int64, copy=False)
         inside = (self.rel_array[A] & ~B[..., None]) == 0
         return inside.astype(np.int64) @ (1 << np.arange(self.k))
-
-    def arrow_grid(self, A, B):
-        """arrows over a grid of rows and columns, confirmed by the scalar
-        arrow at one cell per row."""
-        out = self.arrows(A, B)
-        confirm_cells(self.arrow, A, B, out)
-        return out
 
 
 @dataclass(frozen=True)
@@ -279,7 +254,7 @@ def induced_conditional(frame: SelectionFrame):
     """
     lat = boolean_algebra(frame.names)
     masks = np.arange(lat.n)
-    return ConditionalOp(lat, frame.arrow_grid(masks[:, None], masks).tolist())
+    return ConditionalOp(lat, frame.arrows(masks[:, None], masks).tolist())
 
 
 # NEGIMP is checked separately against the Boolean complement: the derived
@@ -353,15 +328,9 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
             f"derived frame violates a required property: {fcheck}"
         )
 
-    def differs(v):
-        a, b = v
-        return frame.arrow(element_mask[a], element_mask[b]) != element_mask[T[a][b]]
-
-    def transport_block(a, b):
-        EM = np.array(element_mask)
-        return frame.arrow_grid(EM[a], EM[b]) != EM[op.table_array[a, b]]
-
-    bad = first_violation(L.n, 2, differs, transport_block)
+    # one grid of at most MAX_ELEMENTS^2 cells, read whole
+    EM = np.array(element_mask)
+    bad = first_true_cell(frame.arrows(EM[:, None], EM) != EM[op.table_array])
     if bad:
         raise InternalInconsistency(
             f"transported conditional differs at ({L.names[bad[0]]},{L.names[bad[1]]})"

@@ -77,6 +77,16 @@ def definition_arrow(frame, A, B):
     return out
 
 
+def definition_selection_arrow(frame, A, B):
+    """The selection conditional by its definition, one pass over the
+    worlds: w is in A -> B when every world selected for A at w lies in B."""
+    out = 0
+    for w in range(frame.k):
+        if frame.rel[A][w] & ~B == 0:
+            out |= 1 << w
+    return out
+
+
 def definition_check_frame(frame):
     """The four selection-frame properties by their definitions: one walk
     over (A, w) for the first three, and for strong density a walk over A

@@ -40,6 +40,18 @@ def test_preconditional_subcatalog_shape():
     assert "const-top-2chain" not in names
 
 
+@pytest.mark.parametrize("lookup, entries", [
+    (catalog.entry, catalog.ENTRIES),
+    (catalog.frame_entry, catalog.FRAME_ENTRIES),
+    (catalog.selection_entry, catalog.SELECTION_ENTRIES),
+])
+def test_catalog_lookups_find_every_entry_by_name(lookup, entries):
+    for e in entries:
+        assert lookup(e.name) is e
+    with pytest.raises(KeyError):
+        lookup("no-such-entry")
+
+
 def test_build_pair_frame_requires_the_core_axioms():
     bad = catalog.entry("antitone-step-3chain").conditional
     with pytest.raises(NotAPreconditional):

@@ -15,7 +15,7 @@ from condlat.errors import (
     TooLarge,
     WidthMismatch,
 )
-from condlat.lattice import GRID_MIN_INSTANCES, FiniteLattice, chain
+from condlat.lattice import FiniteLattice, chain
 from condlat.ops import (
     Axiom,
     ConditionalOp,
@@ -33,7 +33,7 @@ from condlat.selection import (
     induced_conditional,
     random_centered_frame,
 )
-from conftest import definition_check_frame
+from conftest import definition_check_frame, definition_selection_arrow
 
 
 def test_frame_validation():
@@ -250,14 +250,37 @@ def test_selection_kernel_matches_the_scalar_arrow_cell_for_cell(k):
     n = 1 << k
     E = np.arange(n)
     for fr in _frames(k):
-        grid = fr.arrows(E[:, None], E[None, :])
-        assert grid.tolist() == [[fr.arrow(A, B) for B in range(n)] for A in range(n)]
-        assert fr.arrows(E[-1], E).tolist() == [fr.arrow(n - 1, B) for B in range(n)]
-        assert fr.arrows(E[:, None], 0)[:, 0].tolist() == [fr.arrow(A, 0) for A in range(n)]
-        assert int(fr.arrows(1, n - 1)) == fr.arrow(1, n - 1)
+        want = [[definition_selection_arrow(fr, A, B) for B in range(n)] for A in range(n)]
+        assert fr.arrows(E[:, None], E[None, :]).tolist() == want
+        assert [[fr.arrow(A, B) for B in range(n)] for A in range(n)] == want
+        assert fr.arrows(E[-1], E).tolist() == want[-1]
+        assert fr.arrows(E[:, None], 0)[:, 0].tolist() == [row[0] for row in want]
         for A, B in ((n, 0), (0, n), (-1, 0)):
             with pytest.raises(WidthMismatch):
                 fr.arrows(np.array([0, A]), np.array([0, B]))
+
+
+# the frame below has 3 worlds, so 1 << 3 is the first mask outside them
+@pytest.mark.parametrize("bad", (-1, 1 << 3, 2**63, 2**64 - 1, 2**70, np.uint64(9)),
+                         ids=("-1", "1<<k", "2^63", "2^64-1", "2^70", "uint64(9)"))
+def test_every_mask_outside_the_worlds_is_refused(bad):
+    fr = from_well_order(("p", "q", "r"))
+    outside = "subset mask outside this frame's worlds"
+    for A, B in ((bad, 0), (0, bad)):
+        with pytest.raises(WidthMismatch, match=outside):
+            fr.arrow(A, B)
+        with pytest.raises(WidthMismatch, match=outside):
+            fr.arrows(A, B)
+        with pytest.raises(WidthMismatch, match=outside):
+            fr.arrows(np.array([0, A]), np.array([0, B]))
+    # in-range masks of any integer type give the int64 answer
+    E = np.arange(8)
+    want = fr.arrows(E[:, None], E)
+    assert want.dtype == np.int64
+    for dtype in (np.uint8, np.uint64):
+        got = fr.arrows(E.astype(dtype)[:, None], E.astype(dtype))
+        assert got.dtype == np.int64 and (got == want).all()
+    assert fr.arrow(np.uint64(5), np.uint8(3)) == int(want[5, 3])
 
 
 def test_induced_conditional_always_uses_the_kernel(monkeypatch):
@@ -275,8 +298,8 @@ def test_induced_conditional_always_uses_the_kernel(monkeypatch):
         assert calls == [k]
         calls.clear()
         ba_to_selection(op.lattice, op)
-        # the transport check: one grid from the cutoff of first_violation on
-        assert calls == ([k] if op.lattice.n ** 2 >= GRID_MIN_INSTANCES else [])
+        # the transport check: one grid at every k
+        assert calls == [k]
 
 
 def test_well_order_tables_and_round_trips_are_pinned():
@@ -348,21 +371,16 @@ def test_select_all_fails_negimp_at_the_first_cell_of_the_scan():
         ba_to_selection(L, op)
 
 
-def _tampered_frames(cells, scalar=True, kernel=True):
-    """A SelectionFrame class whose scalar arrow, kernel, or both flip
-    worlds of the answer at the given (A, B) cells."""
+def _tampered_frames(cells):
+    """A SelectionFrame class whose conditional flips worlds of the answer
+    at the given (A, B) cells."""
 
     class Tampered(SelectionFrame):
-        def arrow(self, A, B):
-            return super().arrow(A, B) ^ (cells.get((A, B), 0) if scalar else 0)
-
         def arrows(self, A, B):
-            out = super().arrows(A, B)
-            if kernel:
-                out = out.copy()
-                A, B = np.broadcast_to(A, out.shape), np.broadcast_to(B, out.shape)
-                for (a, b), flip in cells.items():
-                    out[(A == a) & (B == b)] ^= flip
+            out = super().arrows(A, B).copy()
+            A, B = np.broadcast_to(A, out.shape), np.broadcast_to(B, out.shape)
+            for (a, b), flip in cells.items():
+                out[(A == a) & (B == b)] ^= flip
             return out
 
     return Tampered
@@ -382,15 +400,3 @@ def test_transport_failure_is_named_at_its_first_cell(monkeypatch, k):
                            match=rf"^transported conditional differs at "
                                  rf"\({op.lattice.names[a]},{op.lattice.names[b]}\)$"):
             ba_to_selection(op.lattice, op)
-
-
-def test_selection_kernel_disagreeing_with_the_scalar_arrow_is_caught(monkeypatch):
-    op = induced_conditional(from_well_order(("p", "q", "r")))
-    # row 2 of the transport grid is confirmed at column 5
-    cells = {(2, 5): 1}
-    monkeypatch.setattr(selection_module, "SelectionFrame", _tampered_frames(cells, scalar=False))
-    with pytest.raises(InternalInconsistency, match="arrow kernel and scalar arrow differ"):
-        ba_to_selection(op.lattice, op)
-    wo = from_well_order(("p", "q", "r"))
-    with pytest.raises(InternalInconsistency, match="arrow kernel and scalar arrow differ"):
-        induced_conditional(_tampered_frames(cells, scalar=False)(wo.names, wo.rel))
