@@ -38,8 +38,8 @@ of the unions, each distinct union closed once.  ``set_algebra`` reads
 it for a family of frame sets under inclusion with the family's own
 conditional table (``fixpoints`` for the closure fixpoints,
 ``representation.check_space_conditions`` for the compact opens), and
-the filter-ideal embedding check of ``representation`` for the image of
-a lattice.
+the one embedding check of ``representation``, on either route, for the
+image of a lattice.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .errors import (
     NotAPreconditional,
     NotAnOrthocomplementation,
     NotResiduated,
+    PreconditionFailed,
     WidthMismatch,
 )
 from .lattice import (
@@ -329,6 +330,15 @@ def check_axioms(op: ConditionalOp, axioms) -> AxiomReport:
 
 def check_preconditional(op: ConditionalOp) -> AxiomReport:
     return check_axioms(op, PRECONDITIONAL_AXIOMS)
+
+
+def require_own_lattice(lattice: FiniteLattice, op: ConditionalOp):
+    """Refuse a lattice other than the one op's table is over.  A lattice
+    built separately with the same names and order is the same one."""
+    own = op.lattice
+    if lattice is not own and (lattice.names != own.names or any(
+            lattice.up_mask(a) != own.up_mask(a) for a in range(lattice.n))):
+        raise PreconditionFailed(f"{lattice!r} is not the lattice of the table, {own!r}")
 
 
 def require_preconditional(op: ConditionalOp):

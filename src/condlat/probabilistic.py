@@ -105,6 +105,8 @@ class ConfidenceSpace:
 
     def measure(self, w: int, S: int) -> Fraction:
         """mu_w(S), exactly."""
+        if not 0 <= w < self.world_count:
+            raise WidthMismatch(f"world {w} is not one of the {self.world_count} worlds")
         self._guard(S)
         return Fraction(self._weights(S.bit_count())[S >> w & 1], self._scale[0])
 

@@ -28,15 +28,17 @@ the open fixpoints are the closed sets of the frame closure alternated
 with the up-hull X |-> union of N(x), x in X, which reads byte tables of
 the N(x) the way ``RelationalFrame.arrow`` reads them of the frame rows.
 
-The filter-ideal embedding check and the structure condition of
-``check_space_conditions`` are the one set-law check of ``frames``,
-``first_law_failure``: the first on hat and the lattice's own tables,
-the second through ``frames.set_algebra`` on the compact opens, as
-``fixpoints`` makes it on all fixpoints.  That lattice and table give
-the consonant pairs the pairs-realized condition looks up;
+Both routes decide their candidate map with one embedding check,
+``_embedding_failures``, against their family of fixpoints listed in
+ascending order up to L.n + 1 sets: all closure fixpoints for the pair
+route, the open fixpoints for the filter-ideal route.  More sets than
+elements name one outside the image; else hat must land in the family,
+be injective and pass the one set-law check of ``frames``,
+``first_law_failure``, on the lattice's own tables.  The structure
+condition of ``check_space_conditions`` is the same set-law check
+through ``frames.set_algebra`` on the compact opens.  That lattice and
+table give the consonant pairs the pairs-realized condition looks up;
 ``build_fi_space`` lists its points with the same ``_consonant_pairs``.
-The pair route decides its candidate map on index tables, against the
-fixpoint algebra whose set laws ``fixpoints`` has already checked.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ import numpy as np
 
 from .errors import EmbeddingNotVerified, InternalInconsistency, TooLarge
 from .frames import (RelationalFrame, _union, byte_tables, closed_sets, first_law_failure,
-                     fixpoints, set_algebra, set_label)
+                     set_algebra, set_label)
 from .lattice import MAX_ELEMENTS, FiniteLattice, _bits, first_violation
-from .ops import ConditionalOp, require_preconditional
+from .ops import ConditionalOp, require_own_lattice, require_preconditional
 
 
 # -- pair frame --------------------------------------------------------
@@ -86,6 +88,7 @@ class PairFrame:
 
 
 def build_pair_frame(lattice: FiniteLattice, op: ConditionalOp) -> PairFrame:
+    require_own_lattice(lattice, op)
     require_preconditional(op)
     L, T = lattice, op.table
     points = tuple(sorted({(x, T[x][y]) for x in range(L.n) for y in range(L.n)}))
@@ -96,8 +99,8 @@ def build_pair_frame(lattice: FiniteLattice, op: ConditionalOp) -> PairFrame:
 class PairEmbeddingReport:
     ok: bool
     failures: tuple
-    fixpoint_count: int
-    mapping: tuple | None  # element -> index in the fixpoint lattice
+    fixpoint_count: int    # counted up to L.n + 1, which means "more than the image"
+    mapping: tuple | None  # element -> index among the fixpoints, ascending
 
     @property
     def fallback_used(self) -> bool:
@@ -113,43 +116,19 @@ def verify_pair_embedding(pf: PairFrame) -> PairEmbeddingReport:
     """Verify the candidate map a |-> hat(a) is an isomorphism onto all fixpoints.
 
     The map alone decides: on any failure this raises EmbeddingNotVerified,
-    whose report carries the failures.  Raises TooLarge when the frame has
-    more fixpoints than a lattice may have elements.
+    whose report carries the failures.  The fixpoints are listed up to
+    L.n + 1 of them, so a frame with any number of fixpoints is decided.
     """
-    L, hat = pf.lattice, pf.hat
-    fl = fixpoints(pf.frame)
-    # fl.sets lists every fixpoint, so phi[a] is None exactly off them
-    index = {s: i for i, s in enumerate(fl.sets)}
-    phi = [index.get(h) for h in hat]
-    failures = []
-    if None in phi:
-        failures.append(f"image of {L.names[phi.index(None)]} is not a fixpoint")
-    if len(set(hat)) != L.n:
-        failures.append("candidate map is not injective")
-    if not failures:
-        # fixpoints checked that its meet is ∩, its join the closure of ∪
-        # and its table the arrow, so phi carries a law exactly where hat does
-        M, J, T = L.meet_table, L.join_table, pf.op.table
-        FM, FJ, FT = fl.lattice.meet_table, fl.lattice.join_table, fl.op.table
-
-        def law(v):
-            a, b = v
-            i, j = phi[a], phi[b]
-            return ("meet" if phi[M[a][b]] != FM[i][j] else "join" if phi[J[a][b]] != FJ[i][j]
-                    else "conditional" if phi[T[a][b]] != FT[i][j] else None)
-
-        bad = first_violation(L.n, 2, law)
-        if bad:
-            failures.append(f"{law(bad)} not preserved at ({L.names[bad[0]]},{L.names[bad[1]]})")
-        elif L.n != len(fl.sets):
-            failures.append(f"candidate image has {L.n} fixpoints, frame has {len(fl.sets)}")
-
+    L, fr, hat = pf.lattice, pf.frame, pf.hat
+    fixed = closed_sets(fr.m, fr.closure, L.n)
+    failures = _embedding_failures(L, pf.op.table, fr, hat, fixed)
     if failures:
         raise EmbeddingNotVerified(
             "pair-frame embedding failed: " + "; ".join(failures),
-            report=PairEmbeddingReport(False, tuple(failures), len(fl.sets), None),
+            report=PairEmbeddingReport(False, tuple(failures), len(fixed), None),
         )
-    return PairEmbeddingReport(True, (), len(fl.sets), tuple(phi))
+    index = {s: i for i, s in enumerate(fixed)}
+    return PairEmbeddingReport(True, (), len(fixed), tuple(index[h] for h in hat))
 
 
 # -- filter-ideal space ------------------------------------------------
@@ -164,6 +143,7 @@ def _dissonant(L: FiniteLattice, T, i: int) -> int:
 
 def consonant(lattice: FiniteLattice, op: ConditionalOp, f: int, i: int) -> bool:
     """Does f <= a and a ∧ b <= i force (a -> b) <= i?"""
+    require_own_lattice(lattice, op)
     return lattice.up_mask(f) & _dissonant(lattice, op.table, i) == 0
 
 
@@ -184,6 +164,7 @@ class FilterIdealSpace:
 
 
 def build_fi_space(lattice: FiniteLattice, op: ConditionalOp) -> FilterIdealSpace:
+    require_own_lattice(lattice, op)
     require_preconditional(op)
     L, T = lattice, op.table
     pairs = _consonant_pairs(L, op)
@@ -244,14 +225,24 @@ class FIEmbeddingReport:
         return len(closed_sets(self.space.frame.m, partial(_union, byte_tables(nbhd)), None))
 
 
-def _embedding_failures(L, T, frame, hat):
-    """Does hat land in fixpoints, stay injective, and carry meet, join and
-    the conditional to intersection, closure-of-union and frame.arrow?"""
+def _embedding_failures(L, T, frame, hat, family):
+    """The one embedding check: is a |-> hat[a] an isomorphism onto family,
+    a family of fixpoints listed in ascending order up to L.n + 1 sets?
+
+    More than L.n sets means one of them lies outside the image.  Else the
+    family is complete, and hat must land in it, be injective, and carry
+    meet, join and the table T to intersection, closure-of-union and
+    frame.arrow (first_law_failure).  Returns the failures, worded alike
+    on both routes, or [] when hat is an isomorphism onto family.
+    """
+    if len(family) > L.n:
+        extra = next(u for u in family if u not in hat)
+        return [f"image is {L.n} sets but the fixpoint {set_label(frame, extra)} lies outside it"]
     failures = []
-    for a in range(L.n):
-        if frame.closure(hat[a]) != hat[a]:
-            failures.append(f"hat({L.names[a]}) is not a fixpoint")
-            break
+    members = set(family)
+    off = next((a for a in range(L.n) if hat[a] not in members), None)
+    if off is not None:
+        failures.append(f"hat({L.names[off]}) is not a fixpoint")
     if len(set(hat)) != L.n:
         failures.append("hat is not injective")
     if failures:
@@ -266,22 +257,12 @@ def _embedding_failures(L, T, frame, hat):
 def verify_fi_embedding(space: FilterIdealSpace) -> FIEmbeddingReport:
     """hat must be an isomorphism onto exactly the open fixpoints.
 
-    Part one: hat lands in fixpoints, is injective, and carries meet,
-    join, and the conditional to intersection, closure-of-union, and the
-    frame conditional.  Part two: the image is exactly the set of open
-    fixpoints; each hat(a) is open, so after part one it is enough to
-    list L.n + 1 of them.  Raises EmbeddingNotVerified on failure.
+    The open fixpoints are listed up to L.n + 1 of them and handed to the
+    embedding check with hat.  Raises EmbeddingNotVerified on failure.
     """
-    L, T = space.lattice, space.op.table
-    fr, hat = space.frame, space.basis
-    failures = _embedding_failures(L, T, fr, hat)
+    L, fr, hat = space.lattice, space.frame, space.basis
     cofix = _open_fixpoints(fr, _neighbourhoods(fr, hat), L.n)
-    if not failures and len(cofix) > L.n:
-        extra = next(u for u in cofix if u not in hat)
-        failures.append(
-            f"image is {L.n} sets but the open fixpoint "
-            f"{set_label(fr, extra)} lies outside it"
-        )
+    failures = _embedding_failures(L, space.op.table, fr, hat, cofix)
     report = FIEmbeddingReport(not failures, tuple(failures), len(cofix), space)
     if failures:
         raise EmbeddingNotVerified(

@@ -61,6 +61,7 @@ from .ops import (
     ConditionalOp,
     check_axioms,
     PRECONDITIONAL_AXIOMS,
+    require_own_lattice,
 )
 
 MAX_WORLDS = 16
@@ -279,6 +280,7 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
     table; both verifications are theorems given the preconditions, so
     their failure raises InternalInconsistency.
     """
+    require_own_lattice(lattice, op)
     L, T = lattice, op.table
     neg = L.complement_map() if L.is_distributive() else None
     if neg is None:

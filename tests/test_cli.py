@@ -134,7 +134,7 @@ def test_represent_reports_a_candidate_map_with_two_images_swapped(tmp_path, cap
     assert main(["represent", write_entry(tmp_path, "residual-3chain")]) == 1
     out = capsys.readouterr().out
     assert ("  lattice isomorphic to its fixpoints: False "
-            "(pair-frame embedding failed: meet not preserved at (0,h))\n") in out
+            "(pair-frame embedding failed: meet not carried at (0,h))\n") in out
     assert "embedding onto open fixpoints: True" in out
 
 
@@ -509,3 +509,12 @@ def test_demo_stdout_is_pinned(capsys):
     out = capsys.readouterr().out
     assert out.endswith("126 checks, 0 failures\n")
     assert hashlib.md5(out.encode()).hexdigest() == "c5007766be65bb884fe394862b5a7ede"
+
+
+def test_represent_stdout_is_pinned(capsys):
+    # every .lat fixture, in sorted order: its file name, exit code and stdout
+    digest = hashlib.md5()
+    for p in sorted(FIXTURES.glob("*.lat")):
+        code = main(["represent", str(p)])
+        digest.update(f"{p.name} {code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "2ff5be84fcec67f17438346572e35b50"

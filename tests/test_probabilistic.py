@@ -70,6 +70,15 @@ def test_arrow_rejects_subsets_outside_the_space(space):
             space.arrow(A, B)
 
 
+@pytest.mark.parametrize("w", [-1, 11, 99])
+def test_measure_and_cond_prob_reject_a_world_outside_the_space(space, w):
+    assert space.world_count == 11
+    with pytest.raises(WidthMismatch, match=f"world {w} is not one of the 11 worlds"):
+        space.measure(w, 1)
+    with pytest.raises(WidthMismatch, match=f"world {w} is not one of the 11 worlds"):
+        space.cond_prob(w, 1, 3)
+
+
 def test_cond_prob_boundary_cases(space):
     A, B, C, w = NORM_WITNESS
     assert space.cond_prob(w, B, A) == F(9, 10)

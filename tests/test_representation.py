@@ -7,9 +7,9 @@ import pytest
 
 from condlat import catalog
 from condlat import frames as frames_module
-from condlat.errors import EmbeddingNotVerified, NotAPreconditional, TooLarge
-from condlat.frames import RelationalFrame, first_law_failure, fixpoints, random_frame
-from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS
+from condlat.errors import EmbeddingNotVerified, NotAPreconditional, PreconditionFailed, TooLarge
+from condlat.frames import RelationalFrame, closed_sets, first_law_failure, fixpoints, random_frame
+from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS, chain
 from condlat.ops import (
     BINARY_AXIOMS,
     PRECONDITIONAL_AXIOMS,
@@ -20,6 +20,8 @@ from condlat.ops import (
 from condlat.representation import (
     FilterIdealSpace,
     _embedding_failures,
+    _neighbourhoods,
+    _open_fixpoints,
     build_fi_space,
     build_pair_frame,
     check_space_conditions,
@@ -28,6 +30,7 @@ from condlat.representation import (
     verify_pair_embedding,
 )
 from condlat.search import SearchSpec, enumerate_lattices, find_witness
+from condlat.selection import ba_to_selection
 from conftest import TamperedFrame, names_at
 
 PRECONDITIONALS = catalog.preconditional_entries()
@@ -296,14 +299,13 @@ def test_pair_route_decides_the_42_element_algebra_on_its_198_point_frame(monkey
     rep = verify_pair_embedding(pf)
     assert rep.ok and rep.failures == ()
     assert rep.fixpoint_count == 42
-    # the fixpoints' own grids; the embedding check then reads only
-    # index tables, since the candidate image is all fixpoints
+    # one set of grids, on the candidate image, which is all fixpoints
     assert calls == [42]
 
 
 def test_pair_route_closes_no_set_beyond_its_fixpoints(monkeypatch):
-    # the embedding check needs no closure of its own: the candidate image
-    # is looked up among the fixpoints, and the laws among their tables
+    # the route closes only what listing the fixpoints and the grids of
+    # the image need: each candidate image is looked up, not closed
     fl = fixpoints(random_frame(Random(22), 8))
     pf = build_pair_frame(fl.lattice, fl.op)
     calls = []
@@ -372,17 +374,17 @@ def test_pair_route_outcomes_on_tampered_pair_frames_are_pinned():
     routes = Counter(o[0] if isinstance(o[0], str) else "candidate" for o in outcomes)
     assert routes == {"EmbeddingNotVerified": 311, "candidate": 1}
     failures = [f for o in outcomes for f in o[2]]
-    for part in (" is not a fixpoint", "candidate map is not injective", "meet not preserved",
-                 "join not preserved", "conditional not preserved", "candidate image has "):
+    for part in (" is not a fixpoint", "hat is not injective", "meet not carried",
+                 "join not carried", "conditional not carried", " lies outside it"):
         assert any(part in f for f in failures), part
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
-    assert digest == "4fa1acf9120e1f52"
+    assert digest == "4841de89ec3853ee"
 
 
 def test_pair_route_names_the_law_failure_the_set_law_check_names():
     # swapping two images keeps hat injective onto the fixpoints, and a
-    # changed table cell keeps hat: either way the index-table check must
-    # name the cell and law first_law_failure names on the masks
+    # changed table cell keeps hat: either way the pair route must name
+    # the cell and law first_law_failure names on the masks
     seen = set()
     for name, L, op in _pair_algebras():
         pf, rng = build_pair_frame(L, op), Random(name)
@@ -392,10 +394,24 @@ def test_pair_route_names_the_law_failure_the_set_law_check_names():
             bent = _tampered_pair_frame(pf, kind, rng)
             first = first_law_failure(bent.frame, bent.hat, L, bent.op.table)
             want = () if first is None else (
-                f"{first[0]} not preserved at ({L.names[first[1]]},{L.names[first[2]]})",)
+                f"{first[0]} not carried at ({L.names[first[1]]},{L.names[first[2]]})",)
             assert _pair_outcome(bent)[2] == want, (name, kind)
             seen.add(first and first[0])
     assert {"meet", "join", "conditional"} <= seen
+
+
+@pytest.mark.parametrize("name, points", [("sasaki-twin-peaks", 21), ("gate-to-bottom-6", 16)])
+def test_pair_route_decides_a_frame_with_more_than_64_fixpoints(name, points):
+    # the identity relation makes every set of points a fixpoint: far more
+    # than a lattice may have elements, and more than the image
+    e = catalog.entry(name)
+    pf = build_pair_frame(e.lattice, e.conditional)
+    assert pf.frame.m == points
+    loops = RelationalFrame(pf.frame.names, [1 << i for i in range(points)])
+    assert len(closed_sets(points, loops.closure, MAX_ELEMENTS)) > MAX_ELEMENTS
+    with pytest.raises(EmbeddingNotVerified, match="the fixpoint {} lies outside it") as exc:
+        verify_pair_embedding(dataclasses.replace(pf, frame=loops))
+    assert exc.value.report.fixpoint_count == e.lattice.n + 1
 
 
 def test_pair_route_holds_on_every_preconditional_up_to_five_elements():
@@ -448,6 +464,18 @@ def test_mp_without_norm_on_b8_from_the_frame_side():
     assert check_space_conditions(space.frame, space.basis).ok
 
 
+@pytest.mark.parametrize("build, lattice", [
+    (build_fi_space, chain(4)),
+    (ba_to_selection, chain(2)),
+    (build_pair_frame, chain(4)),
+    (lambda L, op: consonant(L, op, 0, 0), chain(4)),
+], ids=["fi-space", "selection", "pair-frame", "consonant"])
+def test_builders_refuse_a_lattice_that_is_not_the_tables_own(build, lattice):
+    op = catalog.entry("material-B4").conditional
+    with pytest.raises(PreconditionFailed, match="is not the lattice of the table"):
+        build(lattice, op)
+
+
 def test_fallback_used_is_a_read_only_false():
     e = catalog.entry("residual-3chain")
     rep = verify_pair_embedding(build_pair_frame(e.lattice, e.conditional))
@@ -485,22 +513,28 @@ def _reference_embedding_failures(L, T, frame, hat):
 
 
 def _fi_case(name):
+    """(L, T, frame, hat, family), family the open fixpoints the route lists."""
     e = catalog.entry(name)
-    space = build_fi_space(e.lattice, e.conditional)
-    return e.lattice, e.conditional.table, space.frame, list(space.basis)
+    L, space = e.lattice, build_fi_space(e.lattice, e.conditional)
+    family = _open_fixpoints(space.frame, _neighbourhoods(space.frame, space.basis), L.n)
+    assert family == sorted(space.basis)
+    return L, e.conditional.table, space.frame, list(space.basis), family
 
 
 def _pair_case():
+    """(L, T, frame, hat, family), family the fixpoints the route lists."""
     fl = fixpoints(random_frame(Random(4), 8))
     pf = build_pair_frame(fl.lattice, fl.op)
     hat = [sum(1 << i for i, (x, _) in enumerate(pf.points) if fl.lattice.leq(x, a))
            for a in range(fl.lattice.n)]
-    return fl.lattice, fl.op.table, pf.frame, hat
+    family = closed_sets(pf.frame.m, pf.frame.closure, fl.lattice.n)
+    assert family == sorted(hat)
+    return fl.lattice, fl.op.table, pf.frame, hat, family
 
 
 @pytest.mark.parametrize("case", ("material-B4", "material-B8", "pair-seed4"))
 def test_embedding_check_names_the_first_failing_law(case):
-    L, T, frame, hat = _pair_case() if case == "pair-seed4" else _fi_case(case)
+    L, T, frame, hat, family = _pair_case() if case == "pair-seed4" else _fi_case(case)
     assert (L.n ** 2 >= GRID_MIN_INSTANCES) == (case != "material-B4")
     rng = Random(case)
     seen = set()
@@ -521,7 +555,7 @@ def test_embedding_check_names_the_first_failing_law(case):
             cells[cell] = 1 << rng.randrange(frame.m)
         fr = TamperedFrame(frame, cells)
         want = _reference_embedding_failures(L, T2, fr, hat2)
-        got = _embedding_failures(L, T2, fr, hat2)
+        got = _embedding_failures(L, T2, fr, hat2, family)
         assert got == want
         seen.update(w.split()[0] for w in want)
     assert {"meet", "join", "conditional"} <= seen
@@ -531,7 +565,7 @@ def test_embedding_check_names_the_first_failing_law(case):
 def test_embedding_check_names_a_meet_failing_alone(case):
     # swap two images, then answer the closure and the conditional at the
     # first failing cell the way the algebra does: only meet fails there
-    L, T, frame, hat = _pair_case() if case == "pair-seed4" else _fi_case(case)
+    L, T, frame, hat, family = _pair_case() if case == "pair-seed4" else _fi_case(case)
     alone = 0
     for a in range(L.n):
         for b in range(a + 1, L.n):
@@ -548,7 +582,7 @@ def test_embedding_check_names_a_meet_failing_alone(case):
             want = _reference_embedding_failures(L, T, fr, hat2)
             if want != [f"meet not carried at ({L.names[x]},{L.names[y]})"]:
                 continue
-            assert _embedding_failures(L, T, fr, hat2) == want
+            assert _embedding_failures(L, T, fr, hat2, family) == want
             alone += 1
     assert alone >= 1
 
@@ -583,7 +617,7 @@ def test_fi_embedding_names_an_open_fixpoint_outside_the_image():
     pred[0] ^= 1
     frame = RelationalFrame(space.frame.names, pred)
     broken = FilterIdealSpace(space.lattice, space.op, space.pairs, frame, space.basis)
-    with pytest.raises(EmbeddingNotVerified, match="open fixpoint {} lies outside") as exc:
+    with pytest.raises(EmbeddingNotVerified, match="the fixpoint {} lies outside") as exc:
         verify_fi_embedding(broken)
     assert exc.value.report.open_fixpoint_count == e.lattice.n + 1
     opens = _open_sets(frame, space.basis)
