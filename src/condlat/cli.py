@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: check, classify, frame, represent, selection, search,
-prob, demo.  Exit codes: 0 all expectations met, 1 a check failed,
-2 malformed input (with a line-numbered diagnostic on stderr) or a
-usage error.
+prob (verify, arrow, sweep), demo.  Exit codes: 0 all expectations
+met, 1 a check failed, 2 malformed input (with a line-numbered
+diagnostic on stderr) or a usage error.  Findings are not failed
+checks: ``classify`` and ``prob sweep`` report profiles and exit 0.
 
 Reports are printed for people; ``--report FILE`` additionally writes
 one `key=value ...` record per check for regression diffing, each run
@@ -51,7 +52,7 @@ from .ops import (
     precomplementation_report,
     residuation_witness,
 )
-from .probabilistic import NORM_WITNESS, confidence_space, verify_axioms
+from .probabilistic import NORM_WITNESS, TABLE_LIMIT, confidence_space, verify_axioms
 from .representation import (
     build_fi_space,
     build_pair_frame,
@@ -107,6 +108,13 @@ def _usage(msg) -> NoReturn:
     """Usage errors and unreadable input files exit with 2."""
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _seed(text: str) -> int:
+    """argparse type of every --seed: numpy takes no negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _read(path: str) -> str:
@@ -300,33 +308,40 @@ def _subset_arg(text: str, worlds: int) -> int:
     return sum(1 << w for w in {int(tok) for tok in toks})
 
 
-def cmd_prob(args, run: Run) -> None:
+_PROB_AXIOMS = (Axiom.P1, Axiom.P2, Axiom.P3, Axiom.P4, Axiom.P5, Axiom.MP, Axiom.NORM)
+
+
+def cmd_prob_verify(args, run: Run) -> None:
+    rep = verify_axioms(confidence_space(), seed=args.seed)
+    for ax in _PROB_AXIOMS:
+        c = rep[ax]
+        print(c.describe())
+        expected = not c.holds if ax is Axiom.NORM else c.holds
+        run.rec(expected, check=f"prob-{ax.value}", mode=c.mode,
+                instances=c.instances)
+    print(f"table cross-checked against exact rationals on "
+          f"{rep.crosschecked} cells")
+
+
+def cmd_prob_arrow(args, run: Run) -> None:
     space = confidence_space()
-    if args.action == "arrow":
-        if args.a is None or args.b is None:
-            _usage("prob arrow needs two subsets (comma lists or -)")
-        if args.seed is not None:
-            _usage("prob arrow takes no --seed")
-        A, B = (_subset_arg(args.a, space.world_count),
-                _subset_arg(args.b, space.world_count))
-        out = space.arrow(A, B)
-        worlds = [str(w) for w in range(space.world_count) if out >> w & 1]
-        print(",".join(worlds) if worlds else "-")
-        run.rec(True, check="arrow", a=args.a, b=args.b,
-                result=",".join(worlds) or "-")
-    else:
-        if args.a is not None:
-            _usage("prob verify takes no subsets")
-        rep = verify_axioms(space, seed=args.seed or 0)
-        for ax in (Axiom.P1, Axiom.P2, Axiom.P3, Axiom.P4, Axiom.P5,
-                   Axiom.MP, Axiom.NORM):
-            c = rep[ax]
-            print(c.describe())
-            expected = not c.holds if ax is Axiom.NORM else c.holds
-            run.rec(expected, check=f"prob-{ax.value}", mode=c.mode,
-                    instances=c.instances)
-        print(f"table cross-checked against exact rationals on "
-              f"{rep.crosschecked} cells")
+    A, B = (_subset_arg(s, space.world_count) for s in (args.a, args.b))
+    out = space.arrow(A, B)
+    worlds = ",".join(str(w) for w in range(space.world_count) if out >> w & 1) or "-"
+    print(worlds)
+    run.rec(True, check="arrow", a=args.a, b=args.b, result=worlds)
+
+
+def cmd_prob_sweep(args, run: Run) -> None:
+    """The axiom profile at each threshold k/20; its FAIL cells are
+    findings, not failed checks."""
+    print("threshold  " + "  ".join(ax.value.ljust(4) for ax in _PROB_AXIOMS))
+    for t in (Fraction(k, 20) for k in range(1, 21)):
+        rep = verify_axioms(confidence_space(world_count=args.worlds, threshold=t),
+                            seed=args.seed)
+        cells = {ax.value: "ok" if rep[ax].holds else "FAIL" for ax in _PROB_AXIOMS}
+        print(f"{str(t).ljust(9)}  " + "  ".join(c.ljust(4) for c in cells.values()))
+        run.rec(True, check="sweep", threshold=t, **cells)
 
 
 # -- demo: the whole expectation suite, one check per anchor -------------
@@ -643,17 +658,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"node budget per lattice (default {DEFAULT_NODE_BUDGET})")
     s.set_defaults(func=cmd_search)
 
-    s = _common(subs.add_parser("prob", help="threshold-confidence conditional"))
-    s.add_argument("action", choices=("verify", "arrow"))
-    s.add_argument("a", nargs="?", help="antecedent worlds, comma list or -")
-    s.add_argument("b", nargs="?", help="consequent worlds, comma list or -")
-    s.add_argument("--seed", type=int,
-                   help="prob verify: picks the cells cross-checked on exact rationals")
-    s.set_defaults(func=cmd_prob)
+    s = subs.add_parser("prob", help="threshold-confidence conditional")
+    acts = s.add_subparsers(dest="action", required=True)
+    a = _common(acts.add_parser("verify", help="exact axiom report"))
+    a.add_argument("--seed", type=_seed, default=0,
+                   help="picks the cells cross-checked on exact rationals")
+    a.set_defaults(func=cmd_prob_verify)
+    a = _common(acts.add_parser("arrow", help="one arrow set"))
+    a.add_argument("a", help="antecedent worlds, comma list or -")
+    a.add_argument("b", help="consequent worlds, comma list or -")
+    a.set_defaults(func=cmd_prob_arrow)
+    a = _common(acts.add_parser("sweep", help="axiom profile at thresholds k/20"))
+    a.add_argument("--worlds", type=int, choices=range(2, TABLE_LIMIT + 1),
+                   default=11, metavar="K", help=f"2..{TABLE_LIMIT} worlds (default 11)")
+    a.add_argument("--seed", type=_seed, default=0,
+                   help="picks the cells cross-checked on exact rationals")
+    a.set_defaults(func=cmd_prob_sweep)
 
     s = _common(subs.add_parser("demo", help="run the whole expectation suite"))
     s.add_argument("--filter", help="only anchors containing this substring")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.set_defaults(func=cmd_demo)
 
     return p

@@ -298,13 +298,6 @@ class FiniteLattice:
     def join(self, a: int, b: int) -> int:
         return self.join_table[a][b]
 
-    def meet_mask(self, mask: int) -> int:
-        """Meet of a subset given as a bitmask; the empty meet is top."""
-        out = self.top
-        for x in _bits(mask):
-            out = self.meet_table[out][x]
-        return out
-
     def join_mask(self, mask: int) -> int:
         """Join of a subset given as a bitmask; the empty join is bottom."""
         out = self.bottom
@@ -333,9 +326,6 @@ class FiniteLattice:
 
     def atoms(self):
         return [b for (a, b) in self.covers() if a == self.bottom]
-
-    def coatoms(self):
-        return [a for (a, b) in self.covers() if b == self.top]
 
     def distributivity_witness(self):
         """The first triple (a, b, c) violating a∧(b∨c) = (a∧b)∨(a∧c), or None."""
@@ -369,9 +359,6 @@ class FiniteLattice:
             out.append(cs[0])
         return tuple(out)
 
-    def is_boolean(self) -> bool:
-        return self.is_distributive() and self.complement_map() is not None
-
     def __repr__(self):
         return f"FiniteLattice({self.n} elements: {' '.join(self.names)})"
 
@@ -392,6 +379,8 @@ class FiniteLattice:
 
 def chain(k: int, names=None) -> FiniteLattice:
     """The k-element chain 0 < 1 < ... < k-1."""
+    if k < 1:
+        raise NotALattice("empty carrier")
     if names is None:
         if k == 1:
             names = ("0",)

@@ -134,13 +134,6 @@ class ConditionalOp:
         bot = self.lattice.bottom
         return UnaryOp(self.lattice, tuple(row[bot] for row in self.table))
 
-    @classmethod
-    def from_names(cls, lattice: FiniteLattice, rows_of_names):
-        table = tuple(
-            tuple(lattice.index(name) for name in row) for row in rows_of_names
-        )
-        return cls(lattice, table)
-
 
 # -- axiom definitions -------------------------------------------------
 #

@@ -250,7 +250,7 @@ def test_prob_verify_refuses_stray_subsets(capsys, subsets):
         main(["prob", "verify"] + subsets)
     assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: prob verify takes no subsets\n"
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(subsets)}\n")
     assert captured.out == ""
 
 
@@ -259,7 +259,29 @@ def test_prob_arrow_refuses_a_seed(capsys):
         main(["prob", "arrow", "1", "1", "--seed", "9"])
     assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: prob arrow takes no --seed\n"
+    assert captured.err.endswith("error: unrecognized arguments: --seed 9\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["demo"], ["prob", "verify"], ["prob", "sweep"]],
+                         ids=" ".join)
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "-1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        "error: argument --seed: expected a nonnegative integer, got '-1'\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("worlds", ["0", "1", "13"])
+def test_prob_sweep_refuses_worlds_outside_the_table_limit(capsys, worlds):
+    with pytest.raises(SystemExit) as info:
+        main(["prob", "sweep", "--worlds", worlds])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --worlds: invalid choice: {worlds} (choose from 2, 3," in captured.err
     assert captured.out == ""
 
 
@@ -275,6 +297,66 @@ def test_prob_verify_small_sample(capsys):
         "NORM fails at ({11111111110},{1111111110},{11111111100}) world 0 (pinned)\n"
         "table cross-checked against exact rationals on 517 cells\n"
     )
+
+
+def test_prob_sweep_runs_on_a_small_space(capsys):
+    assert main(["prob", "sweep", "--worlds", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["threshold", "P1", "P2", "P3", "P4", "P5", "MP", "NORM"]
+    # thresholds k/20 on the 4-world space, self mass at its default
+    assert lines[1:] == [
+        "1/20       FAIL  ok    ok    ok    FAIL  FAIL  FAIL",
+        "1/10       FAIL  ok    ok    ok    FAIL  FAIL  FAIL",
+        "3/20       ok    ok    ok    ok    ok    ok    FAIL",
+        "1/5        ok    ok    ok    ok    ok    ok    FAIL",
+        "1/4        ok    ok    ok    ok    ok    ok    FAIL",
+        "3/10       ok    ok    ok    ok    ok    ok    FAIL",
+        "7/20       ok    ok    ok    ok    ok    ok    FAIL",
+        "2/5        ok    ok    ok    ok    ok    ok    FAIL",
+        "9/20       ok    ok    ok    ok    ok    ok    FAIL",
+        "1/2        ok    ok    ok    ok    ok    ok    FAIL",
+        "11/20      ok    ok    ok    ok    ok    ok    FAIL",
+        "3/5        ok    ok    ok    ok    ok    ok    FAIL",
+        "13/20      ok    ok    ok    ok    ok    ok    FAIL",
+        "7/10       ok    ok    ok    ok    ok    ok    ok  ",
+        "3/4        ok    ok    ok    ok    ok    ok    ok  ",
+        "4/5        ok    ok    ok    ok    ok    ok    ok  ",
+        "17/20      ok    ok    ok    ok    ok    ok    ok  ",
+        "9/10       ok    ok    ok    ok    ok    ok    ok  ",
+        "19/20      ok    FAIL  ok    ok    ok    ok    FAIL",
+        "1          ok    FAIL  ok    ok    ok    ok    ok  ",
+    ]
+
+
+def test_prob_sweep_at_its_default_eleven_worlds(capsys):
+    assert main(["prob", "sweep"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["threshold", "P1", "P2", "P3", "P4", "P5", "MP", "NORM"]
+    # the docstring's claims on the reference space: NORM fails at every
+    # threshold below 1, P2 once the threshold passes the self mass 9/10,
+    # and P1, P5 and MP at the lowest thresholds
+    assert lines[1:] == [
+        "1/20       FAIL  ok    ok    ok    FAIL  FAIL  FAIL",
+        "1/10       FAIL  ok    ok    ok    FAIL  FAIL  FAIL",
+        "3/20       ok    ok    ok    ok    ok    ok    FAIL",
+        "1/5        ok    ok    ok    ok    ok    ok    FAIL",
+        "1/4        ok    ok    ok    ok    ok    ok    FAIL",
+        "3/10       ok    ok    ok    ok    ok    ok    FAIL",
+        "7/20       ok    ok    ok    ok    ok    ok    FAIL",
+        "2/5        ok    ok    ok    ok    ok    ok    FAIL",
+        "9/20       ok    ok    ok    ok    ok    ok    FAIL",
+        "1/2        ok    ok    ok    ok    ok    ok    FAIL",
+        "11/20      ok    ok    ok    ok    ok    ok    FAIL",
+        "3/5        ok    ok    ok    ok    ok    ok    FAIL",
+        "13/20      ok    ok    ok    ok    ok    ok    FAIL",
+        "7/10       ok    ok    ok    ok    ok    ok    FAIL",
+        "3/4        ok    ok    ok    ok    ok    ok    FAIL",
+        "4/5        ok    ok    ok    ok    ok    ok    FAIL",
+        "17/20      ok    ok    ok    ok    ok    ok    FAIL",
+        "9/10       ok    ok    ok    ok    ok    ok    FAIL",
+        "19/20      ok    FAIL  ok    ok    ok    ok    FAIL",
+        "1          ok    FAIL  ok    ok    ok    ok    ok  ",
+    ]
 
 
 def test_report_file_records(tmp_path):
@@ -308,6 +390,7 @@ def test_dot_escapes_the_document_name_and_element_names(tmp_path):
     ["selection", "fixtures/density-gap-3.self"],
     ["search", "--minimal", "--require", "P1"],
     ["prob", "verify"],
+    pytest.param(["prob", "sweep"], id="prob-sweep"),
     ["demo"],
 ], ids=lambda argv: argv[0])
 def test_dot_is_refused_where_nothing_is_drawn(tmp_path, capsys, argv):
@@ -478,6 +561,7 @@ def test_demo_failure_stays_at_its_anchor(monkeypatch, tmp_path, capsys):
     ["search", "--minimal", "--require", "P1", "--forbid", "P4", "--budget", "1"],
     ["prob", "verify"],
     ["prob", "arrow", "1,2,3", "2,3"],
+    ["prob", "sweep", "--worlds", "3"],
     ["demo", "--filter", "pinned:"],
     ["demo", "--filter", "density-gap"],
 ], ids=" ".join)

@@ -107,9 +107,10 @@ def test_tables_are_stored_as_int_tuples():
     assert neg.table == (2, 0, 0) and all(type(x) is int for x in neg.table)
 
 
-def test_from_names_and_derive_negation():
+def test_named_rows_and_derive_negation():
     L = chain(3, ("0", "h", "1"))
-    op = ConditionalOp.from_names(L, (("1", "1", "1"), ("0", "1", "1"), ("0", "h", "1")))
+    rows = (("1", "1", "1"), ("0", "1", "1"), ("0", "h", "1"))
+    op = ConditionalOp(L, tuple(tuple(L.index(x) for x in row) for row in rows))
     assert op.table == ((2, 2, 2), (0, 2, 2), (0, 1, 2))
     assert op.derive_negation().table == (2, 0, 0)
 
