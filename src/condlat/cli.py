@@ -3,8 +3,10 @@
 Subcommands: check, classify, frame, represent, selection, search,
 prob (verify, arrow, sweep), demo.  Exit codes: 0 all expectations
 met, 1 a check failed, 2 malformed input (with a line-numbered
-diagnostic on stderr) or a usage error.  Findings are not failed
-checks: ``classify`` and ``prob sweep`` report profiles and exit 0.
+diagnostic on stderr) or a usage error, 141 the reader of stdout
+closed it early (``condlat demo | head -1``; the code a shell gives a
+process ended by SIGPIPE).  Findings are not failed checks:
+``classify`` and ``prob sweep`` report profiles and exit 0.
 
 Reports are printed for people; ``--report FILE`` additionally writes
 one `key=value ...` record per check for regression diffing, each run
@@ -14,6 +16,7 @@ of whitespace in a value written as `-`.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -76,6 +79,7 @@ from .selection import (
 from random import Random
 
 _AXIOM_BY_NAME = {ax.value: ax for ax in BINARY_AXIOMS}
+STDOUT_CLOSED = 141
 
 
 class Run:
@@ -687,17 +691,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = Run()
     try:
-        args.func(args, run)
+        try:
+            args.func(args, run)
+        except BudgetExhausted as exc:
+            # a search ran out of nodes: a failed check, not malformed input
+            print(f"budget exhausted: {exc}")
+            run.rec(False, check="search", detail="budget-exhausted")
+        # what is still buffered goes out here, where a closed pipe is caught
+        sys.stdout.flush()
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExhausted as exc:
-        # a search ran out of nodes: a failed check, not malformed input
-        print(f"budget exhausted: {exc}")
-        run.rec(False, check="search", detail="budget-exhausted")
     except CondlatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the rest of the output goes to devnull, so the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return STDOUT_CLOSED
     run.write(args.report)
     return run.exit_code()
 

@@ -1,14 +1,17 @@
 """Backtracking search for operation tables with prescribed axiom profiles.
 
 Given a finite lattice, a set of axioms that must hold and a set that
-must fail, the engine first filters each cell's domain at the root with
+must fail, the engine first drops every instance that holds on every
+table, so a forbidden axiom with no instance left settles the spec with
+no node searched.  It then filters each cell's domain at the root with
 the instances that read that one cell alone (P1, P2, MP, WM, SEMI, ID):
 a required instance removes the values that violate it and is not
 looked at again, and a forbidden axiom of such instances that no value
-left can violate settles the spec with no node searched (Zhang & Zhang's
-SEM and McCune's Mace4 filter domains the same way).  It then assigns
-table entries in row-major order with ascending values, so the first
-witness is the lexicographically first table with the profile.
+left can violate settles the spec as well (Zhang & Zhang's SEM and
+McCune's Mace4 delete true ground instances and filter domains the same
+way).  Finally it assigns table entries in row-major order with ascending
+values, so the first witness is the lexicographically first table with
+the profile.
 
 Every instance is decided by one evaluation of the axiom's one
 definition in ``ops.AXIOM_DEFS``, with the relation test ``ops._fails``,
@@ -29,11 +32,17 @@ single violation.
 What the root reads depends on the lattice and the axiom alone, so it
 is worked out once per lattice object and axiom, as a plan, and kept
 for as long as that lattice object lives, as are the lattice's padded
-tables.  A plan holds the instances in product order, each one's
-trigger (the last cell it reads at fixed indices: its wait cell on the
-blank table), and for a single-cell axiom the values each cell may take
-under it.  A spec's instances are its plans concatenated in
-``require + forbid`` order.
+tables.  A plan holds the instances that fail on some table, in product
+order, each one's trigger (the last cell it reads at fixed indices: its
+wait cell on the blank table), and for a single-cell axiom the values
+each cell may take under it.  Whether an instance can fail is decided
+by the waiting mechanism itself: on the blank table, and while it
+waits, at each value of its wait cell in turn.  A spec's instances are
+its plans concatenated in ``require + forbid`` order, and a forbid's
+obligation is its plan's instance count.  A dropped instance never
+prunes a required axiom and never violates a forbidden one, so dropping
+it changes no witness and only lets a forbid's "no violation left"
+prune fire sooner.
 
 Every witness that comes back is re-verified against the exhaustive
 checkers before it is returned; the incremental bookkeeping is never
@@ -125,16 +134,17 @@ def _live(L: FiniteLattice):
     larger of its two indices, and t[a][b] holds its cell's code until
     the cell is assigned.  Only t's n real rows are fresh lists."""
     n = L.n
-    if L not in _PADDED:
+    tables = _PADDED.get(L)
+    if tables is None:
         wide = range(n + n * n)
 
         def padded(cell):
             return tuple(tuple(cell(x, y) if x < n and y < n else max(x, y)
                                for y in wide) for x in wide)
 
-        _PADDED[L] = (padded(lambda x, y: L.meet_table[x][y]),
-                      padded(lambda x, y: n + x * n + y))
-    M, blank = _PADDED[L]
+        tables = _PADDED[L] = (padded(lambda x, y: L.meet_table[x][y]),
+                               padded(lambda x, y: n + x * n + y))
+    M, blank = tables
     return M, [list(row) for row in blank[:n]] + list(blank[n:])
 
 
@@ -145,24 +155,49 @@ _PLANS = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class _Plan:
-    args: tuple            # instance tuples in product order
+    args: tuple            # instance tuples that fail on some table, in
+                           # product order
     triggers: tuple        # each instance's trigger cell on the empty table
     allowed: tuple | None  # _SINGLE_CELL: per cell, the values every instance
                            # triggered there holds at; None otherwise
 
 
 def _plan(L: FiniteLattice, ax) -> _Plan:
-    plans = _PLANS.setdefault(L, {})
-    if ax not in plans:
-        plans[ax] = _build_plan(L, ax)
-    return plans[ax]
+    plans = _PLANS.get(L)
+    if plans is None:
+        plans = _PLANS[L] = {}
+    plan = plans.get(ax)
+    if plan is None:
+        plan = plans[ax] = _build_plan(L, ax)
+    return plan
+
+
+def _holds_always(L: FiniteLattice, M, t, d, v) -> bool:
+    """Whether instance v of definition d holds on every completion of the
+    live table t: decided as it stands, or else at each value of the cell
+    it waits on in turn, that cell restored after."""
+    n = L.n
+    lhs, rhs = d.eval(L, M, t, v)
+    if lhs < n and rhs < n:
+        return not _fails(M, lhs, rhs, d.relation)
+    c = max(lhs, rhs) - n
+    row, b = t[c // n], c % n
+    held = True
+    for x in range(n):
+        row[b] = x
+        if not _holds_always(L, M, t, d, v):
+            held = False
+            break
+    row[b] = n + c
+    return held
 
 
 def _build_plan(L: FiniteLattice, ax) -> _Plan:
     n = L.n
     d = AXIOM_DEFS[ax]
     M, t = _live(L)
-    args = tuple(product(range(n), repeat=d.arity))
+    args = tuple(v for v in product(range(n), repeat=d.arity)
+                 if not _holds_always(L, M, t, d, v))
     triggers = tuple(max(d.eval(L, M, t, v)) - n for v in args)
     if ax not in _SINGLE_CELL:
         return _Plan(args, triggers, None)
@@ -184,11 +219,12 @@ def _build_plan(L: FiniteLattice, ax) -> _Plan:
 def _root(spec: SearchSpec):
     """The root pass (module docstring), read off the lattice's plans.
 
-    Returns None when the root settles the spec, else (inst, bucket,
-    domains): inst[i] = (axiom, definition, required, forbid_index,
-    args), bucket[c] lists the instances whose trigger is c, in
-    ``require + forbid`` order, and domains[c] the values cell c may
-    take.
+    Returns None when the root settles the spec (a forbid with no
+    instance that can fail, or one whose single-cell instances no value
+    left can violate), else (inst, bucket, domains): inst[i] = (axiom,
+    definition, required, forbid_index, args), bucket[c] lists the
+    instances whose trigger is c, in ``require + forbid`` order, and
+    domains[c] the values cell c may take.
     """
     L = spec.lattice
     n = L.n
@@ -200,6 +236,9 @@ def _root(spec: SearchSpec):
     for ax in spec.require + spec.forbid:
         plan = _plan(L, ax)
         required = ax in spec.require
+        if not (required or plan.args):
+            # a forbid none of whose instances can fail on any table
+            return None
         if plan.allowed is not None:
             if required:
                 domains = [tuple(x for x in dom if x in ok)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import time
 from pathlib import Path
 
@@ -283,6 +284,43 @@ def test_prob_sweep_refuses_worlds_outside_the_table_limit(capsys, worlds):
     captured = capsys.readouterr()
     assert f"argument --worlds: invalid choice: {worlds} (choose from 2, 3," in captured.err
     assert captured.out == ""
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises, as on a pipe
+    that ``head -1`` closed.  Its descriptor is a scratch file's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", "sweep", "--worlds", "4"],
+    ["demo"],
+    # the first write is the budget message, printed while handling the
+    # search's BudgetExhausted
+    ["search", "--minimal", "--require", "P1,P2,P3,P4,INV", "--forbid", "NORM",
+     "--budget", "10"],
+], ids=["prob-sweep", "demo", "search-budget"])
+def test_closed_stdout_exits_with_its_own_code_and_no_traceback(
+        tmp_path, monkeypatch, capsys, argv):
+    report = tmp_path / "report.txt"
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(cli.sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert main(argv + ["--report", str(report)]) == cli.STDOUT_CLOSED == 141
+        # the descriptor now points at devnull, so the flush at exit is silent
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+    assert not report.exists()
 
 
 def test_prob_verify_small_sample(capsys):

@@ -2,7 +2,9 @@ import gc
 import weakref
 from itertools import permutations, product
 from random import Random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from condlat import search
@@ -339,18 +341,120 @@ def test_coded_reader_agrees_with_the_adapter_on_partial_tables():
     assert blocked and decided
 
 
+class _EveryTable:
+    """All n^(n*n) tables on n elements at once: ``T[x][y]`` is the vector
+    of every table's entry at (x, y), where x and y may be such vectors."""
+
+    def __init__(self, n):
+        self.cells = np.array(list(product(range(n), repeat=n * n))).reshape(-1, n, n)
+        self.k = np.arange(len(self.cells))
+
+    def __getitem__(self, x):
+        return _EveryRow(self, x)
+
+
+class _EveryRow:
+    def __init__(self, every, x):
+        self.every, self.x = every, x
+
+    def __getitem__(self, y):
+        return self.every.cells[self.every.k, self.x, y]
+
+
+def _violable_by_brute_force(L):
+    """(table count, {axiom: the instances that fail on at least one table}),
+    every table of L decided at once by the README definitions."""
+    T = _EveryTable(L.n)
+    MA = np.array(L.meet_table)
+    readme = _readme_axioms(
+        SimpleNamespace(top=L.top, bottom=L.bottom, meet=lambda a, b: MA[a, b]), T)
+    violable = {}
+    for ax, (arity, relation, law) in readme.items():
+        def fails(v):
+            lhs, rhs = law(*v)
+            return np.any(lhs != rhs if relation == "eq" else MA[lhs, rhs] != lhs)
+
+        violable[ax] = tuple(v for v in product(range(L.n), repeat=arity) if fails(v))
+    return len(T.cells), violable
+
+
+def _fails_somewhere(L, d, v, t, reads):
+    """Whether instance v of definition d fails on some completion of the
+    partial table t (None where unassigned), read through the adapter
+    ``reads`` over t: every value of the first unassigned cell it reads
+    is tried in turn."""
+    cells = reads(d, v)
+    if not cells:
+        return _fails(L.meet_table, *d.eval(L, L.meet_table, t, v), d.relation)
+    a, b = divmod(cells[0], L.n)
+    found = False
+    for x in range(L.n):
+        t[a][b] = x
+        if _fails_somewhere(L, d, v, t, reads):
+            found = True
+            break
+    t[a][b] = None
+    return found
+
+
+# per lattice, per axiom: the instances _fails_somewhere keeps
+_VIOLABLE = weakref.WeakKeyDictionary()
+
+
+def _violable(L, ax):
+    """The instances of ax that fail on some table of L, by the adapter."""
+    known = _VIOLABLE.get(L)
+    if known is None:
+        known = _VIOLABLE[L] = {}
+    if ax not in known:
+        n, d = L.n, AXIOM_DEFS[ax]
+        t = [[None] * n for _ in range(n)]
+        reads = _adapter(L, t)
+        known[ax] = tuple(v for v in product(range(n), repeat=d.arity)
+                          if _fails_somewhere(L, d, v, t, reads))
+    return known[ax]
+
+
+@pytest.mark.parametrize("n,tables", [(1, 1), (2, 16), (3, 19_683)])
+def test_plans_keep_the_instances_that_fail_on_some_table(n, tables):
+    # an instance is dropped exactly when it holds on every table, which
+    # the brute force over all tables decides apart from the search
+    L = chain(n)
+    count, violable = _violable_by_brute_force(L)
+    assert count == tables
+    for ax in BINARY_AXIOMS:
+        assert search._plan(L, ax).args == violable[ax], ax
+        assert _violable(L, ax) == violable[ax], ax
+
+
+def test_kept_instances_on_the_3chain_are_pinned():
+    # (kept, all) per axiom; on a chain b ∧ c is b or c, so NORM's right
+    # side is one of the two arrows its left side meets and cannot fail
+    c3 = chain(3)
+    kept = {ax.value: (len(search._plan(c3, ax).args), 3 ** AXIOM_DEFS[ax].arity)
+            for ax in BINARY_AXIOMS}
+    assert kept == {
+        "P1": (2, 3), "P2": (4, 9), "P3": (3, 9), "P4": (9, 27), "P5": (27, 27),
+        "MP": (3, 9), "WM": (6, 9), "SEMI": (2, 3), "INV": (3, 3), "ID": (3, 3),
+        "NORM": (0, 27), "NEGIMP": (9, 9), "FLAT": (27, 27),
+    }
+    assert all(search._plan(chain(n), Axiom.NORM).args == () for n in range(1, 7))
+
+
 def _oracle_instances(spec, reads):
-    """Every instance of every requested axiom, read through the adapter
-    ``reads`` on the empty table for its trigger: (inst, bucket) as
-    ``search._root`` gives them before the root filter."""
-    n = spec.lattice.n
+    """Every instance of every requested axiom that fails on some table,
+    read through the adapter ``reads`` on the empty table for its
+    trigger: (inst, bucket) as ``search._root`` gives them before the
+    root filter."""
+    L = spec.lattice
+    n = L.n
     inst = []
     bucket = [[] for _ in range(n * n)]
     for ax in spec.require + spec.forbid:
         d = AXIOM_DEFS[ax]
         required = ax in spec.require
         fidx = -1 if required else spec.forbid.index(ax)
-        for v in product(range(n), repeat=d.arity):
+        for v in _violable(L, ax):
             bucket[max(reads(d, v))].append(len(inst))
             inst.append((ax, d, required, fidx, v))
     return inst, bucket
@@ -358,15 +462,17 @@ def _oracle_instances(spec, reads):
 
 def _oracle_root(spec):
     """The root pass worked out for one spec alone, as the search did before
-    its per-lattice plans: ``_oracle_instances``, then every single-cell
-    instance decided at every value of its cell.  Same return as
-    ``search._root``."""
+    its per-lattice plans: ``_oracle_instances``, settled when a forbidden
+    axiom has none, then every single-cell instance decided at every
+    value of its cell.  Same return as ``search._root``."""
     L = spec.lattice
     n = L.n
     M = L.meet_table
     ncells = n * n
     t = [[None] * n for _ in range(n)]
     inst, bucket = _oracle_instances(spec, _adapter(L, t))
+    if not set(spec.forbid) <= {e[0] for e in inst}:
+        return None
     domains = [tuple(range(n))] * ncells
     for a, b, x in spec.fixed_entries:
         domains[a * n + b] = (x,)
@@ -533,7 +639,7 @@ def test_first_witness_is_lexicographically_first_on_3chain():
         witnesses += res.found
     # the search's trajectory over the 2187 splits, pinned as its cost gate:
     # nodes in total, specs settled at the root, exhausted, with a witness
-    assert (nodes, settled, exhausted, witnesses) == (72_836, 459, 475, 1712)
+    assert (nodes, settled, exhausted, witnesses) == (49_102, 459, 475, 1712)
 
 
 def test_six_element_trajectory_through_nested_reads():
@@ -546,7 +652,7 @@ def test_six_element_trajectory_through_nested_reads():
         nodes += res.nodes
         exhausted += res.exhausted
         witnesses += res.found
-    assert (len(lattices), nodes, exhausted, witnesses) == (15, 41_852, 15, 0)
+    assert (len(lattices), nodes, exhausted, witnesses) == (15, 38_862, 15, 0)
 
 
 def test_witnesses_are_reverified():
@@ -624,6 +730,19 @@ def test_minimal_witness_exhausts_inventory_on_impossible_profile():
     assert all(exhausted for _label, _nodes, exhausted in mw.trail)
     # the root pass settles every lattice before the first node
     assert all(nodes == 0 for _label, nodes, _exhausted in mw.trail)
+
+
+def test_forbidding_norm_settles_every_chain_at_the_root():
+    # no NORM instance can fail on a chain, so only the diamond and the
+    # five-element lattices past it are searched
+    mw = minimal_witness(P[:4], (Axiom.P5, Axiom.NORM))
+    assert mw.label == "diamond+top"
+    assert [nodes for _label, nodes, _exhausted in mw.trail] == [0, 0, 0, 0, 1636, 0, 38]
+    assert mw.op.table == ((0, 0, 0, 0, 0), (0, 1, 0, 1, 1), (0, 0, 2, 2, 2),
+                           (0, 1, 3, 3, 3), (0, 1, 2, 3, 4))
+    mw = minimal_witness((Axiom.P4,), (Axiom.NORM,))
+    assert mw.label == "diamond" and mw.trail[-1] == ("diamond", 23, False)
+    assert mw.op.table == ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 1, 1))
 
 
 def test_negimp_stack_on_b4_pinned():
