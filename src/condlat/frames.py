@@ -25,8 +25,10 @@ seeing into a set X are the union of the pred rows over X, and the
 points with a predecessor in X the union of the succ rows over X, so
 one table per byte position of a mask, holding that union for each of
 the 256 byte values (``byte_tables``), turns either set into about m/8
-table reads (``_union``).  The tables are built on the first call, once
-per frame.  ``representation`` reads the same tables for its up-hull.
+table reads (``_union``).  A frame of at most 8 points has one table
+per step, so its arrow is two reads with no loop (``_one_table``).  The
+tables are built on the first call, once per frame.  ``representation``
+reads the same tables for its up-hull.
 
 ``first_law_failure`` is the one check of the three set laws: that point
 masks carry a lattice's meet to intersection, its join to the closure of
@@ -148,17 +150,27 @@ class RelationalFrame:
         """byte_tables of the pred rows and of the succ rows."""
         return byte_tables(self._pred), byte_tables(self._succ)
 
+    @cached_property
+    def _one_table(self):
+        """(pred table, succ table) of a frame of at most 8 points, whose
+        masks are one byte, so each union is one read; None when wider."""
+        pred, succ = self._byte_tables
+        return (pred[0], succ[0]) if self.m <= 8 else None
+
     def arrow(self, A: int, B: int) -> int:
         """Points whose A-predecessors all see into A ∩ B: the points
         seeing into A ∩ B are the union of the pred rows over A ∩ B, and
         the points with an A-predecessor outside those are the union of
         the succ rows over the rest of A."""
-        if (A | B) & ~self.full_mask:   # also true when either is negative
+        full = self.full_mask
+        if (A | B) & ~full:   # also true when either is negative
             self._guard(A)
             self._guard(B)
+        one = self._one_table
+        if one is not None:
+            return full & ~one[1][A & ~one[0][A & B]]
         pred, succ = self._byte_tables
-        good = _union(pred, A & B)
-        return self.full_mask & ~_union(succ, A & ~good)
+        return full & ~_union(succ, A & ~_union(pred, A & B))
 
     def closure(self, A: int) -> int:
         return self.arrow(self.full_mask, A)

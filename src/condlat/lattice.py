@@ -254,15 +254,23 @@ class FiniteLattice:
                 meet_t[a][b] = meet_t[b][a] = m
                 join_t[a][b] = join_t[b][a] = j
 
-        self.n = n
+        self._assign(names, rows, dn, bottom, top,
+                     tuple(map(tuple, meet_t)), tuple(map(tuple, join_t)))
+
+    def _assign(self, names, up, dn, bottom, top, meet_table, join_table):
+        """Set the fields of a lattice already known to be one: its names,
+        up and down rows, bounds and meet and join tables (tuples of
+        tuples).  The constructor ends here, and so does a builder that
+        knows its tables by formula (``boolean_algebra``)."""
+        self.n = len(names)
         self.names = names
-        self.full_mask = full
+        self.full_mask = (1 << self.n) - 1
         self.bottom = bottom
         self.top = top
-        self._up = tuple(rows)
+        self._up = tuple(up)
         self._dn = tuple(dn)
-        self.meet_table = tuple(tuple(r) for r in meet_t)
-        self.join_table = tuple(tuple(r) for r in join_t)
+        self.meet_table = meet_table
+        self.join_table = join_table
         self._index = {name: i for i, name in enumerate(names)}
 
     # -- numpy views (built on first use) --------------------------------
@@ -341,22 +349,19 @@ class FiniteLattice:
     def is_distributive(self) -> bool:
         return self.distributivity_witness() is None
 
-    def complements_of(self, a: int):
-        """All b with a∧b = bottom and a∨b = top."""
-        return [
-            b
-            for b in range(self.n)
-            if self.meet(a, b) == self.bottom and self.join(a, b) == self.top
-        ]
-
     def complement_map(self):
-        """One complement per element, or None if some element has none."""
+        """The least-indexed complement of each element (the first b with
+        a∧b = bottom and a∨b = top, read off a's meet and join rows), or
+        None if some element has none."""
         out = []
-        for a in range(self.n):
-            cs = self.complements_of(a)
-            if not cs:
+        bottom, top = self.bottom, self.top
+        for M, J in zip(self.meet_table, self.join_table):
+            for b, j in enumerate(J):
+                if j == top and M[b] == bottom:
+                    out.append(b)
+                    break
+            else:
                 return None
-            out.append(cs[0])
         return tuple(out)
 
     def __repr__(self):
@@ -392,24 +397,44 @@ def chain(k: int, names=None) -> FiniteLattice:
 def boolean_algebra(atom_names) -> FiniteLattice:
     """Powerset of the given atoms; element index i is the subset with mask i.
 
-    Names are the concatenation of member atom names, "0" for the empty set.
+    Each atom is named by its own name.  The other subsets are named by
+    the concatenation of their members' names, "0" for the empty set,
+    when those names are all distinct; otherwise by their members in
+    braces, comma-joined, "{}" for the empty set (``frames.set_label``).
+    Subset masks order, meet and join, so the tables are built by
+    formula (meet a & b, join a | b, bottom 0, top the full mask), not
+    searched for by the general constructor.
     """
     atom_names = tuple(atom_names)
     k = len(atom_names)
     if k > 6:
         raise TooLarge(f"2^{k} elements exceeds the size guard of {MAX_ELEMENTS}")
     n = 1 << k
-    names = []
-    for mask in range(n):
-        names.append("".join(atom_names[i] for i in _bits(mask)) or "0")
-    rows = []
-    for mask in range(n):
-        row = 0
-        for other in range(n):
-            if mask & ~other == 0:
-                row |= 1 << other
-        rows.append(row)
-    return FiniteLattice(names, rows)
+    subsets = [[atom_names[i] for i in _bits(mask)] for mask in range(n)]
+    names = tuple("".join(s) or "0" for s in subsets)
+    if len(set(names)) != n:
+        names = tuple(s[0] if len(s) == 1 else "{" + ",".join(s) + "}" for s in subsets)
+    if len(set(names)) != n:
+        raise NotAPartialOrder("duplicate element names")
+    # has[i]: the subsets containing atom i.  The up-set of a subset is
+    # has[i] intersected over its members, and its down-set ~has[i] over
+    # the other atoms, so each row is a neighbour's row with one more
+    # has[i] (or ~has[i]) intersected in
+    full = (1 << n) - 1
+    has = [sum(1 << b for b in range(n) if b >> i & 1) for i in range(k)]
+    up, dn = [full] * n, [full] * n
+    for a in range(1, n):
+        low = (a & -a).bit_length() - 1
+        up[a] = up[a & (a - 1)] & has[low]
+    for a in range(n - 2, -1, -1):
+        low = (~a & (a + 1)).bit_length() - 1
+        dn[a] = dn[a | 1 << low] & ~has[low]
+    masks = np.arange(n)
+    lat = FiniteLattice.__new__(FiniteLattice)
+    lat._assign(names, up, dn, 0, n - 1,
+                tuple(map(tuple, np.bitwise_and.outer(masks, masks).tolist())),
+                tuple(map(tuple, np.bitwise_or.outer(masks, masks).tolist())))
+    return lat
 
 
 def antichain_bounded(middle_names) -> FiniteLattice:

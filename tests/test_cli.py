@@ -11,6 +11,7 @@ from condlat.cli import main
 from condlat.errors import EmbeddingNotVerified
 from condlat.frames import RelationalFrame
 from condlat.search import INVENTORY
+from condlat.selection import from_well_order
 from condlat.io import (
     FrameDocument,
     LatticeDocument,
@@ -154,6 +155,19 @@ def test_selection_command_flags_broken_centering(tmp_path, capsys):
     p.write_text("selframe bad\nworlds a b\nrel a,b : a,b b,b\n")
     assert main(["selection", str(p)]) == 1
     assert "centering: fails" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("worlds", [("0", "1", "2"), ("1", "2", "12")])
+def test_selection_command_takes_worlds_whose_names_concatenate_alike(tmp_path, capsys, worlds):
+    # "0" is also the empty set's concatenated name, and "1" + "2" is "12"
+    p = tmp_path / "digits.self"
+    frame = from_well_order(worlds, (2, 0, 1))
+    p.write_text(serialize_selection(SelectionDocument("digits", frame)))
+    assert main(["selection", str(p)]) == 0
+    out = capsys.readouterr().out
+    for prop in ("success", "centering", "functionality", "strong_density"):
+        assert f"{prop}: holds" in out
+    assert "induced conditional: " in out and "error" not in out
 
 
 def test_search_command_emits_readable_witness(tmp_path, capsys):

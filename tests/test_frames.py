@@ -178,6 +178,19 @@ def test_byte_table_arrow_matches_the_definition_cell_for_cell(m):
                 assert fr.arrow(A, B) == definition_arrow(fr, A, B), (fr, A, B)
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_one_table_arrow_matches_the_definition_on_every_pair(m):
+    # frames of at most 8 points read one table per step, wider ones one per byte;
+    # masks outside the frame are refused on both sides of 8 by
+    # test_byte_table_arrow_refuses_masks_outside_the_frame
+    fr = random_frame(Random(f"one-table{m}"), m)
+    full = fr.full_mask
+    assert (fr._one_table is not None) == (m <= 8)
+    for A in range(full + 1):
+        for B in range(full + 1):
+            assert fr.arrow(A, B) == definition_arrow(fr, A, B), (A, B)
+
+
 @pytest.mark.parametrize("m", (1, 8, 9, 64, 65))
 def test_byte_table_arrow_refuses_masks_outside_the_frame(m):
     fr = random_frame(Random(m), m)

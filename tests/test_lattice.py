@@ -19,8 +19,10 @@ from condlat.lattice import (
     chain,
     grid_axes,
 )
+from condlat import catalog
 from condlat.frames import fixpoints, random_frame
 from condlat.search import enumerate_lattices
+from condlat.selection import ba_to_selection, from_well_order, induced_conditional
 from conftest import find_isomorphism
 
 
@@ -52,6 +54,66 @@ def test_boolean_algebra_is_subset_order():
     assert B.is_distributive() and B.complement_map() is not None
     assert B.complement_map() == tuple(7 ^ a for a in range(8))
     assert B.names[0] == "0" and B.names[7] == "pqr"
+
+
+@pytest.mark.parametrize("atoms, names", [
+    (("0",), ("{}", "0")),
+    (("1", "2", "12"), ("{}", "1", "2", "{1,2}", "12", "{1,12}", "{2,12}", "{1,2,12}")),
+    (("0", "1", "2"), ("{}", "0", "1", "{0,1}", "2", "{0,2}", "{1,2}", "{0,1,2}")),
+])
+def test_boolean_algebra_names_subsets_apart_when_concatenations_collide(atoms, names):
+    B = boolean_algebra(atoms)
+    assert B.names == names
+    assert all(B.names[1 << i] == a for i, a in enumerate(atoms))
+    # the atoms keep their world names through the selection round trip
+    op = induced_conditional(from_well_order(atoms))
+    assert ba_to_selection(op.lattice, op).frame.names == atoms
+
+
+def test_boolean_algebra_keeps_concatenated_names_and_refuses_what_it_did():
+    assert boolean_algebra(()).names == ("0",)
+    assert boolean_algebra(("p", "q")).names == ("0", "p", "q", "pq")
+    assert boolean_algebra(("w0", "w1")).names == ("0", "w0", "w1", "w0w1")
+    for atoms in (("p", "p"), ("x", "y", "x")):
+        with pytest.raises(NotAPartialOrder, match="^duplicate element names$"):
+            boolean_algebra(atoms)
+    with pytest.raises(TooLarge):
+        boolean_algebra("abcdefg")
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_boolean_algebra_by_formula_equals_the_generic_constructor(k):
+    B = boolean_algebra(tuple("pqrstu"[:k]))
+    G = FiniteLattice(B.names, [sum(1 << b for b in range(1 << k) if a & ~b == 0)
+                                for a in range(1 << k)])
+    for field in ("n", "names", "full_mask", "bottom", "top", "_up", "_dn",
+                  "meet_table", "join_table", "_index"):
+        assert getattr(B, field) == getattr(G, field), field
+    assert type(B.meet_table[0]) is type(G.meet_table[0]) is tuple
+    assert all(type(x) is int for row in B.meet_table + B.join_table for x in row)
+    for field in ("meet_array", "join_array", "leq_array"):
+        got, want = getattr(B, field), getattr(G, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+
+def _complement_map_by_calls(L):
+    """complement_map as it was first written: for each element, every b
+    with a∧b = bottom and a∨b = top by meet() and join() calls, the first kept."""
+    out = []
+    for a in range(L.n):
+        cs = [b for b in range(L.n) if L.meet(a, b) == L.bottom and L.join(a, b) == L.top]
+        if not cs:
+            return None
+        out.append(cs[0])
+    return tuple(out)
+
+
+def test_complement_map_reads_rows_as_the_per_element_loop_did():
+    lattices = [L for n in range(1, 6) for L in enumerate_lattices(n)]
+    lattices += [e.lattice for e in catalog.ENTRIES]
+    got = [L.complement_map() for L in lattices]
+    assert got == [_complement_map_by_calls(L) for L in lattices]
+    assert None in got and any(c is not None for c in got)
 
 
 def test_antichain_m3_not_distributive():
