@@ -38,8 +38,6 @@ from .ops import (
     UnaryOp,
     check_axiom,
     check_axioms,
-    check_flattening,
-    check_preconditional,
     classify,
     from_precomplementation,
     heyting_residual,

@@ -51,7 +51,7 @@ from functools import cached_property
 from random import Random
 
 from .errors import InternalInconsistency, TooLarge, WidthMismatch
-from .lattice import MAX_ELEMENTS, FiniteLattice
+from .lattice import MAX_ELEMENTS, FiniteLattice, index_pairs
 from .ops import ConditionalOp
 
 
@@ -117,10 +117,9 @@ class RelationalFrame:
         if reflexive:
             for i in range(len(names)):
                 pred[i] |= 1 << i
-        for u, v in edges:
-            ui = u if isinstance(u, int) else idx[u]
-            vi = v if isinstance(v, int) else idx[v]
-            pred[vi] |= 1 << ui
+        edges = [tuple(idx.get(x, x) for x in e) for e in edges]
+        for u, v in index_pairs(edges, len(names), WidthMismatch, "points"):
+            pred[v] |= 1 << u
         return cls(names, pred)
 
     def related(self, u: int, v: int) -> bool:

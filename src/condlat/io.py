@@ -279,21 +279,13 @@ def load_document(text: str):
 
 # -- DOT ------------------------------------------------------------------
 
-def _digraph(name: str, head, labels, edges) -> str:
-    """Nodes n0, n1, ... labelled by labels, edges (a, b) as n<a> -> n<b>;
-    the graph name and every label quoted with \\ and " escaped."""
+def lattice_dot(L: FiniteLattice, name: str = "lattice") -> str:
+    """Hasse diagram, bottom at the bottom: nodes n0, n1, ... labelled by
+    the element names, one edge per covering pair; the graph name and
+    every label quoted with \\ and " escaped."""
     def quote(text):
         return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    out = [f"digraph {quote(name)} {{", *head]
-    out += [f"  n{i} [label={quote(nm)}];" for i, nm in enumerate(labels)]
-    out += [f"  n{a} -> n{b};" for a, b in edges]
+    out = [f"digraph {quote(name)} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
+    out += [f"  n{i} [label={quote(nm)}];" for i, nm in enumerate(L.names)]
+    out += [f"  n{a} -> n{b};" for a, b in L.covers()]
     return "\n".join(out + ["}"]) + "\n"
-
-
-def lattice_dot(L: FiniteLattice, name: str = "lattice") -> str:
-    """Hasse diagram, bottom at the bottom."""
-    return _digraph(name, ["  rankdir=BT;", "  node [shape=plaintext];"], L.names, L.covers())
-
-
-def frame_dot(f: RelationalFrame, name: str = "frame") -> str:
-    return _digraph(name, ["  node [shape=circle];"], f.names, f.edges())

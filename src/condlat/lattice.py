@@ -191,6 +191,17 @@ def first_violation(n: int, arity: int, violates, block=None):
     return v
 
 
+def index_pairs(pairs, n, error, what):
+    """The (u, v) pairs as int pairs, each side an index in range(n); a
+    pair with any other side raises error "... references unknown <what>"."""
+    out = []
+    for u, v in pairs:
+        if not all(isinstance(x, (int, np.integer)) and 0 <= x < n for x in (u, v)):
+            raise error(f"pair {(u, v)!r} references unknown {what}")
+        out.append((int(u), int(v)))
+    return out
+
+
 class FiniteLattice:
     """A bounded lattice with precomputed order masks and meet/join tables."""
 
@@ -335,20 +346,6 @@ class FiniteLattice:
     def atoms(self):
         return [b for (a, b) in self.covers() if a == self.bottom]
 
-    def distributivity_witness(self):
-        """The first triple (a, b, c) violating a∧(b∨c) = (a∧b)∨(a∧c), or None."""
-
-        def fails(M, J, v):
-            a, b, c = v
-            return M[a][J[b][c]] != J[M[a][b]][M[a][c]]
-
-        return first_violation(
-            self.n, 3, lambda v: fails(self.meet_table, self.join_table, v),
-            lambda *v: fails(Rows(self.meet_array), Rows(self.join_array), v))
-
-    def is_distributive(self) -> bool:
-        return self.distributivity_witness() is None
-
     def complement_map(self):
         """The least-indexed complement of each element (the first b with
         a∧b = bottom and a∨b = top, read off a's meet and join rows), or
@@ -371,10 +368,10 @@ class FiniteLattice:
 
     @classmethod
     def from_leq(cls, names, leq_pairs):
-        """Build from arbitrary (a, b) pairs meaning a <= b; closure is taken."""
+        """Build from arbitrary (a, b) index pairs meaning a <= b; closure is taken."""
         names = tuple(names)
         rows = [0] * len(names)
-        for a, b in leq_pairs:
+        for a, b in index_pairs(leq_pairs, len(names), NotAPartialOrder, "elements"):
             rows[a] |= 1 << b
         return cls(names, rows)
 

@@ -321,10 +321,6 @@ def check_axioms(op: ConditionalOp, axioms) -> AxiomReport:
     return AxiomReport({ax: check_axiom(op, ax) for ax in axioms})
 
 
-def check_preconditional(op: ConditionalOp) -> AxiomReport:
-    return check_axioms(op, PRECONDITIONAL_AXIOMS)
-
-
 def require_own_lattice(lattice: FiniteLattice, op: ConditionalOp):
     """Refuse a lattice other than the one op's table is over.  A lattice
     built separately with the same names and order is the same one."""
@@ -335,40 +331,11 @@ def require_own_lattice(lattice: FiniteLattice, op: ConditionalOp):
 
 
 def require_preconditional(op: ConditionalOp):
-    report = check_preconditional(op)
+    report = check_axioms(op, PRECONDITIONAL_AXIOMS)
     if not report.ok:
         first = report.failing()[0]
         raise NotAPreconditional(first.describe(op.lattice.names))
     return report
-
-
-@dataclass(frozen=True)
-class FlatteningReport:
-    equation: AxiomCheck      # the full equation (FLAT)
-    forward: AxiomCheck       # the P5 inclusion
-    reverse_holds: bool       # (a ∧ b) -> c  <=  a -> ((a ∧ b) -> c)
-    reverse_witness: tuple | None
-
-    @property
-    def holds(self):
-        return self.equation.holds
-
-
-def check_flattening(op: ConditionalOp) -> FlatteningReport:
-    """The flattening equation, plus each inclusion separately."""
-    eq = check_axiom(op, Axiom.FLAT)
-    fwd = check_axiom(op, Axiom.P5)
-    L = op.lattice
-
-    def reverse_fails(M, T, v):
-        # P5 with its two sides swapped
-        lhs, rhs = _p5(L, M, T, v)
-        return _fails(M, rhs, lhs, "le")
-
-    rev_w = first_violation(
-        L.n, 3, lambda v: reverse_fails(L.meet_table, op.table, v),
-        lambda *v: reverse_fails(Rows(L.meet_array), Rows(op.table_array), v))
-    return FlatteningReport(eq, fwd, rev_w is None, rev_w)
 
 
 # -- unary tables: precomplementations and orthocomplementations -------

@@ -53,17 +53,15 @@ def _mask(worlds) -> int:
 class ConfidenceSpace:
     """Parameters of the measure family, all exact rationals.
 
-    ``empty_antecedent_total`` governs worlds where the antecedent has
-    measure zero (with positive other_mass that is only the empty set):
-    True puts every such world in the conditional, False keeps them all
-    out.  The definition itself is silent there; this knob is ours.
+    Where the antecedent has measure zero at a world (with positive
+    other_mass that is only the empty set), the threshold test reads
+    0 >= 0 and holds, so every such world is in the conditional.
     """
 
     world_count: int
     self_mass: Fraction
     other_mass: Fraction
     threshold: Fraction
-    empty_antecedent_total: bool = True
 
     def __post_init__(self):
         n = self.world_count
@@ -112,7 +110,7 @@ class ConfidenceSpace:
 
     def cond_prob(self, w: int, B: int, A: int) -> Fraction:
         """mu_w(B | A); conditioning on a null set is an error here,
-        the knob on the space only shapes the arrow."""
+        where the arrow holds at every world."""
         base = self.measure(w, A)
         if base == 0:
             raise ConditioningOnNull(f"mu_{w}(A) = 0 for A = {A:#x}")
@@ -142,8 +140,7 @@ class ConfidenceSpace:
             return (np.bitwise_count(S).astype(exact) * o
                     + (S >> worlds & 1).astype(exact) * (s - o))
 
-        base = weight(A)
-        hit = np.where(base == 0, self.empty_antecedent_total, td * weight(AB) >= tn * base)
+        hit = td * weight(AB) >= tn * weight(A)
         return hit.astype(np.int64) @ (1 << worlds)
 
 
@@ -151,7 +148,6 @@ def confidence_space(
     world_count: int = 11,
     self_mass: Fraction = Fraction(9, 10),
     threshold: Fraction = Fraction(9, 10),
-    empty_antecedent_total: bool = True,
 ) -> ConfidenceSpace:
     """Spread the remaining mass evenly; defaults are the reference
     11-world configuration (self 9/10, others 1/100 each)."""
@@ -162,9 +158,7 @@ def confidence_space(
         other = Fraction(0)
     else:
         other = (1 - self_mass) / (world_count - 1)
-    return ConfidenceSpace(
-        world_count, self_mass, other, Fraction(threshold), empty_antecedent_total
-    )
+    return ConfidenceSpace(world_count, self_mass, other, Fraction(threshold))
 
 
 # the stock normality failure: A = all but world 0, B and C each drop one
@@ -208,12 +202,9 @@ def arrow_table(space: ConfidenceSpace) -> np.ndarray:
     def clears(num, den):
         return td * num >= tn * den
 
-    def off(a, k):   # w outside A; a null antecedent goes by the knob
-        return clears(k * o, a * o) if a * o else space.empty_antecedent_total
-
     both = _cuts(n, lambda a, k: clears(s + (k - 1) * o, s + (a - 1) * o))
     only_a = _cuts(n, lambda a, k: clears(k * o, s + (a - 1) * o))
-    neither = _cuts(n, off)
+    neither = _cuts(n, lambda a, k: clears(k * o, a * o))
 
     N = 1 << n
     masks = np.arange(N, dtype=np.uint16)

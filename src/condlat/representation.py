@@ -141,12 +141,6 @@ def _dissonant(L: FiniteLattice, T, i: int) -> int:
                       for b in range(L.n)))
 
 
-def consonant(lattice: FiniteLattice, op: ConditionalOp, f: int, i: int) -> bool:
-    """Does f <= a and a ∧ b <= i force (a -> b) <= i?"""
-    require_own_lattice(lattice, op)
-    return lattice.up_mask(f) & _dissonant(lattice, op.table, i) == 0
-
-
 def _consonant_pairs(L: FiniteLattice, op: ConditionalOp) -> tuple:
     """Every consonant (f, i) pair, sorted."""
     bad = [_dissonant(L, op.table, i) for i in range(L.n)]

@@ -4,12 +4,14 @@ Given a finite lattice, a set of axioms that must hold and a set that
 must fail, the engine first drops every instance that holds on every
 table, so a forbidden axiom with no instance left settles the spec with
 no node searched.  It then filters each cell's domain at the root with
-the instances that read that one cell alone (P1, P2, MP, WM, SEMI, ID):
-a required instance removes the values that violate it and is not
-looked at again, and a forbidden axiom of such instances that no value
-left can violate settles the spec as well (Zhang & Zhang's SEM and
-McCune's Mace4 delete true ground instances and filter domains the same
-way).  Finally it assigns table entries in row-major order with ascending
+every axiom whose kept instances are each decided once the cell that
+triggers it alone is assigned (read off the plan, not listed: on every
+lattice of two to six elements, P1, P2, MP, WM, SEMI and ID): a
+required instance removes the values that violate it and is not looked
+at again, and a forbidden axiom of such instances that no value left
+can violate settles the spec as well (Zhang & Zhang's SEM and McCune's
+Mace4 delete true ground instances and filter domains the same way).
+Finally it assigns table entries in row-major order with ascending
 values, so the first witness is the lexicographically first table with
 the profile.
 
@@ -34,8 +36,9 @@ is worked out once per lattice object and axiom, as a plan, and kept
 for as long as that lattice object lives, as are the lattice's padded
 tables.  A plan holds the instances that fail on some table, in product
 order, each one's trigger (the last cell it reads at fixed indices: its
-wait cell on the blank table), and for a single-cell axiom the values
-each cell may take under it.  Whether an instance can fail is decided
+wait cell on the blank table), and, when every kept instance is
+decided with its trigger cell alone assigned, the values each cell may
+take under the axiom.  Whether an instance can fail is decided
 by the waiting mechanism itself: on the blank table, and while it
 waits, at each value of its wait cell in turn.  A spec's instances are
 its plans concatenated in ``require + forbid`` order, and a forbid's
@@ -61,14 +64,10 @@ from itertools import permutations, product
 
 from .errors import BudgetExhausted, InternalInconsistency, MissingBound, NotALattice, TooLarge
 from .lattice import FiniteLattice, chain
-from .ops import AXIOM_DEFS, BINARY_AXIOMS, Axiom, ConditionalOp, _fails, check_axioms
+from .ops import AXIOM_DEFS, BINARY_AXIOMS, ConditionalOp, _fails, check_axioms
 
 SEARCH_SIZE_LIMIT = 6
 DEFAULT_NODE_BUDGET = 5_000_000
-
-# axioms each of whose instances reads exactly one table cell, whose
-# position depends on the instance alone
-_SINGLE_CELL = frozenset((Axiom.P1, Axiom.P2, Axiom.MP, Axiom.WM, Axiom.SEMI, Axiom.ID))
 
 
 def _normalize(axioms) -> tuple:
@@ -158,8 +157,9 @@ class _Plan:
     args: tuple            # instance tuples that fail on some table, in
                            # product order
     triggers: tuple        # each instance's trigger cell on the empty table
-    allowed: tuple | None  # _SINGLE_CELL: per cell, the values every instance
-                           # triggered there holds at; None otherwise
+    allowed: tuple | None  # per cell, the values every instance triggered
+                           # there holds at, when each instance is decided by
+                           # its trigger cell alone; None otherwise
 
 
 def _plan(L: FiniteLattice, ax) -> _Plan:
@@ -199,7 +199,7 @@ def _build_plan(L: FiniteLattice, ax) -> _Plan:
     args = tuple(v for v in product(range(n), repeat=d.arity)
                  if not _holds_always(L, M, t, d, v))
     triggers = tuple(max(d.eval(L, M, t, v)) - n for v in args)
-    if ax not in _SINGLE_CELL:
+    if not args:
         return _Plan(args, triggers, None)
     allowed = [set(range(n)) for _ in range(n * n)]
     for v, cell in zip(args, triggers):
@@ -208,8 +208,8 @@ def _build_plan(L: FiniteLattice, ax) -> _Plan:
             t[a][b] = x
             lhs, rhs = d.eval(L, M, t, v)
             if max(lhs, rhs) >= n:
-                raise InternalInconsistency(f"{ax} at {v} is undecided with its "
-                                            f"one cell {(a, b)} assigned")
+                # v reads a second cell: no domain filter for this axiom
+                return _Plan(args, triggers, None)
             if _fails(M, lhs, rhs, d.relation):
                 allowed[cell].discard(x)
         t[a][b] = n + cell

@@ -26,7 +26,11 @@ are functional and strongly dense, and their conditionals flatten.
 passes the core axioms together with MP, ID, NORM and negation import
 (taken with the Boolean complement) is turned into a selection frame on
 its atoms, and the frame's conditional is verified to transport back to
-the original table.
+the original table.  Booleanness is decided by the atom masks alone:
+each element is sent to the set of atoms below it, which turns meets
+into intersections, so the lattice is Boolean exactly when that map is
+a bijection onto the 2^k sets of its k atoms; the complement of e is
+then the element whose atom set is the complement of e's.
 
 ``SelectionFrame.arrows`` is the package's one selection conditional,
 written on integer arrays of subset masks; the scalar ``arrow`` reads it
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from random import Random
 
 import numpy as np
 
@@ -282,9 +285,17 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
     """
     require_own_lattice(lattice, op)
     L, T = lattice, op.table
-    neg = L.complement_map() if L.is_distributive() else None
-    if neg is None:
+    # Boolean exactly when the atom sets of the elements are the 2^k
+    # subsets of the k atoms, each once (module docstring)
+    atoms = tuple(L.atoms())
+    k = len(atoms)
+    element_mask = tuple(sum(1 << p for p, a in enumerate(atoms) if L.leq(a, e))
+                         for e in range(L.n))
+    element_of = {m: e for e, m in enumerate(element_mask)}
+    if len(element_of) != L.n or L.n != 1 << k:
         raise NotBoolean(f"{L!r} is not a Boolean algebra")
+    full = (1 << k) - 1
+    neg = [element_of[full ^ m] for m in element_mask]
     report = check_axioms(op, BA_AXIOMS)
     if not report.ok:
         bad = report.failing()[0]
@@ -306,18 +317,7 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
             f" complement fails at ({L.names[bad[0]]},{L.names[bad[1]]})"
         )
 
-    atoms = tuple(L.atoms())
-    k = len(atoms)
-    pos = {a: p for p, a in enumerate(atoms)}
-    element_mask = tuple(
-        sum(1 << pos[a] for a in atoms if L.leq(a, e)) for e in range(L.n)
-    )
-    element_of = {m: e for e, m in enumerate(element_mask)}
-    if len(element_of) != L.n or len(element_of) != 1 << k:
-        raise InternalInconsistency("atom masks do not enumerate the powerset")
-
     # w selects within the meet of the b with w <= a -> b, as a mask over atoms
-    full = (1 << k) - 1
     antecedents = [element_of[A] for A in range(1 << k)]
     sees = L.leq_array[np.array(atoms, dtype=np.intp)[:, None],
                        op.table_array[antecedents, None, :]]
@@ -338,23 +338,3 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
             f"transported conditional differs at ({L.names[bad[0]]},{L.names[bad[1]]})"
         )
     return SelectionModel(frame, atoms, element_mask)
-
-
-def random_centered_frame(rng: Random, k: int) -> SelectionFrame:
-    """A random frame with success and centering; worlds outside the
-    antecedent select one random member with probability 0.7, else
-    nothing.  Not strongly dense in general; callers filter."""
-    _guard_worlds(k)
-    rel = []
-    for A in range(1 << k):
-        members = [v for v in range(k) if A >> v & 1]
-        row = []
-        for w in range(k):
-            if A >> w & 1:
-                row.append(1 << w)
-            elif members and rng.random() < 0.7:
-                row.append(1 << rng.choice(members))
-            else:
-                row.append(0)
-        rel.append(tuple(row))
-    return SelectionFrame(tuple(f"w{i}" for i in range(k)), tuple(rel))

@@ -1,4 +1,5 @@
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -6,7 +7,7 @@ from condlat import catalog
 from condlat.frames import RelationalFrame
 from condlat.lattice import FiniteLattice
 from condlat.ops import Axiom
-from condlat.selection import SelectionFrameReport
+from condlat.selection import SelectionFrame, SelectionFrameReport, _guard_worlds
 
 
 @pytest.fixture
@@ -127,6 +128,26 @@ def definition_check_frame(frame):
         (func_w is None, func_w),
         (dens_w is None, dens_w),
     )
+
+
+def random_centered_frame(rng: Random, k: int) -> SelectionFrame:
+    """A random frame with success and centering; worlds outside the
+    antecedent select one random member with probability 0.7, else
+    nothing.  Not strongly dense in general; callers filter."""
+    _guard_worlds(k)
+    rel = []
+    for A in range(1 << k):
+        members = [v for v in range(k) if A >> v & 1]
+        row = []
+        for w in range(k):
+            if A >> w & 1:
+                row.append(1 << w)
+            elif members and rng.random() < 0.7:
+                row.append(1 << rng.choice(members))
+            else:
+                row.append(0)
+        rel.append(tuple(row))
+    return SelectionFrame(tuple(f"w{i}" for i in range(k)), tuple(rel))
 
 
 class TamperedFrame(RelationalFrame):

@@ -27,6 +27,15 @@ def test_frame_construction_and_relation():
     assert fr2.related(0, 0) and fr2.related(1, 1)
 
 
+@pytest.mark.parametrize("bad", [(0, -1), (-1, 0), (0, 2), ("z", 0), (0, "z")],
+                         ids=["negative-target", "negative-source", "past-the-end",
+                              "unknown-name-source", "unknown-name-target"])
+def test_from_edges_refuses_references_outside_the_points(bad):
+    with pytest.raises(WidthMismatch, match=r"references unknown points$"):
+        RelationalFrame.from_edges(("x", "y"), [bad])
+    assert RelationalFrame.from_edges(("x", "y"), [("x", 1)]).edges() == [(0, 1)]
+
+
 def test_frame_validation():
     with pytest.raises(WidthMismatch):
         RelationalFrame((), ())

@@ -7,7 +7,6 @@ from condlat.io import (
     FrameDocument,
     LatticeDocument,
     SelectionDocument,
-    frame_dot,
     lattice_dot,
     load_document,
     parse_frame,
@@ -161,14 +160,12 @@ def test_selection_duplicate_subset_rejected():
         parse_selection(text)
 
 
-def test_dot_outputs(quad_frame):
+def test_dot_outputs():
     e = catalog.entry("sasaki-M4")
     dot = lattice_dot(e.lattice, "m4")
     assert dot.startswith('digraph "m4"')
     # one arrow per covering pair
     assert dot.count("->") == len(e.lattice.covers())
-    fdot = frame_dot(quad_frame, "quad")
-    assert fdot.count("->") == len(quad_frame.edges())
 
 
 def test_dot_escapes_quotes_and_backslashes_in_names_and_labels():
@@ -176,10 +173,11 @@ def test_dot_escapes_quotes_and_backslashes_in_names_and_labels():
     dot = lattice_dot(doc.lattice, doc.name).splitlines()
     assert dot[0] == r'digraph "x\"y\\z" {'
     assert r'  n1 [label="a\"b"];' in dot
-    fdot = frame_dot(parse_frame('frame q"\npoints p\\ "\nedge p\\ "\n').frame, 'q"')
-    assert fdot.splitlines() == [r'digraph "q\"" {', "  node [shape=circle];",
-                                 r'  n0 [label="p\\"];', r'  n1 [label="\""];',
-                                 "  n0 -> n1;", "}"]
+    dot = lattice_dot(parse_lattice('lattice q"\nelements p\\ "\ncover p\\ "\n').lattice, 'q"')
+    assert dot.splitlines() == [r'digraph "q\"" {', "  rankdir=BT;",
+                                "  node [shape=plaintext];",
+                                r'  n0 [label="p\\"];', r'  n1 [label="\""];',
+                                "  n0 -> n1;", "}"]
 
 
 def test_load_document_dispatch(quad_frame):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from condlat.errors import (
+    CondlatError,
     MissingBound,
     NotALattice,
     NotAPartialOrder,
+    NotBoolean,
     TooLarge,
 )
 from condlat.lattice import (
@@ -17,11 +19,13 @@ from condlat.lattice import (
     antichain_bounded,
     boolean_algebra,
     chain,
+    first_violation,
     grid_axes,
 )
 from condlat import catalog
 from condlat.frames import fixpoints, random_frame
 from condlat.search import enumerate_lattices
+from condlat.ops import ConditionalOp
 from condlat.selection import ba_to_selection, from_well_order, induced_conditional
 from conftest import find_isomorphism
 
@@ -51,7 +55,7 @@ def test_boolean_algebra_is_subset_order():
             assert B.leq(a, b) == (a & ~b == 0)
             assert B.meet(a, b) == a & b
             assert B.join(a, b) == a | b
-    assert B.is_distributive() and B.complement_map() is not None
+    assert _first_distributivity_failure(B) is None
     assert B.complement_map() == tuple(7 ^ a for a in range(8))
     assert B.names[0] == "0" and B.names[7] == "pqr"
 
@@ -120,8 +124,7 @@ def test_antichain_m3_not_distributive():
     M3 = antichain_bounded(("a", "b", "c"))
     assert M3.n == 5
     assert M3.atoms() == [1, 2, 3]
-    assert not M3.is_distributive()
-    a, b, c = M3.distributivity_witness()
+    a, b, c = _first_distributivity_failure(M3)
     assert (a, b, c) == (1, 2, 3)
     lhs = M3.meet(a, M3.join(b, c))
     rhs = M3.join(M3.meet(a, b), M3.meet(a, c))
@@ -132,10 +135,8 @@ def test_pentagon_not_distributive_but_complemented():
     N5 = FiniteLattice.from_cover(
         ("0", "a", "b", "c", "1"), [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)]
     )
-    assert not N5.is_distributive()
-    assert N5.distributivity_witness() == (3, 1, 2)
+    assert _first_distributivity_failure(N5) == (3, 1, 2)
     assert N5.complement_map() is not None
-    assert not (N5.is_distributive() and N5.complement_map() is not None)
 
 
 def test_rejections_have_specific_types():
@@ -197,6 +198,14 @@ def test_from_leq_takes_closure():
     assert L.top == 2
 
 
+@pytest.mark.parametrize("bad", [(-3, 1), (0, -1), (3, 1), ("z", 1), (0, "z")],
+                         ids=["negative-below", "negative-above", "past-the-end",
+                              "unknown-name-below", "unknown-name-above"])
+def test_from_leq_refuses_references_outside_the_elements(bad):
+    with pytest.raises(NotAPartialOrder, match=r"references unknown elements$"):
+        FiniteLattice.from_leq(("a", "b", "c"), [(0, 1), (1, 2), bad])
+
+
 def test_up_down_masks_are_consistent():
     M3 = antichain_bounded(("x", "y", "z"))
     for a in range(M3.n):
@@ -239,18 +248,58 @@ DISTRIBUTIVITY_CASES = {
 }
 
 
+def _distributivity_witness(L):
+    """The first triple violating a∧(b∨c) = (a∧b)∨(a∧c) by first_violation:
+    the scan below GRID_MIN_INSTANCES triples, numpy blocks above."""
+
+    def fails(M, J, v):
+        a, b, c = v
+        return M[a][J[b][c]] != J[M[a][b]][M[a][c]]
+
+    return first_violation(
+        L.n, 3, lambda v: fails(L.meet_table, L.join_table, v),
+        lambda *v: fails(Rows(L.meet_array), Rows(L.join_array), v))
+
+
 @pytest.mark.parametrize("name", DISTRIBUTIVITY_CASES)
 def test_distributivity_witness_is_the_first_failure(name):
     L = DISTRIBUTIVITY_CASES[name]
-    assert L.distributivity_witness() == _first_distributivity_failure(L)
+    assert _distributivity_witness(L) == _first_distributivity_failure(L)
 
 
 def test_distributivity_cases_cover_both_verdicts():
-    got = {name: L.distributivity_witness() for name, L in DISTRIBUTIVITY_CASES.items()}
+    got = {name: _first_distributivity_failure(L) for name, L in DISTRIBUTIVITY_CASES.items()}
     assert got["B64"] is None
     assert all(got[f"fixpoints-seed{s}"] is not None for s in (4, 9, 17, 22))
     assert any(w is None for name, w in got.items() if name.startswith("n5"))
     assert any(w is not None for name, w in got.items() if name.startswith("n5"))
+
+
+BOOLEAN_TRIALS = {
+    **DISTRIBUTIVITY_CASES,
+    **{f"n6-{i}": L for i, L in enumerate(enumerate_lattices(6))},
+    **{f"catalog-{e.name}": e.lattice for e in catalog.ENTRIES},
+    **{f"B{1 << k}": boolean_algebra("pqrstu"[:k]) for k in range(7)},
+}
+
+
+def test_round_trip_refuses_exactly_the_lattices_that_are_not_boolean():
+    # the atom masks against "distributive and complemented"; a Boolean
+    # lattice goes on to the axiom checks, where its meet table may fail
+    boolean = 0
+    for name, L in BOOLEAN_TRIALS.items():
+        want = _first_distributivity_failure(L) is None and L.complement_map() is not None
+        try:
+            ba_to_selection(L, ConditionalOp(L, L.meet_table))
+            refused = False
+        except NotBoolean as exc:
+            assert str(exc) == f"{L!r} is not a Boolean algebra"
+            refused = True
+        except CondlatError:
+            refused = False
+        assert refused != want, name
+        boolean += want
+    assert (len(BOOLEAN_TRIALS), boolean) == (56, 19)
 
 
 def test_numpy_views_match_the_tables():

@@ -23,9 +23,11 @@ from condlat.lattice import (
     BLOCK_CELLS,
     GRID_MIN_INSTANCES,
     FiniteLattice,
+    Rows,
     antichain_bounded,
     boolean_algebra,
     chain,
+    first_violation,
     grid_first_violation,
     scan_grid,
 )
@@ -41,7 +43,6 @@ from condlat.ops import (
     UnaryOp,
     check_axiom,
     check_axioms,
-    check_flattening,
     classify,
     from_precomplementation,
     heyting_residual,
@@ -403,11 +404,15 @@ def test_distributivity_on_grown_blocks_names_a_violation_at_each_block_start():
             M[a][63] = 0
         else:
             M[0][1] = 1
-        stub = SimpleNamespace(n=64, meet_table=M, join_table=B6.join_table,
-                               meet_array=np.array(M, np.uint8), join_array=B6.join_array)
         J = B6.join_table
-        got = FiniteLattice.distributivity_witness(stub)
-        scan = _product_scan(stub, 3, "eq",
+
+        def fails(M, J, v):
+            x, y, z = v
+            return M[x][J[y][z]] != J[M[x][y]][M[x][z]]
+
+        got = first_violation(64, 3, lambda v: fails(M, J, v), lambda *v: fails(
+            Rows(np.array(M, np.uint8)), Rows(B6.join_array), v))
+        scan = _product_scan(SimpleNamespace(n=64), 3, "eq",
                              lambda x, y, z: (M[x][J[y][z]], J[M[x][y]][M[x][z]]))
         assert got is not None and got[0] == a and scan[1] == got, a
 
@@ -457,31 +462,29 @@ def test_meet_is_a_preconditional_on_any_lattice():
 # -- flattening ---------------------------------------------------------
 
 def test_flattening_report_routes_agree():
+    # FLAT is the equation whose one inclusion is P5
     op = catalog.entry("residual-3chain").conditional
-    rep = check_flattening(op)
-    assert rep.holds and rep.forward.holds and rep.reverse_holds
+    assert check_axiom(op, Axiom.FLAT).holds and check_axiom(op, Axiom.P5).holds
 
     broken = catalog.entry("collapse-step-3chain").conditional
-    rep = check_flattening(broken)
-    assert not rep.forward.holds
-    assert not rep.holds
-    # FLAT and the P5 inclusion must agree whenever the reverse holds
-    if rep.reverse_holds:
-        assert rep.equation.holds == rep.forward.holds
+    assert not check_axiom(broken, Axiom.P5).holds
+    assert not check_axiom(broken, Axiom.FLAT).holds
 
 
 @pytest.mark.parametrize("name", GRID_TABLES)
 def test_reverse_flattening_witness_is_the_first_failure(name):
+    # FLAT fails first where P5 or its reverse inclusion first fails
     op = GRID_TABLES[name]
     L, T = op.lattice, op.table
-    first = None
+    reverse = None
     for a, b, c in product(range(L.n), repeat=3):
         inner = T[L.meet(a, b)][c]
         if not L.leq(inner, T[a][inner]):
-            first = (a, b, c)
+            reverse = (a, b, c)
             break
-    rep = check_flattening(op)
-    assert (rep.reverse_holds, rep.reverse_witness) == (first is None, first)
+    p5 = check_axiom(op, Axiom.P5).witness
+    firsts = [w for w in (p5, reverse) if w is not None]
+    assert check_axiom(op, Axiom.FLAT).witness == (min(firsts) if firsts else None)
 
 
 # -- precomplementations ------------------------------------------------

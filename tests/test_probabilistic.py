@@ -101,14 +101,14 @@ def test_arrow_thresholding(space):
     assert space.arrow(A, B) == space.full & ~(1 << 10)
 
 
-def test_empty_antecedent_knob():
-    total = confidence_space()
-    assert total.arrow(0, 0) == total.full
-    partial = confidence_space(empty_antecedent_total=False)
-    assert partial.arrow(0, 0) == 0
-    # nonempty antecedents are unaffected by the knob
-    A = 0b110
-    assert total.arrow(A, A) == partial.arrow(A, A)
+def test_empty_antecedent_puts_every_world_in_the_arrow():
+    space = confidence_space()
+    assert space.arrow(0, 0) == space.full
+    assert arrow_table(space)[0, 0] == space.full
+    # with self mass 1 every world outside A gives A measure zero
+    certain = ConfidenceSpace(4, F(1), F(0), F(1))
+    assert certain.arrow(0b0011, 0) == 0b1100
+    assert arrow_table(certain)[0b0011, 0] == 0b1100
 
 
 def test_identity_and_detachment_examples(space):
@@ -259,10 +259,7 @@ def loop_arrow_table(space):
         m_ab = m_ab_base + (sm - om) * (AB >> w & 1)
         m_a = m_a_base + (sm - om) * (masks >> w & 1)[:, None]
         ok = td * m_ab >= tn * m_a
-        if space.empty_antecedent_total:
-            ok |= m_a == 0
-        else:
-            ok &= m_a != 0
+        ok |= m_a == 0
         table |= ok.astype(np.uint16) << w
     return table
 
@@ -272,15 +269,16 @@ def seeded_spaces(seed, count, max_worlds):
     for _ in range(count):
         k = int(rng.integers(1, max_worlds + 1))
         self_mass = F(int(rng.integers(1, 21)), 20) if k > 1 else F(1)
-        yield confidence_space(k, self_mass, F(int(rng.integers(1, 21)), 20),
-                               bool(rng.integers(0, 2)))
+        threshold = F(int(rng.integers(1, 21)), 20)
+        rng.integers(0, 2)  # a spent draw: the spaces after it stay the same
+        yield confidence_space(k, self_mass, threshold)
 
 
 def fraction_arrow(space, A, B):
     """The arrow straight from the definition, in Fraction arithmetic:
     mu_w({w}) = self_mass, mu_w({v}) = other_mass for v != w, and w is
-    in the result when mu_w(B|A) >= threshold; a null antecedent goes by
-    empty_antecedent_total."""
+    in the result when mu_w(B|A) >= threshold, and always when mu_w(A)
+    is 0."""
     def mu(w, S):
         return sum((space.self_mass if v == w else space.other_mass)
                    for v in range(space.world_count) if S >> v & 1)
@@ -288,8 +286,7 @@ def fraction_arrow(space, A, B):
     out = 0
     for w in range(space.world_count):
         base = mu(w, A)
-        hit = (space.empty_antecedent_total if base == 0
-               else mu(w, A & B) / base >= space.threshold)
+        hit = base == 0 or mu(w, A & B) / base >= space.threshold
         out |= hit << w
     return out
 
@@ -301,8 +298,8 @@ def overflowing_spaces():
     threshold at its self mass, where some confidences land exactly on
     it."""
     q = 10 ** 30 + 7
-    for k, threshold, total in ((4, F(q // 2 + 1, q), True), (5, F(q - 5, q), False)):
-        sp = confidence_space(k, F(q - k, q), threshold, total)
+    for k, threshold in ((4, F(q // 2 + 1, q)), (5, F(q - 5, q))):
+        sp = confidence_space(k, F(q - k, q), threshold)
         assert threshold.denominator * lcm(sp.self_mass.denominator,
                                            sp.other_mass.denominator) >= 1 << 62
         yield sp
@@ -312,11 +309,9 @@ def test_scalar_array_and_table_routes_match_the_fraction_definition():
     """The scalar arrow, the array route on the whole (A, B) grid and the
     table, against the per-world Fraction definition on every cell."""
     spaces = list(seeded_spaces(17, 12, 6))
-    spaces += [confidence_space(k, 1 if k == 1 else F(3, 4), F(3, 4), total)
-               for k in range(1, 7) for total in (True, False)]
+    spaces += [confidence_space(k, 1 if k == 1 else F(3, 4), F(3, 4)) for k in range(1, 7)]
     # self mass 1: every world outside A has a null antecedent
-    spaces += [ConfidenceSpace(4, F(1), F(0), t, total)
-               for t in (F(1, 2), F(1)) for total in (True, False)]
+    spaces += [ConfidenceSpace(4, F(1), F(0), t) for t in (F(1, 2), F(1))]
     spaces += list(overflowing_spaces())
     for sp in spaces:
         N = 1 << sp.world_count
@@ -332,8 +327,7 @@ def test_scalar_array_and_table_routes_match_the_fraction_definition():
 
 def test_closed_form_table_matches_per_world_loop():
     spaces = list(seeded_spaces(3, 60, 9))
-    spaces += [confidence_space(), confidence_space(empty_antecedent_total=False),
-               confidence_space(1, 1, F(1, 2), False)]
+    spaces += [confidence_space(), confidence_space(1, 1, F(1, 2))]
     for sp in spaces:
         table = arrow_table(sp)
         assert table.dtype == np.uint16

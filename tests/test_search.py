@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from condlat import search
-from condlat.errors import BudgetExhausted, InternalInconsistency, TooLarge
+from condlat.errors import BudgetExhausted, TooLarge
 from condlat.lattice import FiniteLattice, boolean_algebra, chain
 from condlat.ops import (
     AXIOM_DEFS,
@@ -238,7 +238,7 @@ def test_every_require_forbid_pair_matches_brute_force_on_2chain():
 
 # The partial-table adapter: a second reader of partial tables that shares
 # no code with the search's coded one, kept as the oracle for its wait
-# cells, its plan triggers and ``search._SINGLE_CELL``.
+# cells, its plan triggers and the axioms whose plans filter domains.
 
 class _PartialRow:
     """Row a of a partial table as the adapter reads it: an unassigned
@@ -300,12 +300,24 @@ def _reads_one_cell_alone(L, d, v):
     return True
 
 
+def _single_cell(L, ax):
+    """Whether ax keeps an instance on L and every instance it keeps reads
+    one cell alone, by the adapter: then its plan filters domains."""
+    kept = _violable(L, ax)
+    return bool(kept) and all(_reads_one_cell_alone(L, AXIOM_DEFS[ax], v) for v in kept)
+
+
 def test_single_cell_axioms_are_those_the_adapter_finds():
-    found = {ax for ax in BINARY_AXIOMS
-             if all(_reads_one_cell_alone(L, AXIOM_DEFS[ax], v)
-                    for _label, L in INVENTORY
-                    for v in product(range(L.n), repeat=AXIOM_DEFS[ax].arity))}
-    assert found == search._SINGLE_CELL
+    lattices = INVENTORY + tuple((f"n6-{i}", L) for i, L in enumerate(enumerate_lattices(6)))
+    found = {}
+    for label, L in lattices:
+        single = tuple(ax for ax in BINARY_AXIOMS if _single_cell(L, ax))
+        assert single == tuple(ax for ax in BINARY_AXIOMS
+                               if search._plan(L, ax).allowed is not None), label
+        found.setdefault(single, []).append(label)
+    # the point keeps no instance at all; everywhere else, the same six
+    six = (Axiom.P1, Axiom.P2, Axiom.MP, Axiom.WM, Axiom.SEMI, Axiom.ID)
+    assert found == {(): ["point"], six: [label for label, _L in lattices[1:]]}
 
 
 def test_coded_reader_agrees_with_the_adapter_on_partial_tables():
@@ -485,7 +497,7 @@ def _oracle_root(spec):
         t[a][b] = None
         return ok
 
-    single = search._SINGLE_CELL
+    single = {ax for ax in spec.require + spec.forbid if _single_cell(L, ax)}
     for cell in range(ncells):
         filters = {i for i in bucket[cell] if inst[i][2] and inst[i][0] in single}
         if filters:
@@ -518,7 +530,7 @@ def _assert_plan_matches_oracle(L, ax):
     n = L.n
     inst, bucket = _oracle_instances(spec, _adapter(L, [[None] * n for _ in range(n)]))
     trigger = {i: c for c, b in enumerate(bucket) for i in b}
-    if ax in search._SINGLE_CELL:
+    if _single_cell(L, ax):
         # required alone, the axiom's root filter leaves each cell the
         # values at which all its instances there hold
         _inst, _bucket, domains = _oracle_root(spec)
@@ -533,15 +545,6 @@ def _assert_plan_matches_oracle(L, ax):
 def test_plans_match_the_per_spec_root_pass(label, lattice):
     for ax in BINARY_AXIOMS:
         _assert_plan_matches_oracle(lattice, ax)
-
-
-def test_plan_refuses_a_single_cell_axiom_that_reads_a_second_cell(monkeypatch):
-    # P5 reads T[a][T[a ∧ b][c]]: with the inner cell assigned it still
-    # waits on the outer one, so it cannot filter a domain at the root
-    monkeypatch.setattr(search, "_PLANS", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(search, "_SINGLE_CELL", search._SINGLE_CELL | {Axiom.P5})
-    with pytest.raises(InternalInconsistency, match="P5 at .* is undecided"):
-        search._plan(chain(2), Axiom.P5)
 
 
 def _outcome(spec):
