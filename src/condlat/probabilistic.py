@@ -20,17 +20,20 @@ rows at a time with set sizes read by popcount.  ``verify_axioms`` reads
 every law from its definition in ``ops.AXIOM_DEFS`` on the powerset and
 decides every axiom except NORM exactly on the table, over the same row
 blocks, so no temporary the size of the table is made: P4 and P5 by
-reductions that cover all 2^3n triples, and P3, once P4 holds, on the
-3^n pairs with B ⊇ ~A.  It cross-checks the table against ``arrows`` on
-seeded cells and the ternary sweeps against the interval family; a
-disagreement is a bug, not a finding.
+reductions that cover all 2^3n triples, and P2, P3 and MP over all
+pairs.  Once P4 holds, P3 and MP are decided on the 3^n cells (A, B)
+with B ⊇ ~A alone, and once P3 holds too, so are P2 and the row
+ranges that P5's reduction reads.  It cross-checks the table against
+``arrows`` on seeded cells and the ternary sweeps against the interval
+family; a disagreement is a bug, not a finding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -169,10 +172,23 @@ NORM_WITNESS = (_mask(range(1, 11)), _mask(range(1, 10)), _mask(range(2, 11)), 0
 
 # -- integer table route -------------------------------------------------
 
-def _cuts(n: int, test) -> np.ndarray:
-    """cut[a] = the least k in 0..n with test(a, k), else n + 1."""
-    return np.array([next((k for k in range(n + 1) if test(a, k)), n + 1)
-                     for a in range(n + 1)], dtype=np.uint8)
+def _cuts(space: ConfidenceSpace) -> np.ndarray:
+    """cut[p, a] = the least k in 0..n at which the threshold test
+    td * D*mu_w(A&B) >= tn * D*mu_w(A) clears, with a = |A|, k = |A&B|
+    and w in A&B (p = 0), in A-B (p = 1) or outside A (p = 2), else
+    n + 1.  The test is monotone in k (o >= 0), so the cut is the number
+    of k at which it fails, counted on one broadcast (3, n+1, n+1) grid
+    of integer weights.  Each weight is at most 2D, so they are int64
+    while td*D < 2^62 and Python ints otherwise, as in
+    ``ConfidenceSpace.arrows``."""
+    n = space.world_count
+    D, s, o = space._scale
+    tn, td = space.threshold.as_integer_ratio()
+    ko = np.arange(n + 1).astype(np.int64 if td * D < 1 << 62 else object) * o
+    # D*mu_w(A&B) over k and D*mu_w(A) over a, the three placements of w stacked
+    num = td * (ko + [[s - o], [0], [0]])
+    den = tn * (ko + [[s - o], [s - o], [0]])
+    return np.count_nonzero(num[:, None] < den[:, :, None], axis=2).astype(np.uint8)
 
 
 def _row_blocks(N: int) -> list:
@@ -196,15 +212,7 @@ def arrow_table(space: ConfidenceSpace) -> np.ndarray:
     n = space.world_count
     if n > TABLE_LIMIT:
         raise TooLarge(f"{n} worlds: table would have 2^{2 * n} cells")
-    _, s, o = space._scale
-    tn, td = space.threshold.numerator, space.threshold.denominator
-
-    def clears(num, den):
-        return td * num >= tn * den
-
-    both = _cuts(n, lambda a, k: clears(s + (k - 1) * o, s + (a - 1) * o))
-    only_a = _cuts(n, lambda a, k: clears(k * o, s + (a - 1) * o))
-    neither = _cuts(n, lambda a, k: clears(k * o, a * o))
+    both, only_a, neither = _cuts(space)
 
     N = 1 << n
     masks = np.arange(N, dtype=np.uint16)
@@ -264,20 +272,17 @@ def _first_violation(viol: np.ndarray, *index_arrays):
 
 
 def interval_sets(n: int) -> tuple:
-    """The structured family: the empty set and every index interval."""
-    out = [0]
-    for i in range(n):
-        for j in range(i, n):
-            out.append(_mask(range(i, j + 1)))
-    return tuple(out)
+    """The structured family: the empty set and every index interval,
+    i..j as the mask 2^(j+1) - 2^i."""
+    return (0, *((2 << j) - (1 << i) for i in range(n) for j in range(i, n)))
 
 
 # -- the laws, read from ops.AXIOM_DEFS ----------------------------------
 # Every pass below walks the table in the row blocks of ``_row_blocks``,
 # so no temporary the size of the table is made.  A reduction flags every
-# antecedent A whose row (P3) or (B, C) block (P4, P5) holds a violation
-# without visiting it, and then the first flagged one is scanned from the
-# axiom's definition.
+# antecedent A whose row (P2, P3, MP, read at the cells ``_Cells``) or
+# (B, C) block (P4, P5) holds a violation without visiting it, and then
+# the first flagged one is scanned from the axiom's definition.
 
 class _Powerset:
     """The powerset as an axiom's lattice and, through ``Rows``, its meet a & b."""
@@ -344,22 +349,81 @@ def _first_block_witness(T: np.ndarray, flagged: np.ndarray, ax: Axiom):
     return found
 
 
-def _p3_rows(T: np.ndarray) -> np.ndarray:
-    """Flags every A whose row holds a P3 violation, for a table whose
-    rows are monotone (P4 holds).  Then a violation at (A, B) is one at
-    (A, B | ~A) too: the left side T[A, B] can only grow, and the right
-    side T[A, A & B] stays.  So the definition is read on the 3^n cells
-    with B ⊇ ~A only, one for each S ⊆ A, in chunks of TABLE_BLOCK_CELLS."""
-    N = len(T)
+def _subset_pairs(k: int) -> tuple:
+    """(A, S) for the 3^k pairs S ⊆ A of subsets of k worlds, as uint16 arrays."""
     A = S = np.zeros(1, dtype=np.uint16)
-    for i in range(N.bit_length() - 1):
+    for i in range(k):
         A, S = np.concatenate([A, A | 1 << i, A | 1 << i]), np.concatenate([S, S, S | 1 << i])
-    flagged = np.zeros(N, dtype=bool)
-    read = Rows(_Arrow(lambda a, b: T[a, b]))
-    for lo in range(0, len(A), TABLE_BLOCK_CELLS):
-        a, b = A[lo:lo + TABLE_BLOCK_CELLS], S[lo:lo + TABLE_BLOCK_CELLS]
-        flagged[a[_excess(Axiom.P3, N, read, (a, b | (a ^ (N - 1)))) != 0]] = True
-    return flagged
+    return A, S
+
+
+@cache
+def _cell_layout(N: int) -> tuple:
+    """The pairs S ⊆ A of ``_Cells`` on a (N, N) table, read-only:
+    (low_a, low_s) over the 2^m rows of a row block, (high_a, high_s)
+    over the higher bits, by antecedent and shifted into place, starts[j]
+    the first high pair of block j, and low_at = low_a * N."""
+    n = N.bit_length() - 1
+    m = min(N, _row_blocks(N)[0].stop).bit_length() - 1
+    low_a, low_s = _subset_pairs(m)
+    high_a, high_s = _subset_pairs(n - m)
+    order = np.argsort(high_a, kind="stable")
+    high_a, high_s = high_a[order] << m, high_s[order] << m
+    starts = [0, *accumulate(1 << j.bit_count() for j in range(N >> m))]
+    low_at = low_a.astype(np.intp) * N
+    for x in (low_a, low_s, high_a, high_s, low_at):
+        x.flags.writeable = False
+    return low_a, low_s, high_a, high_s, starts, low_at
+
+
+class _Cells:
+    """A table with monotone rows (P4 holds) read once at its 3^n cells
+    (a, b) = (A, S | ~A), S ⊆ A, one for each pair (A, A & B): E =
+    T[a, b], and ``flagged[ax]``, every A whose row holds a violation of
+    ax at a cell.  Those flags decide every row where a violation at
+    (A, B) is one at (A, B | ~A) too:
+    - P3 and MP: T[A, B] can only grow towards B | ~A, while T[A, A & B]
+      and A - B stay;
+    - P2 once P3 holds as well: then T[A, B] = T[A, A & B], and both
+      sides of P2 read A & B alone (where P3 fails its flags are unused).
+    The cells go by the pairs of the high bits of A, by antecedent, and
+    in each by the pairs of its low bits, those that vary within a row
+    block of ``_row_blocks``; so the cells of each block lie together.
+    They are read in runs of at most TABLE_BLOCK_CELLS cells, each built
+    from the layout, which is built once per n: only E is kept, and no
+    intp array of 3^n indices is made."""
+
+    def __init__(self, T: np.ndarray):
+        N = len(T)
+        low_a, low_s, high_a, high_s, self.starts, self.low_at = _cell_layout(N)
+        width = len(low_a)
+        step = max(1, TABLE_BLOCK_CELLS // width)
+        self.E = np.empty(width * len(high_a), dtype=np.uint16)
+        self.flagged = {ax: np.zeros(N, dtype=bool) for ax in (Axiom.P3, Axiom.MP, Axiom.P2)}
+        for lo in range(0, len(high_a), step):
+            a = (high_a[lo:lo + step, None] | low_a).reshape(-1)
+            b = (high_s[lo:lo + step, None] | low_s).reshape(-1) | (a ^ (N - 1))
+            E = self.E[lo * width:(lo + step) * width]
+            E[:] = Rows(T)[a][b]
+            read = Rows(_Arrow(lambda a, b: T[a, b], (a, b), E))
+            for ax, flagged in self.flagged.items():
+                flagged[a[_excess(ax, N, read, (a, b)) != 0]] = True
+
+    def block_values(self, j: int) -> np.ndarray:
+        """(a - start) * N + E over the cells of row block j, the offsets
+        of its values in a (rows, N) buffer of that block."""
+        lo, hi = self.starts[j], self.starts[j + 1]
+        width = len(self.low_at)
+        return self.E[lo * width:hi * width].reshape(hi - lo, width) + self.low_at
+
+
+def _row_law_witness(T: np.ndarray, ax: Axiom, cells):
+    """First violation (A, B, w) of the binary law ax: at the first row
+    that ``cells`` flags, scanned from the definition, when given (valid
+    for ax as ``_Cells`` says), else over every pair, block by block."""
+    if cells is None:
+        return _first_in_blocks(T, ax, _row_blocks(len(T)))
+    return _first_block_witness(T, cells.flagged[ax], ax)
 
 
 def p4_witness(T: np.ndarray):
@@ -394,14 +458,16 @@ def p4_witness(T: np.ndarray):
     return _first_block_witness(T, flagged, Axiom.P4)
 
 
-def p5_witness(T: np.ndarray):
+def p5_witness(T: np.ndarray, cells: _Cells | None = None):
     """First P5 violation (A, B, C, w) of a (2^n, 2^n) uint16 table, or
     None.  With d = A & B and u = T[d, C], P5 fails at A iff some u in
     the range of a row d ⊆ A lies in Bad[A] = {u : T[A, u] ⊄ u}.  Row
     d's range is a bit row, scattered block by block into one reused
     buffer and packed; a subset-sum (zeta) transform over the Boolean
     lattice ORs it into the row of every superset of d, which then
-    meets Bad row by row."""
+    meets Bad row by row.  The range is scattered from the whole row,
+    or, given the table's ``_Cells`` where P3 and P4 hold, from the
+    row's 3^n cells alone: there T[d, C] = T[d, (C & d) | ~d]."""
     N = len(T)
     cols = np.arange(N, dtype=np.uint16)
     blocks = _row_blocks(N)
@@ -409,10 +475,13 @@ def p5_witness(T: np.ndarray):
     offsets = np.arange(0, seen.size, N)[:, None]
     reach = np.empty((N, (N + 7) // 8), dtype=np.uint8)
     bad = np.empty_like(reach)
-    for rows in blocks:
+    for j, rows in enumerate(blocks):
         t = T[rows]
         seen.fill(False)
-        seen.reshape(-1)[t + offsets] = True
+        if cells is None:
+            seen.reshape(-1)[t + offsets] = True
+        else:
+            seen.reshape(-1)[cells.block_values(j)] = True
         reach[rows] = np.packbits(seen, axis=1)
         bad[rows] = np.packbits((t & ~cols) != 0, axis=1)
     for i in range(N.bit_length() - 1):
@@ -420,6 +489,20 @@ def p5_witness(T: np.ndarray):
         halves[:, 1] |= halves[:, 0]
     reach &= bad
     return _first_block_witness(T, reach.any(axis=1), Axiom.P5)
+
+
+def _row_and_range_witnesses(T: np.ndarray, monotone: bool) -> dict:
+    """First witnesses of P3, MP, P2 and P5.  Monotone rows (P4 holds)
+    settle P3 and MP on the 3^n cells; P3 holding as well settles P2
+    and the row ranges of P5 there too.  The cells are freed on return,
+    before the interval family is read."""
+    cells = _Cells(T) if monotone else None
+    found = {ax: _row_law_witness(T, ax, cells) for ax in (Axiom.P3, Axiom.MP)}
+    if found[Axiom.P3] is not None:
+        cells = None
+    found[Axiom.P2] = _row_law_witness(T, Axiom.P2, cells)
+    found[Axiom.P5] = p5_witness(T, cells)
+    return found
 
 
 def verify_axioms(
@@ -433,13 +516,18 @@ def verify_axioms(
 
     Every law but NORM is decided exactly on the table, in its blocks of
     antecedent rows, and a failing one reports its lexicographically
-    first instance with the lowest world: P1 over every A, P2 and MP
-    over every pair, block by block, and P4 and P5 over all 2^3n triples
-    by the sweeps ``p4_witness`` and ``p5_witness``.  P3 is read over
-    every pair when P4 fails; when P4 holds, the rows are monotone and
-    the 3^n pairs with B ⊇ ~A decide it (``_p3_rows``).  The interval
-    family is evaluated as a second route for P4 and P5: a violation
-    there that a sweep missed raises InternalInconsistency.  NORM
+    first instance with the lowest world: P1 over every A, and P4 and P5
+    over all 2^3n triples by the sweeps ``p4_witness`` and
+    ``p5_witness``.  The binary laws P2, P3 and MP are read over every
+    pair, block by block, unless the table's 3^n cells (A, B ⊇ ~A),
+    ``_Cells``, decide them: once P4 holds the rows are monotone, and a
+    P3 or MP violation at (A, B) is one at (A, B | ~A) too; once P3
+    holds as well, T[A, B] = T[A, A & B], so P2 is decided there too and
+    P5 scatters each row's range from its cells alone.  The first row
+    the cells flag is scanned from the definition, so the witness is the
+    same on either route.  The interval family
+    is evaluated as a second route for P4 and P5: a violation there
+    that a sweep missed raises InternalInconsistency.  NORM
     evaluates the pinned reference witness on both routes and only
     searches the interval family when that instance unexpectedly passes.
     Before any axiom runs, ``crosscheck`` cells of the table picked by
@@ -472,7 +560,6 @@ def verify_axioms(
     arrow = Rows(_Arrow(lambda a, b: T[a, b]))
     fam = np.array(interval_sets(n), dtype=np.uint16)
     fam3 = (fam[:, None, None], fam[None, :, None], fam[None, None, :])
-    blocks = _row_blocks(N)
 
     def swept(ax, witness):
         # the interval family as the second route of a sweep that holds
@@ -482,13 +569,10 @@ def verify_axioms(
 
     found = {
         Axiom.P1: _first_violation(_excess(Axiom.P1, N, arrow, (masks,)), masks),
-        Axiom.P2: _first_in_blocks(T, Axiom.P2, blocks),
-        Axiom.MP: _first_in_blocks(T, Axiom.MP, blocks),
         Axiom.P4: swept(Axiom.P4, p4_witness(T)),
     }
-    found[Axiom.P3] = (_first_block_witness(T, _p3_rows(T), Axiom.P3)
-                       if found[Axiom.P4] is None else _first_in_blocks(T, Axiom.P3, blocks))
-    found[Axiom.P5] = swept(Axiom.P5, p5_witness(T))
+    found.update(_row_and_range_witnesses(T, found[Axiom.P4] is None))
+    found[Axiom.P5] = swept(Axiom.P5, found[Axiom.P5])
     checks = {ax: ProbCheck(ax, found[ax] is None, "exhaustive",
                             N ** AXIOM_DEFS[ax].arity, found[ax])
               for ax in (Axiom.P1, Axiom.P2, Axiom.MP, Axiom.P3, Axiom.P4, Axiom.P5)}

@@ -30,7 +30,9 @@ the original table.  Booleanness is decided by the atom masks alone:
 each element is sent to the set of atoms below it, which turns meets
 into intersections, so the lattice is Boolean exactly when that map is
 a bijection onto the 2^k sets of its k atoms; the complement of e is
-then the element whose atom set is the complement of e's.
+then the element whose atom set is the complement of e's.  The
+one-element algebra is Boolean with k = 0, but a frame needs a world,
+so it is refused (PreconditionFailed) right after that test.
 
 ``SelectionFrame.arrows`` is the package's one selection conditional,
 written on integer arrays of subset masks; the scalar ``arrow`` reads it
@@ -294,6 +296,11 @@ def ba_to_selection(lattice: FiniteLattice, op: ConditionalOp) -> SelectionModel
     element_of = {m: e for e, m in enumerate(element_mask)}
     if len(element_of) != L.n or L.n != 1 << k:
         raise NotBoolean(f"{L!r} is not a Boolean algebra")
+    if not k:
+        raise PreconditionFailed(
+            "the one-element Boolean algebra has the empty atom set, and a"
+            " selection frame needs at least one world"
+        )
     full = (1 << k) - 1
     neg = [element_of[full ^ m] for m in element_mask]
     report = check_axioms(op, BA_AXIOMS)

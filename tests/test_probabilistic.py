@@ -334,6 +334,31 @@ def test_closed_form_table_matches_per_world_loop():
         assert np.array_equal(table, loop_arrow_table(sp)), sp
 
 
+def loop_cuts(space):
+    """The three rows of threshold cuts one (a, k) at a time: the least
+    k in 0..n at which the test clears for a world in A&B, in A-B and
+    outside A, with |A| = a and |A&B| = k, else n + 1."""
+    n = space.world_count
+    D = lcm(space.self_mass.denominator, space.other_mass.denominator)
+    o, s = int(space.other_mass * D), int(space.self_mass * D)
+    tn, td = space.threshold.numerator, space.threshold.denominator
+
+    def cuts(num, den):
+        return [next((k for k in range(n + 1) if td * num(k) >= tn * den(a)), n + 1)
+                for a in range(n + 1)]
+
+    return [cuts(lambda k: s + (k - 1) * o, lambda a: s + (a - 1) * o),
+            cuts(lambda k: k * o, lambda a: s + (a - 1) * o),
+            cuts(lambda k: k * o, lambda a: a * o)]
+
+
+def test_cut_grid_matches_the_per_cell_loop():
+    spaces = list(seeded_spaces(3, 60, 9)) + [confidence_space(), *overflowing_spaces()]
+    for sp in spaces:
+        cuts = probabilistic._cuts(sp)
+        assert cuts.dtype == np.uint8 and cuts.tolist() == loop_cuts(sp), sp
+
+
 def first_cell(viol, *axes):
     """The first nonzero cell of viol in C order, decoded through the
     axes, with its lowest set bit as the world; None if all are zero."""
@@ -498,6 +523,78 @@ def test_p3_reduction_finds_the_planted_violation(monkeypatch):
     assert seen == {True: 69, False: 45}
 
 
+def planted_reduction_tables(seed, count):
+    """Tables on which P3 and P4 hold by construction, the material
+    conditional B | ~A and seeded confidence tables, each with one P2,
+    one MP and one P5 violation planted in three distinct rows.  A plant
+    that removes world w from the cells (A, B) with A & B below S, or
+    adds it where A & B lies above S, keeps both laws (row A still reads
+    A & B only and stays monotone): P2 fails at A & B = S when w is in
+    S, MP when w is in A - S, and P5 when S = A & u for a u = T[d, C]
+    in a row d below A with w outside u.  Each table comes three times:
+    with those plants; with them closed downward or upward in B instead
+    of A & B, which keeps P4 but usually breaks P3; and with the worlds
+    changed at the violating cells alone, which usually breaks P4."""
+    rng = np.random.default_rng(seed)
+
+    def proper_subset(A):
+        while (S := A & int(rng.integers(0, N))) == A:
+            pass
+        return S
+
+    def world(X):
+        return 1 << int(rng.choice([w for w in range(k) if X >> w & 1]))
+
+    for i in range(count):
+        k = 2 + i % 4
+        N = 1 << k
+        full = N - 1
+        m = np.arange(N, dtype=np.uint16)
+        if i % 2:
+            T = arrow_table(confidence_space(k, F(int(rng.integers(1, 21)), 20),
+                                             F(int(rng.integers(1, 21)), 20)))
+        else:
+            T = m | full ^ m[:, None]
+        A2, Am, A5 = (int(x) for x in rng.choice(np.arange(1, N), size=3, replace=False))
+        S2 = A2 & int(rng.integers(0, N)) or A2 & -A2
+        Sm = proper_subset(Am)
+        d = proper_subset(A5)
+        u = int(T[d, rng.integers(0, N)])
+        if d in (A2, Am) or u == full:
+            continue
+        w2, wm, w5 = world(S2), world(Am & ~Sm), world(~u)
+        Bm = Sm | full ^ Am
+        for two, mp, five in ((m & (A2 & ~S2) == 0, m & Sm == Sm, m & (A5 & u) == A5 & u),
+                              (m & (full ^ S2) == 0, m & Bm == Bm, m & u == u),
+                              (m == S2, m == Sm, m == u)):
+            planted = T.copy()
+            planted[A2, two] &= full ^ w2
+            planted[Am, mp] |= wm
+            planted[A5, five] |= w5
+            yield planted
+
+
+def test_row_and_range_reductions_find_the_planted_violations(monkeypatch):
+    """P2, MP and P5 fail on every table.  Where P3 and P4 hold, all
+    three are read on the 3^n cells; where P4 holds but P3 fails, MP
+    alone; where P4 fails, none.  Every law's witness must be the
+    lexicographically first, as brute force finds it."""
+    seen = {}
+    for T in planted_reduction_tables(31, 120):
+        n = len(T).bit_length() - 1
+        monkeypatch.setattr(probabilistic, "arrow_table", lambda sp, T=T: T)
+        rep = verify_axioms(confidence_space(n, F(1, 2), F(1, 2)), crosscheck=0)
+        brute = brute_first_witnesses(T)
+        for ax in (Axiom.P2, Axiom.MP, Axiom.P5):
+            assert brute[ax] is not None, (ax, T)
+        for ax, w in brute.items():
+            assert rep[ax].witness == w, (ax, T)
+        key = (rep[Axiom.P4].holds, rep[Axiom.P3].holds)
+        seen[key] = seen.get(key, 0) + 1
+    # (P4, P3) holds: every route runs
+    assert seen == {(True, True): 23, (True, False): 21, (False, True): 4, (False, False): 18}
+
+
 def test_p3_reduction_reads_all_3_to_the_11_cells(space, monkeypatch):
     # (A, S) = (all but world 0, all but worlds 0 and 1) lies in the last
     # of the chunks the reduction reads; plant world 1 at B = S | ~A,
@@ -512,10 +609,34 @@ def test_p3_reduction_reads_all_3_to_the_11_cells(space, monkeypatch):
     assert rep[Axiom.P3].witness == (A, B, 1)
 
 
-def test_p3_reduction_flagging_a_holding_row_raises(monkeypatch):
+def test_mp_reduction_reads_the_last_run_of_3_to_the_11_cells(space, monkeypatch):
+    # plant world 1 in row A = all but world 0 at the two cells with
+    # A & B = S = all but worlds 0 and 1: the rows stay monotone and read
+    # A & B only, so P3 and P4 hold and MP is read on the cells alone,
+    # where (A, S | ~A) lies in the last run, the one of the last row block
+    T = arrow_table(space)
+    A, S = 0b11111111110, 0b11111111100
+    assert not T[A, S] & 0b10 and T[A, A] == T[A, 2047] == 2047
+    T[A, [S, S | 1]] |= 0b10
+    monkeypatch.setattr(probabilistic, "arrow_table", lambda sp: T)
+    rep = verify_axioms(space, crosscheck=0)
+    assert rep[Axiom.P4].holds and rep[Axiom.P3].holds and rep[Axiom.P2].holds
+    assert rep[Axiom.MP].witness == (A, S, 1)
+
+
+@pytest.mark.parametrize("law", [Axiom.P3, Axiom.MP, Axiom.P2], ids=lambda ax: ax.value)
+def test_row_reduction_flagging_a_holding_row_raises(monkeypatch, law):
     sp = confidence_space(world_count=4, self_mass=F(3, 4), threshold=F(3, 4))
-    assert verify_axioms(sp)[Axiom.P3].holds
-    monkeypatch.setattr(probabilistic, "_p3_rows", lambda T: np.arange(len(T)) == 5)
+    rep = verify_axioms(sp)
+    # P3 and P4 hold, so all three laws are read on the cells
+    assert rep[law].holds and rep[Axiom.P3].holds and rep[Axiom.P4].holds
+    read_cells = probabilistic._Cells.__init__
+
+    def flagging(cells, T):
+        read_cells(cells, T)
+        cells.flagged[law] = np.arange(len(T)) == 5
+
+    monkeypatch.setattr(probabilistic._Cells, "__init__", flagging)
     with pytest.raises(InternalInconsistency, match="flagged antecedent 0x5 but its block holds"):
         verify_axioms(sp, crosscheck=0)
 
@@ -524,7 +645,7 @@ def test_sweep_missing_a_family_violation_raises(monkeypatch):
     failing = [sp for sp in seeded_spaces(9, 40, 6)
                if brute_first_witnesses(arrow_table(sp))[Axiom.P5] is not None]
     assert failing
-    monkeypatch.setattr(probabilistic, "p5_witness", lambda T: None)
+    monkeypatch.setattr(probabilistic, "p5_witness", lambda T, cells: None)
     for sp in failing:
         with pytest.raises(InternalInconsistency, match="sweep holds but the interval family"):
             verify_axioms(sp, crosscheck=0)

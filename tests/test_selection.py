@@ -330,6 +330,13 @@ def test_round_trip_takes_no_complement_map(monkeypatch):
     assert calls == []
 
 
+def test_round_trip_refuses_the_one_element_algebra():
+    # Boolean with no atoms: refused after the atom pass, before any frame
+    L = chain(1)
+    with pytest.raises(PreconditionFailed, match="empty atom set"):
+        ba_to_selection(L, ConditionalOp(L, L.meet_table))
+
+
 def _first_negimp_failure(L, T, neg):
     for a in range(L.n):
         for b in range(L.n):
