@@ -37,11 +37,18 @@ in row-major order where one fails, tried meet, join, conditional,
 comparing whole rows first and walking only the first row that differs.
 It reads the grids of ``_set_grids``: the n^2 arrows, and the closures
 of the unions, each distinct union closed once.  ``set_algebra`` reads
-it for a family of frame sets under inclusion with the family's own
-conditional table (``fixpoints`` for the closure fixpoints,
-``representation.check_space_conditions`` for the compact opens), and
-the one embedding check of ``representation``, on either route, for the
-image of a lattice.
+it for a family of frame sets under inclusion, built by the general
+``FiniteLattice`` constructor, with the family's own conditional table
+(``representation.check_space_conditions`` for the compact opens, whose
+join need not be the closure of the union), and the one embedding check
+of ``representation``, on either route, for the image of a lattice.
+
+``fixpoints`` writes the lattice of the closure fixpoints by formula
+instead, as ``lattice.boolean_algebra`` writes the powerset: meet is
+intersection, join the closure of the union, the order read off the
+meet table, with no order closure and no search for meets and joins.
+``set_algebra`` with ``first_law_failure`` stays the second route to
+the same algebra, as its test oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
-from .errors import InternalInconsistency, TooLarge, WidthMismatch
+from .errors import InternalInconsistency, NotAPartialOrder, TooLarge, WidthMismatch
 from .lattice import MAX_ELEMENTS, FiniteLattice, index_pairs
 from .ops import ConditionalOp
 
@@ -288,27 +295,67 @@ def set_algebra(frame: RelationalFrame, sets):
     return lat, table, first_law_failure(frame, sets, lat, table, grids)
 
 
+# _ONE_AT[i] translates a byte string of element indices into the digits
+# of a bit string: "1" where the byte is i, "0" elsewhere
+_ONE_AT = [b"0" * i + b"1" + b"0" * (255 - i) for i in range(MAX_ELEMENTS)]
+
+
 def fixpoints(frame: RelationalFrame) -> FixpointLattice:
     """All closure fixpoints of the frame, with their lattice and conditional.
 
     Raises TooLarge, after listing at most MAX_ELEMENTS + 1 of them, when
     there are more fixpoints than a lattice may have elements.
+
+    The lattice is written by formula, not searched for: over the
+    ascending sets, meet[i][j] is the index of sets[i] & sets[j],
+    join[i][j] the index of the closure of sets[i] | sets[j] (each
+    distinct union closed once), and the conditional the index of
+    sets[i] -> sets[j].  This is the inclusion lattice of the family
+    exactly where those sets are in it.  For the meet: any family member
+    below s and t lies inside s ∩ t, so the greatest one is s ∩ t when
+    s ∩ t is a member, and is no intersection when it is not.  For the
+    join, the members are closure fixpoints: an upper bound u of s and t
+    in the family holds s ∪ t, so u = closure(u) holds closure(s ∪ t) by
+    monotonicity, and the least one is closure(s ∪ t) when that is a
+    member.  So a cell whose intersection, closure of the union or arrow
+    lies outside the family raises InternalInconsistency, at the first
+    such cell in row-major order, tried meet, join, conditional: the
+    cell and law ``first_law_failure`` names on the inclusion lattice.
+    Once every cell is in the family, i <= j is meet[i][j] == i, and the
+    bounds are the elements whose up-set, or down-set, is everything.
     """
     sets = tuple(closed_sets(frame.m, frame.closure, MAX_ELEMENTS))
-    if len(sets) > MAX_ELEMENTS:
+    n = len(sets)
+    if n > MAX_ELEMENTS:
         raise TooLarge(
             f"the {frame.m}-point frame has more than {MAX_ELEMENTS} fixpoints"
         )
-    lat, table, failure = set_algebra(frame, sets)
-    if failure:
-        law, i, j = failure
-        a, b = lat.names[i], lat.names[j]
-        raise InternalInconsistency({
-            "meet": f"fixpoint meet is not intersection at ({a},{b})",
-            "join": f"fixpoint join is not closure of union at ({a},{b})",
-            "conditional": f"conditional of fixpoints left the family: {a} -> {b}",
-        }[law])
-    return FixpointLattice(frame, sets, lat, ConditionalOp(lat, tuple(map(tuple, table))))
+    names = tuple(set_label(frame, s) for s in sets)
+    if len(set(names)) != n:
+        raise NotAPartialOrder("duplicate element names")
+    get, close, arrow = {s: i for i, s in enumerate(sets)}.get, frame.closure, frame.arrow
+    closed = {u: get(close(u), -1) for u in {s | t for s in sets for t in sets}}
+    meet = [tuple([get(s & t, -1) for t in sets]) for s in sets]
+    join = [tuple([closed[s | t] for t in sets]) for s in sets]
+    table = [tuple([get(arrow(s, t), -1) for t in sets]) for s in sets]
+    for i, rows in enumerate(zip(meet, join, table)):
+        if -1 in rows[0] or -1 in rows[1] or -1 in rows[2]:
+            j, law = min((r.index(-1), law) for law, r in enumerate(rows) if -1 in r)
+            a, b = names[i], names[j]
+            raise InternalInconsistency((
+                f"fixpoint meet is not intersection at ({a},{b})",
+                f"fixpoint join is not closure of union at ({a},{b})",
+                f"conditional of fixpoints left the family: {a} -> {b}",
+            )[law])
+    # leq[i] spells, at digit j, whether i <= j; up rows read it backwards
+    # (digit j is bit j), down rows read its columns the same way
+    leq = [bytes(row).translate(_ONE_AT[i]) for i, row in enumerate(meet)]
+    up = [int(r[::-1], 2) for r in leq]
+    dn = [int(bytes(c[::-1]), 2) for c in zip(*leq)]
+    full = (1 << n) - 1
+    lat = FiniteLattice.__new__(FiniteLattice)
+    lat._assign(names, up, dn, up.index(full), dn.index(full), tuple(meet), tuple(join))
+    return FixpointLattice(frame, sets, lat, ConditionalOp(lat, tuple(table)))
 
 
 def random_frame(rng: Random, m: int, density: float = 0.5) -> RelationalFrame:

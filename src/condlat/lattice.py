@@ -272,7 +272,8 @@ class FiniteLattice:
         """Set the fields of a lattice already known to be one: its names,
         up and down rows, bounds and meet and join tables (tuples of
         tuples).  The constructor ends here, and so does a builder that
-        knows its tables by formula (``boolean_algebra``)."""
+        knows its tables by formula (``boolean_algebra``,
+        ``frames.fixpoints``)."""
         self.n = len(names)
         self.names = names
         self.full_mask = (1 << self.n) - 1
@@ -344,7 +345,11 @@ class FiniteLattice:
         return out
 
     def atoms(self):
-        return [b for (a, b) in self.covers() if a == self.bottom]
+        """The elements covering the bottom, ascending: those whose down-set
+        is themselves and the bottom."""
+        bottom = self.bottom
+        bot = 1 << bottom
+        return [b for b, d in enumerate(self._dn) if d == bot | 1 << b and b != bottom]
 
     def complement_map(self):
         """The least-indexed complement of each element (the first b with

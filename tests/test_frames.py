@@ -5,12 +5,13 @@ import pytest
 
 from condlat import catalog
 from condlat import frames as frames_module
-from condlat.errors import InternalInconsistency, TooLarge, WidthMismatch
+from condlat.errors import InternalInconsistency, NotAPartialOrder, TooLarge, WidthMismatch
 from condlat.frames import (
     RelationalFrame,
     closed_sets,
     fixpoints,
     random_frame,
+    set_algebra,
     set_label,
 )
 from condlat.lattice import GRID_MIN_INSTANCES, MAX_ELEMENTS, FiniteLattice
@@ -347,6 +348,48 @@ def test_fixpoints_of_a_frame_of_more_than_64_points():
             assert sets[L.meet(i, j)] == s & t
             assert sets[L.join(i, j)] == fr.closure(s | t)
     assert max(sets).bit_length() > 64
+
+
+def _two_route_frames():
+    rng = Random("two-routes")
+    out = [random_frame(rng, m, d) for m in range(1, 9) for d in (0.3, 0.5, 0.7)
+           for _ in range(13)]
+    out += [fe.frame for fe in catalog.FRAME_ENTRIES]
+    fl = fixpoints(random_frame(Random(4), 8))
+    return out + [build_pair_frame(fl.lattice, fl.op).frame]
+
+
+def test_fixpoint_lattice_by_formula_matches_the_general_constructor():
+    # the second route: set_algebra's lattice is FiniteLattice(set labels,
+    # inclusion rows), which closes the order and searches for every meet
+    # and join, and its failure is first_law_failure's check of the set laws
+    frames = _two_route_frames()
+    assert len(frames) >= 300 and frames[-1].m == 68
+    decided = 0
+    for fr in frames:
+        try:
+            fl = fixpoints(fr)
+        except TooLarge:
+            continue
+        want, table, failure = set_algebra(fr, fl.sets)
+        got = fl.lattice
+        assert (got.n, got.names, got._up, got._dn, got.bottom, got.top) == (
+            want.n, want.names, want._up, want._dn, want.bottom, want.top)
+        assert got.meet_table == want.meet_table and got.join_table == want.join_table
+        assert failure is None
+        assert fl.op.table == tuple(map(tuple, table))
+        decided += 1
+    assert decided >= 300
+
+
+def test_colliding_set_labels_are_refused():
+    # {a,b} ∪ {c} and {a} ∪ {b,c} both read "{a,b,c}"; each point sees
+    # only itself, so all 16 subsets are fixpoints
+    fr = RelationalFrame(["a,b", "c", "a", "b,c"], [1, 2, 4, 8])
+    assert closed_sets(fr.m, fr.closure, None) == list(range(16))
+    assert set_label(fr, 0b0011) == set_label(fr, 0b1100) == "{a,b,c}"
+    with pytest.raises(NotAPartialOrder, match="^duplicate element names$"):
+        fixpoints(fr)
 
 
 # -- forced failures, against the cell-by-cell loops ------------------------

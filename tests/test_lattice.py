@@ -24,7 +24,7 @@ from condlat.lattice import (
 )
 from condlat import catalog
 from condlat.frames import fixpoints, random_frame
-from condlat.search import enumerate_lattices
+from condlat.search import INVENTORY, enumerate_lattices
 from condlat.ops import ConditionalOp
 from condlat.selection import ba_to_selection, from_well_order, induced_conditional
 from conftest import find_isomorphism
@@ -129,6 +129,22 @@ def test_antichain_m3_not_distributive():
     lhs = M3.meet(a, M3.join(b, c))
     rhs = M3.join(M3.meet(a, b), M3.meet(a, c))
     assert lhs != rhs
+
+
+def _atoms_by_covers(L):
+    return [b for (a, b) in L.covers() if a == L.bottom]
+
+
+def test_atoms_read_off_the_down_rows_match_the_covers():
+    lattices = [L for _label, L in INVENTORY] + [e.lattice for e in catalog.ENTRIES]
+    lattices += [boolean_algebra("pqrstu"[:k]) for k in range(1, 7)]
+    lattices += [fixpoints(random_frame(Random(s), m)).lattice
+                 for s in range(12) for m in (3, 5, 8)]
+    lattices += [chain(1), chain(2)]
+    for L in lattices:
+        assert L.atoms() == _atoms_by_covers(L), L
+    assert boolean_algebra("pqrstu").atoms() == [1, 2, 4, 8, 16, 32]
+    assert chain(1).atoms() == [] and chain(2).atoms() == [1]
 
 
 def test_pentagon_not_distributive_but_complemented():
