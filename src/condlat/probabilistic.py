@@ -20,12 +20,14 @@ rows at a time with set sizes read by popcount.  ``verify_axioms`` reads
 every law from its definition in ``ops.AXIOM_DEFS`` on the powerset and
 decides every axiom except NORM exactly on the table, over the same row
 blocks, so no temporary the size of the table is made: P4 and P5 by
-reductions that cover all 2^3n triples, and P2, P3 and MP over all
-pairs.  Once P4 holds, P3 and MP are decided on the 3^n cells (A, B)
-with B ⊇ ~A alone, and once P3 holds too, so are P2 and the row
-ranges that P5's reduction reads.  It cross-checks the table against
-``arrows`` on seeded cells and the ternary sweeps against the interval
-family; a disagreement is a bug, not a finding.
+subset-OR (zeta) transforms that cover all 2^3n triples, and P2, P3
+and MP over all pairs.  Once P4 holds, P3 and MP are decided on the
+3^n cells (A, B) with B ⊇ ~A alone, and once P3 holds too, so are P2
+and the row ranges that P5's reduction reads.  It cross-checks the
+table against ``arrows`` on every cell of a small table and on seeded
+cells of a larger one, and the ternary sweeps against the interval
+family, read in blocks of leading sets; a disagreement is a bug, not a
+finding.
 """
 
 from __future__ import annotations
@@ -332,6 +334,23 @@ def _first_in_blocks(T: np.ndarray, ax: Axiom, blocks, *fixed):
     return None
 
 
+def _family_witness(T: np.ndarray, ax: Axiom, fam: np.ndarray):
+    """First violation (A, B, C, w) of the ternary ax over the triples of
+    the family fam, or None.  The leading set A goes in blocks of at most
+    TABLE_BLOCK_CELLS triples, so the offsets of ``Rows`` stay the size
+    of a table block, and the first block that fails holds the first
+    violation."""
+    step = max(1, TABLE_BLOCK_CELLS // len(fam) ** 2)
+    read = Rows(T)
+    for lo in range(0, len(fam), step):
+        A = fam[lo:lo + step]
+        excess = _excess(ax, len(T), read, (A[:, None, None], fam[:, None], fam))
+        found = _first_violation(excess, A, fam, fam)
+        if found is not None:
+            return found
+    return None
+
+
 def _first_block_witness(T: np.ndarray, flagged: np.ndarray, ax: Axiom):
     """The first violation of ax at the first flagged A, its row (binary
     ax) or its (B, C) block (ternary ax) scanned from the definition, or
@@ -429,32 +448,39 @@ def _row_law_witness(T: np.ndarray, ax: Axiom, cells):
 def p4_witness(T: np.ndarray):
     """First P4 violation (A, B, C, w) of a (2^n, 2^n) uint16 table, or
     None.  P4 holds iff every row B -> T[A, B] is monotone, and a row is
-    monotone iff it grows along every cover B < B | 1<<i.  A block of
-    rows is read as words of four cells (of N cells below four): world
-    bits 0 and 1 pair 16-bit lanes inside a word, compared by shifting
-    the word, and higher bits pair whole words."""
+    monotone iff it equals its subset-OR (zeta) transform, B -> the OR
+    of T[A, S] over S ⊆ B.  Each block of rows is copied as words of
+    four cells (of N cells below four) and transformed in place, one
+    |= per world bit that ORs every cell into the cell one bit above
+    it: bits 0 and 1 shift 16-bit lanes inside the word, bits 6 and up
+    pair whole words in the row layout, and bits 2-5 pair them on a
+    copy of the block with those bits outermost, so no pairing reads
+    short runs.  The first row where the transform differs from the
+    table is scanned from the definition."""
     N = len(T)
     lanes = min(4, N)
-    inner = lanes.bit_length() - 1          # the world bits inside a word
     word = np.dtype(f"u{2 * lanes}")
-    flagged = np.zeros(N, dtype=bool)
+    # for each world bit inside a word, the lanes that have it
+    upper = [sum(0xFFFF << 16 * lane for lane in range(lanes) if lane >> i & 1)
+             for i in range(lanes.bit_length() - 1)]
+    flagged = np.empty(N, dtype=bool)
     for rows in _row_blocks(N):
         x = T[rows].view(word)
         r, W = x.shape
-        in_word = np.zeros_like(x)
-        for i in range(inner):
-            keep = sum(0xFFFF << 16 * lane for lane in range(lanes) if not lane >> i & 1)
-            in_word |= x & ~(x >> (16 << i)) & keep
-        # the t lowest bits of the word index are paired on a copy of the
-        # block with those bits outermost, so no pairing reads short runs
-        t = min(4, W.bit_length() - 1)
-        y = x.reshape(r, -1, 1 << t).transpose(0, 2, 1).copy()
-        paired = np.zeros((r, W // 2), dtype=word)
-        for j in range(W.bit_length() - 1):
-            pairs = y.reshape(r, -1, 2, (W >> t) << j) if j < t else x.reshape(r, -1, 2, 1 << j)
-            low = paired.reshape(pairs[:, :, 0].shape)
-            low |= pairs[:, :, 0] & ~pairs[:, :, 1]
-        flagged[rows] = in_word.any(axis=1) | paired.any(axis=1)
+        z = x.copy()
+        for i, lanes_up in enumerate(upper):
+            up = z << (16 << i)
+            up &= lanes_up
+            z |= up
+        t = min(4, W.bit_length() - 1)      # the word bits paired on the copy
+        for j in range(t, W.bit_length() - 1):
+            pairs = z.reshape(r, -1, 2, 1 << j)
+            pairs[:, :, 1] |= pairs[:, :, 0]
+        y = z.reshape(r, -1, 1 << t).transpose(0, 2, 1).copy()
+        for j in range(t):
+            pairs = y.reshape(r, -1, 2, (W >> t) << j)
+            pairs[:, :, 1] |= pairs[:, :, 0]
+        flagged[rows] = (y != x.reshape(r, -1, 1 << t).transpose(0, 2, 1)).any(axis=(1, 2))
     return _first_block_witness(T, flagged, Axiom.P4)
 
 
@@ -505,6 +531,26 @@ def _row_and_range_witnesses(T: np.ndarray, monotone: bool) -> dict:
     return found
 
 
+@cache
+def _crosscheck_cells(N: int, seed: int, count: int) -> tuple:
+    """The cells (a, b) of a (N, N) table that the cross-check reads,
+    distinct, in row-major order and read-only: every cell when there
+    are at most count, else count cells picked by seed plus the four
+    corners and the cell of the pinned NORM witness.  They are positions,
+    never table values, so every space of the same size checked with the
+    same seed shares them."""
+    if N * N <= count:
+        a, b = np.divmod(np.arange(N * N), N)
+    else:
+        picks = np.vstack([np.random.default_rng(seed).integers(0, N, size=(count, 2)),
+                           [(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0),
+                            (NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))]])
+        a, b = np.divmod(np.unique(picks @ (N, 1)), N)
+    for x in (a, b):
+        x.flags.writeable = False
+    return a, b
+
+
 def verify_axioms(
     space: ConfidenceSpace,
     samples=None,
@@ -525,29 +571,31 @@ def verify_axioms(
     holds as well, T[A, B] = T[A, A & B], so P2 is decided there too and
     P5 scatters each row's range from its cells alone.  The first row
     the cells flag is scanned from the definition, so the witness is the
-    same on either route.  The interval family
-    is evaluated as a second route for P4 and P5: a violation there
-    that a sweep missed raises InternalInconsistency.  NORM
-    evaluates the pinned reference witness on both routes and only
-    searches the interval family when that instance unexpectedly passes.
-    Before any axiom runs, ``crosscheck`` cells of the table picked by
-    ``seed`` are recomputed by ``space.arrows``, which compares integer
-    weights world by world and never reads the table's cut points; a
+    same on either route.  The interval family is evaluated as a second
+    route for P4 and P5, in blocks of at most TABLE_BLOCK_CELLS triples
+    by leading set: a violation there that a sweep missed raises
+    InternalInconsistency.  NORM evaluates the pinned reference witness
+    on both routes and only searches the interval family, block by
+    block, when that instance unexpectedly passes.  Before any axiom
+    runs, cells of the table are recomputed by ``space.arrows``, which
+    compares integer weights world by world and never reads the table's
+    cut points: every cell when the table has at most ``crosscheck``,
+    else ``crosscheck`` cells picked by ``seed`` plus the corners and
+    the pinned NORM cell, the same cells for every space of that size;
+    0 skips the cross-check and a negative count raises ValueError.  A
     mismatch raises InternalInconsistency at the first such cell.
     ``samples`` and ``exhaustive`` are ignored; they keep the positional
     form ``verify_axioms(space, samples, seed, exhaustive)`` working.
     """
+    if crosscheck < 0:
+        raise ValueError(f"crosscheck must be a nonnegative cell count, got {crosscheck}")
     n = space.world_count
     N = 1 << n
     T = arrow_table(space)
 
     crosschecked = 0
     if crosscheck:
-        picks = np.vstack([np.random.default_rng(seed).integers(0, N, size=(crosscheck, 2)),
-                           [(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0),
-                            (NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))]])
-        # the distinct cells, in row-major order
-        a, b = np.divmod(np.unique(picks @ (N, 1)), N)
+        a, b = _crosscheck_cells(N, seed, crosscheck)
         hit = first_true_cell(space.arrows(a, b) != T[a, b])
         if hit is not None:
             i, = hit
@@ -557,13 +605,12 @@ def verify_axioms(
         crosschecked = len(a)
 
     masks = np.arange(N, dtype=np.uint16)
-    arrow = Rows(_Arrow(lambda a, b: T[a, b]))
+    arrow = Rows(T)
     fam = np.array(interval_sets(n), dtype=np.uint16)
-    fam3 = (fam[:, None, None], fam[None, :, None], fam[None, None, :])
 
     def swept(ax, witness):
         # the interval family as the second route of a sweep that holds
-        if witness is None and _excess(ax, N, arrow, fam3).any():
+        if witness is None and _family_witness(T, ax, fam) is not None:
             raise InternalInconsistency(f"{ax} sweep holds but the interval family fails")
         return witness
 
@@ -587,7 +634,7 @@ def verify_axioms(
                 raise InternalInconsistency("routes disagree on the pinned witness")
             wn = NORM_WITNESS
     if wn is None:
-        wn = _first_violation(_excess(Axiom.NORM, N, arrow, fam3), fam, fam, fam)
+        wn = _family_witness(T, Axiom.NORM, fam)
     checks[Axiom.NORM] = ProbCheck(
         Axiom.NORM, wn is None, "pinned" if wn == NORM_WITNESS else "structured",
         1 if wn == NORM_WITNESS else len(fam) ** 3, wn,

@@ -169,10 +169,10 @@ def test_verify_axioms_report(space):
 
 CROSSCHECK_SPACES = [confidence_space()] + [
     confidence_space(k, 1 if k == 1 else F(3, 4), F(3, 4)) for k in range(1, 7)]
-# crosschecked for seeds 0-9, one row per space above
+# crosschecked for seeds 0-9, one row per space above: every cell of
+# the tables of 1-4 worlds, which have at most 512
 CROSSCHECKED = [
-    [517] * 10, [4] * 10, [16] * 10, [64] * 10,
-    [224, 226, 226, 220, 218, 222, 213, 232, 216, 219],
+    [517] * 10, [4] * 10, [16] * 10, [64] * 10, [256] * 10,
     [414, 402, 413, 402, 415, 420, 404, 417, 409, 410],
     [488, 490, 493, 481, 496, 486, 485, 491, 485, 481],
 ]
@@ -192,9 +192,12 @@ def test_crosscheck_reads_the_seeded_cells(monkeypatch):
         for seed, count in enumerate(counts):
             cells.clear()
             rep = verify_axioms(sp, seed=seed)
-            want = {tuple(c) for c in np.random.default_rng(seed).integers(0, N, size=(512, 2))}
-            want |= {(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0),
-                     (NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))}
+            if N * N <= 512:
+                want = {(a, b) for a in range(N) for b in range(N)}
+            else:
+                want = {tuple(c) for c in np.random.default_rng(seed).integers(0, N, size=(512, 2))}
+                want |= {(N - 1, N - 1), (0, 0), (0, N - 1), (N - 1, 0),
+                         (NORM_WITNESS[0] & (N - 1), NORM_WITNESS[1] & (N - 1))}
             # the cross-check runs first, one array call over the distinct cells
             assert rep.crosschecked == count == len(want), (sp, seed)
             assert set(cells[:count]) == want
@@ -428,12 +431,14 @@ def test_ternary_sweeps_match_brute_force():
 
 
 def test_p4_sweep_catches_a_single_broken_cover_at_every_bit():
-    """6-8 worlds, where the sweep pairs the low bits of the word index on
-    a transposed copy.  Rows are monotone, and row A is full exactly on
-    the supersets of S; emptying the cell S | 1<<i breaks one cover only,
-    (S, S | 1<<i), so every world bit must be paired on its own."""
+    """1-8 and 11 worlds: words of two cells (1 world), bits inside the
+    word alone (2), bits paired on the transposed copy (3-6) and in the
+    row layout (7 and up).  Rows are monotone, and row A is full exactly
+    on the supersets of S; emptying the cell S | 1<<i breaks one cover
+    only, (S, S | 1<<i), so every world bit must be transformed on its
+    own."""
     rng = np.random.default_rng(23)
-    for k in (6, 7, 8):
+    for k in (1, 2, 3, 4, 5, 6, 7, 8, 11):
         N = 1 << k
         m = np.arange(N, dtype=np.uint16)
         T = rng.integers(0, N, size=(N, N), dtype=np.uint16)
@@ -649,6 +654,89 @@ def test_sweep_missing_a_family_violation_raises(monkeypatch):
     for sp in failing:
         with pytest.raises(InternalInconsistency, match="sweep holds but the interval family"):
             verify_axioms(sp, crosscheck=0)
+
+
+def test_p4_sweep_missing_a_family_violation_raises(monkeypatch):
+    # constant rows are monotone; emptying the full set's cell of row
+    # {0} breaks P4 at (A, B, C) = ({0}, everything, {}), all intervals
+    monkeypatch.setattr(probabilistic, "p4_witness", lambda T: None)
+    for n in (1, 2, 3, 6):
+        N = 1 << n
+        T = np.full((N, N), N - 1, dtype=np.uint16)
+        T[1, N - 1] = 0
+        monkeypatch.setattr(probabilistic, "arrow_table", lambda sp, T=T: T)
+        sp = confidence_space(n, F(1, 2) if n > 1 else 1, F(1, 2))
+        with pytest.raises(InternalInconsistency,
+                           match="P4 sweep holds but the interval family fails"):
+            verify_axioms(sp, crosscheck=0)
+
+
+def unblocked_family_witnesses(T):
+    """First P4, P5 and NORM violations (A, B, C, w) over the interval
+    family's triples, read from the table in one (F, F, F) block, with
+    the laws written out on masks."""
+    N = len(T)
+    fam = np.array(interval_sets(N.bit_length() - 1), dtype=np.intp)
+    a, b, c = fam[:, None, None], fam[:, None], fam
+    inner = T[a & b, c]
+    excess = {Axiom.P4: T[a, b & c] & ~T[a, b],
+              Axiom.P5: T[a, inner] & ~inner,
+              Axiom.NORM: T[a, b] & T[a, c] & ~T[a, b & c]}
+    found = {}
+    for ax, x in excess.items():
+        hits = np.argwhere(x)
+        if len(hits) == 0:
+            found[ax] = None
+            continue
+        i, j, k = hits[0]
+        bits = int(x[i, j, k])
+        found[ax] = (int(fam[i]), int(fam[j]), int(fam[k]), (bits & -bits).bit_length() - 1)
+    return found
+
+
+def test_blocked_family_matches_one_block_on_9_to_12_worlds(monkeypatch):
+    """The family is read in blocks of leading sets.  On the material
+    conditional B | ~A every law holds; a world w outside A dropped from
+    T[A, X], X the interval of worlds 1..n-2, breaks P4 and NORM in row
+    A alone, with A the first set of the second block.  Each law's
+    blocked verdict, NORM's structured witness and P4's second route
+    must agree with one unblocked evaluation."""
+    for n in (9, 10, 11, 12):
+        N = 1 << n
+        m = np.arange(N, dtype=np.uint16)
+        fam = np.array(interval_sets(n), dtype=np.uint16)
+        step = TABLE_BLOCK_CELLS // len(fam) ** 2
+        assert 1 <= step < len(fam)
+        material = m | (N - 1) ^ m[:, None]
+        A = int(fam[step])
+        w = (~A & -~A).bit_length() - 1
+        planted = material.copy()
+        planted[A, (N >> 1) - 2] ^= 1 << w
+        for T, fails in ((material, False), (planted, True)):
+            want = unblocked_family_witnesses(T)
+            for ax in (Axiom.P4, Axiom.P5, Axiom.NORM):
+                assert probabilistic._family_witness(T, ax, fam) == want[ax], (n, ax)
+            for ax in (Axiom.P4, Axiom.NORM):
+                assert want[ax] == ((A,) + want[ax][1:] if fails else None), (n, ax)
+            monkeypatch.setattr(probabilistic, "arrow_table", lambda sp, T=T: T)
+            sp = confidence_space(n, F(1, 2), F(1, 2))
+            c = verify_axioms(sp, crosscheck=0)[Axiom.NORM]
+            assert (c.holds, c.witness, c.mode) == (not fails, want[Axiom.NORM], "structured")
+            if fails:
+                with monkeypatch.context() as patched:
+                    patched.setattr(probabilistic, "p4_witness", lambda T: None)
+                    with pytest.raises(InternalInconsistency,
+                                       match="P4 sweep holds but the interval family fails"):
+                        verify_axioms(sp, crosscheck=0)
+
+
+def test_negative_crosscheck_is_refused_before_the_table(monkeypatch):
+    def no_table(sp):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(probabilistic, "arrow_table", no_table)
+    with pytest.raises(ValueError, match="crosscheck must be a nonnegative cell count, got -1"):
+        verify_axioms(confidence_space(3, F(3, 4), F(3, 4)), crosscheck=-1)
 
 
 def test_flipped_table_bit_trips_the_crosscheck(monkeypatch):
